@@ -6,8 +6,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass, field, replace
 
+from . import assembly as masm
 from . import io as mio
 from .analysis import (
     ErrorReport,
@@ -22,7 +24,7 @@ from .assembly import (
     assemble_global,
     write_matrix_market,
 )
-from .linsolve import ResidualError, SingularSystemError, solve
+from .linsolve import ResidualError, SingularSystemError, factorize, solve
 from .mesh import (
     Mesh,
     gen_lshape,
@@ -42,6 +44,7 @@ __all__ = [
     "build_case",
     "build_mesh",
     "run_study",
+    "run_studies",
     "emit_table",
     "default_configs",
     "main",
@@ -146,40 +149,131 @@ def build_mesh(case: str, family: str, level: int) -> Mesh:
 
 
 def run_study(config: StudyConfig) -> StudyReport:
-    case = build_case(config.case, config.params.nu)
-    reports: list[ErrorReport] = []
-    for level in config.levels:
+    return run_studies([config])[0]
+
+
+def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
+    """Run a batch of studies level by level, sharing work between configs.
+
+    Configs that meet at one (domain, family, level) share one mesh; those
+    that also have equal `Params` share one assembled matrix and one LU
+    factorisation. Each case still gets its own right-hand side, strong-BC
+    elimination, solve (refinement and residual gate included) and error
+    norms. One factorisation is alive at a time: a group's LU and matrix are
+    freed before its error norms run.
+
+    A row's `wall_ms` is its own time (right-hand side, strong-BC
+    elimination, solve, error norms) plus an equal share of each shared step
+    it took part in: the mesh build, and the matrix assembly (which includes
+    the first case's right-hand side) with the factorisation. Reports come
+    back in config order. An exception keeps its type and attributes; its
+    message gains the level, and the study's title when a per-case stage
+    raised it.
+    """
+    cases = [build_case(c.case, c.params.nu) for c in configs]
+    rows: list[list[ErrorReport]] = [[] for _ in configs]
+    for level in sorted({lv for c in configs for lv in c.levels}):
+        at_level = [i for i, c in enumerate(configs) if level in c.levels]
+        for on_mesh in _groups(at_level, lambda i: (configs[i].case.split(":")[0], configs[i].family)):
+            first = configs[on_mesh[0]]
+            t0 = time.perf_counter()
+            with _context(f"level {level}"):
+                mesh = build_mesh(first.case, first.family, level)
+            mesh_ms = (time.perf_counter() - t0) * 1e3 / len(on_mesh)
+            for group in _groups(on_mesh, lambda i: astuple(configs[i].params)):
+                members = [(configs[i], cases[i]) for i in group]
+                group_ms, solved = _solve_group(mesh, level, members)
+                for i, (sol, own_ms) in zip(group, solved):
+                    cfg, case = configs[i], cases[i]
+                    t0 = time.perf_counter()
+                    with _context(f"level {level}, {_title(cfg)}"):
+                        rep = l2_errors(mesh, sol, case)
+                        rep.triple = triple_norm(mesh, sol, cfg.params)
+                        rep.data_norm = boundary_data_norm(mesh, case, cfg.params)
+                    own_ms += (time.perf_counter() - t0) * 1e3
+                    rep.wall_ms = own_ms + mesh_ms + group_ms / len(group)
+                    rows[i].append(rep)
+                    if cfg.out_dir is not None and "vtk" in cfg.emit:
+                        snap = mio.snapshot_from_solution(mesh, sol, case)
+                        mio.export_vtk(snap, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.vtk")
+
+    studies = []
+    for cfg, reports in zip(configs, rows):
+        rates_u = [None] + [
+            convergence_rate(a, b, "err_u") for a, b in zip(reports, reports[1:])
+        ]
+        rates_c = [None] + [
+            convergence_rate(a, b, "err_curl") for a, b in zip(reports, reports[1:])
+        ]
+        study = StudyReport(cfg, reports, rates_u, rates_c)
+        if cfg.out_dir is not None and "csv" in cfg.emit:
+            mio.write_report_csv(study, f"{cfg.out_dir}/{_slug(cfg)}.csv")
+        studies.append(study)
+    return studies
+
+
+def _solve_group(mesh, level, members):
+    """Solve the (config, case) members, whose params are equal, on one mesh
+    against one matrix and one factorisation. Returns the shared time and,
+    per member, the solution with the member's own time; the LU and the
+    matrix die with this frame."""
+    params = members[0][0].params
+    t0 = time.perf_counter()
+    with _context(f"level {level}"):
+        base = assemble_global(mesh, params, members[0][1])
+    shared_ms = (time.perf_counter() - t0) * 1e3
+    own_ms = [0.0] * len(members)
+    # every right-hand side before the LU exists, so that the source
+    # quadrature's temporaries never coexist with the factors
+    rhs = [base.rhs]
+    for k, (cfg, case) in enumerate(members[1:], 1):
         t0 = time.perf_counter()
-        try:
-            mesh = build_mesh(config.case, config.family, level)
-            system = assemble_global(mesh, config.params, case)
-            if config.params.formulation == "stabilised-strong":
-                system = apply_strong_bc(system, mesh, case, config.params.corner_strategy)
-            sol = solve(system)
-            rep = l2_errors(mesh, sol, case)
-            rep.triple = triple_norm(mesh, sol, config.params)
-            rep.data_norm = boundary_data_norm(mesh, case, config.params)
-        except Exception as exc:
-            raise type(exc)(f"level {level}: {exc}") from exc
-        rep.wall_ms = (time.perf_counter() - t0) * 1e3
-        reports.append(rep)
+        with _context(f"level {level}, {_title(cfg)}"):
+            rhs.append(masm.assemble_rhs(mesh, case, params))
+        own_ms[k] = (time.perf_counter() - t0) * 1e3
+    lu = None
+    solved = []
+    for k, (cfg, case) in enumerate(members):
+        t0 = time.perf_counter()
+        lu_ms = 0.0
+        with _context(f"level {level}, {_title(cfg)}"):
+            system = replace(base, rhs=rhs[k])
+            if params.formulation == "stabilised-strong":
+                # the reduced matrix depends on the mesh and params only
+                system = apply_strong_bc(system, mesh, case, params.corner_strategy)
+            if lu is None:
+                t_lu = time.perf_counter()
+                lu = factorize(system.matrix)
+                lu_ms = (time.perf_counter() - t_lu) * 1e3
+            sol = solve(system, lu=lu)
+        shared_ms += lu_ms
+        solved.append((sol, own_ms[k] + (time.perf_counter() - t0) * 1e3 - lu_ms))
+        if cfg.out_dir is not None and "matrixmarket" in cfg.emit:
+            write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
+    return shared_ms, solved
 
-        if config.out_dir is not None and "vtk" in config.emit:
-            snap = mio.snapshot_from_solution(mesh, sol, case)
-            mio.export_vtk(snap, f"{config.out_dir}/{_slug(config)}_L{level}.vtk")
-        if config.out_dir is not None and "matrixmarket" in config.emit:
-            write_matrix_market(system, f"{config.out_dir}/{_slug(config)}_L{level}.mtx")
 
-    rates_u = [None] + [
-        convergence_rate(a, b, "err_u") for a, b in zip(reports, reports[1:])
-    ]
-    rates_c = [None] + [
-        convergence_rate(a, b, "err_curl") for a, b in zip(reports, reports[1:])
-    ]
-    report = StudyReport(config, reports, rates_u, rates_c)
-    if config.out_dir is not None and "csv" in config.emit:
-        mio.write_report_csv(report, f"{config.out_dir}/{_slug(config)}.csv")
-    return report
+def _groups(items, key) -> list[list]:
+    """`items` split by `key`, groups and members in first-seen order."""
+    out: dict = {}
+    for item in items:
+        out.setdefault(key(item), []).append(item)
+    return list(out.values())
+
+
+@contextmanager
+def _context(where: str):
+    """Prefix the message of an escaping exception with `where`, keeping the
+    exception object itself (type, attributes, traceback)."""
+    try:
+        yield
+    except Exception as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
+def _title(config: StudyConfig) -> str:
+    return config.label or f"{config.case} / {config.family}"
 
 
 def _slug(config: StudyConfig) -> str:
@@ -311,9 +405,8 @@ def _cmd_run(args) -> int:
         if args.emit is not None:
             cfg.emit = tuple(args.emit.split(","))
             cfg.__post_init__()
-        report = run_study(cfg)
-        title = cfg.label or f"{cfg.case} / {cfg.family}"
-        print(f"## {title}  [{cfg.params.formulation}]")
+    for cfg, report in zip(configs, run_studies(configs)):
+        print(f"## {_title(cfg)}  [{cfg.params.formulation}]")
         print(emit_table(report, "markdown"))
     return 0
 

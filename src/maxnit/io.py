@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Mesh
+from .problems import SingularPointError
 
 __all__ = [
     "FieldSnapshot",
@@ -40,13 +41,13 @@ def snapshot_from_solution(mesh: Mesh, sol, case) -> FieldSnapshot:
     nodal = coeffs.reshape(-1, 3)
     try:
         u_ex = case.exact_u(mesh.vertices)
-    except Exception:
+    except SingularPointError:
         # singular corner value: fall back to vertex-wise evaluation
         u_ex = np.zeros((mesh.n_vertices, 2))
         for i, pt in enumerate(mesh.vertices):
             try:
                 u_ex[i] = case.exact_u(pt)
-            except Exception:
+            except SingularPointError:
                 u_ex[i] = np.nan
     fields = {
         "u_x": nodal[:, 0].copy(),

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import LinearSystem
 
-__all__ = ["SolutionFields", "SingularSystemError", "ResidualError", "solve"]
+__all__ = ["SolutionFields", "SingularSystemError", "ResidualError", "factorize", "solve"]
 
 
 class SingularSystemError(RuntimeError):
@@ -43,21 +43,14 @@ class SolutionFields:
         return self.coeffs.reshape(-1, 3)[:, 2]
 
 
-def solve(
-    system: LinearSystem,
-    tol: float = 1e-10,
-    refine_tol: float = 1e-12,
-    max_refine: int = 3,
-) -> SolutionFields:
-    """LU factorisation with fill-reducing ordering plus iterative refinement.
+def factorize(matrix) -> spla.SuperLU:
+    """LU factorisation with fill-reducing ordering.
 
-    Raises SingularSystemError when the factorisation breaks down or yields
-    non-finite values, ResidualError when refinement cannot reach `tol`.
+    Raises SingularSystemError when the factorisation breaks down or a pivot
+    falls below the relative floor.
     """
-    a = system.matrix.tocsc()
-    b = system.rhs
     try:
-        lu = spla.splu(a)
+        lu = spla.splu(matrix.tocsc())
     except RuntimeError as exc:
         raise SingularSystemError(f"factorisation failed: {exc}") from exc
     pivots = np.abs(lu.U.diagonal())
@@ -66,6 +59,30 @@ def solve(
             "numerically singular system (degenerate pivot); "
             "check stabilisation and penalty constants"
         )
+    return lu
+
+
+def solve(
+    system: LinearSystem,
+    tol: float = 1e-10,
+    refine_tol: float = 1e-12,
+    max_refine: int = 3,
+    lu: spla.SuperLU | None = None,
+) -> SolutionFields:
+    """LU solve plus iterative refinement.
+
+    `lu` is a factorisation of `system.matrix` from `factorize`, shared by
+    systems that differ only in the right-hand side; without it the matrix
+    is factorised here. Raises SingularSystemError when the factorisation
+    breaks down or yields non-finite values, ResidualError when refinement
+    cannot reach `tol`.
+    """
+    a = system.matrix.tocsc()
+    b = system.rhs
+    if lu is None:
+        lu = factorize(a)
+    elif lu.shape != a.shape:
+        raise ValueError(f"factorisation of shape {lu.shape} for a {a.shape} system")
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorisation produced non-finite values")

@@ -17,7 +17,7 @@ import pytest
 
 from maxnit.analysis import l2_errors
 from maxnit.assembly import Params, apply_strong_bc, assemble_global, edge_nitsche_blocks, DofMap
-from maxnit.harness import StudyConfig, build_case, run_study
+from maxnit.harness import StudyConfig, build_case, run_studies, run_study
 from maxnit.linsolve import solve
 from maxnit.mesh import (
     gen_lshape,
@@ -92,21 +92,16 @@ def study_t2_strong():
 def study_t3():
     levels = [16, 32, 64, 128] if PROFILE == "full" else [16, 32, 64]
     t0 = time.perf_counter()
-    out = {
-        n: run_study(StudyConfig(f"lshape:{n}", "crisscross", levels, LSHAPE))
-        for n in (1, 2, 4)
-    }
+    configs = [StudyConfig(f"lshape:{n}", "crisscross", levels, LSHAPE) for n in (1, 2, 4)]
+    out = dict(zip((1, 2, 4), run_studies(configs)))
     return out, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def study_t6_final_pair():
     # rates only need the last two levels of the six-level preset
-    out = {
-        n: run_study(StudyConfig(f"curved-l:{n}", "powell-sabin", [32, 64], CURVED))
-        for n in (1, 2, 4)
-    }
-    return out
+    configs = [StudyConfig(f"curved-l:{n}", "powell-sabin", [32, 64], CURVED) for n in (1, 2, 4)]
+    return dict(zip((1, 2, 4), run_studies(configs)))
 
 
 # --- criteria ---------------------------------------------------------------

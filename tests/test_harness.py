@@ -1,18 +1,24 @@
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 
-from maxnit.assembly import Params
+from maxnit import harness, linsolve
+from maxnit.analysis import boundary_data_norm, l2_errors, triple_norm
+from maxnit.assembly import Params, assemble_global
 from maxnit.harness import (
     ConfigError,
     StudyConfig,
+    build_case,
     build_mesh,
     default_configs,
     emit_table,
     main,
+    run_studies,
     run_study,
 )
+from maxnit.io import _CSV_COLUMNS
 
 
 def quick_config(**kwargs):
@@ -89,6 +95,88 @@ class TestRunStudy:
         # level 3 is odd and rejected by the generator; context is attached
         with pytest.raises(ValueError, match="level 3"):
             run_study(config)
+
+    @pytest.mark.parametrize(
+        "stage, context",
+        [("build_mesh", "level 2: "), ("l2_errors", "level 2, tiny: ")],
+    )
+    def test_failure_keeps_exception_object(self, monkeypatch, stage, context):
+        def broken(*args):
+            raise TwoArgError("no result", 7)
+
+        monkeypatch.setattr(harness, stage, broken)
+        with pytest.raises(TwoArgError) as info:
+            run_study(quick_config(levels=[2], label="tiny"))
+        assert str(info.value) == context + "no result (code 7)"
+        assert info.value.code == 7
+
+
+class TwoArgError(ValueError):
+    def __init__(self, what, code):
+        super().__init__(f"{what} (code {code})")
+        self.code = code
+
+
+LSHAPE = Params(nu=1.0, L0=0.5, c_u=1.0, N_u=100.0, N_p=100.0)
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
+def lshape_batch():
+    return [
+        StudyConfig(f"lshape:{n}", "crisscross", [4, 8], LSHAPE, label=f"n{n}")
+        for n in (1, 2, 4)
+    ]
+
+
+class TestRunStudies:
+    def test_matches_direct_composition(self):
+        studies = run_studies(lshape_batch())
+        for study in studies:
+            cfg = study.config
+            case = build_case(cfg.case, cfg.params.nu)
+            for level, rep in zip(cfg.levels, study.reports):
+                mesh = build_mesh(cfg.case, cfg.family, level)
+                sol = linsolve.solve(assemble_global(mesh, cfg.params, case))
+                direct = l2_errors(mesh, sol, case)
+                direct.triple = triple_norm(mesh, sol, cfg.params)
+                direct.data_norm = boundary_data_norm(mesh, case, cfg.params)
+                assert rep.wall_ms >= 0.0
+                assert replace(rep, wall_ms=0.0) == replace(direct, wall_ms=0.0)
+        assert [s.config.label for s in studies] == ["n1", "n2", "n4"]
+
+    def test_one_factorisation_per_matrix(self, monkeypatch):
+        splu = counting(monkeypatch, linsolve.spla, "splu")
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        run_studies(lshape_batch())
+        assert len(splu) == 2
+        assert len(meshes) == 2
+
+    def test_mixed_batch_keeps_order_and_separate_factorisations(self, monkeypatch):
+        weak = StudyConfig("lshape:1", "crisscross", [4], LSHAPE, label="weak")
+        strong = StudyConfig(
+            "lshape:1", "crisscross", [4],
+            replace(LSHAPE, formulation="stabilised-strong"), label="strong",
+        )
+        alone = [run_study(c).reports[0] for c in (strong, weak)]
+        splu = counting(monkeypatch, linsolve.spla, "splu")
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        studies = run_studies([strong, weak])
+        assert [s.config.label for s in studies] == ["strong", "weak"]
+        assert (len(meshes), len(splu)) == (1, 2)
+        for study, ref in zip(studies, alone):
+            assert replace(study.reports[0], wall_ms=0.0) == replace(ref, wall_ms=0.0)
 
 
 class TestEmitTable:
@@ -234,3 +322,20 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "tiny.csv").exists()
+
+    def test_preset_batch_on_one_mesh(self, monkeypatch, tmp_path, capsys):
+        pair = [
+            StudyConfig("lshape:2", "crisscross", [4], LSHAPE, label="first"),
+            StudyConfig("lshape:1", "crisscross", [2, 4], LSHAPE, label="second"),
+        ]
+        monkeypatch.setattr(harness, "default_configs", lambda: {"pair": pair})
+        code = main([
+            "run", "--preset", "pair", "--out", str(tmp_path), "--emit", "csv,markdown",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert 0 <= out.index("## first") < out.index("## second")
+        for label, rows in (("first", 1), ("second", 2)):
+            lines = (tmp_path / f"{label}.csv").read_text().splitlines()
+            assert lines[0] == ",".join(_CSV_COLUMNS)
+            assert len(lines) == 1 + rows

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from maxnit.io import (
     write_report_csv,
 )
 from maxnit.linsolve import solve
-from maxnit.mesh import gen_square_uniform
-from maxnit.problems import square_case
+from maxnit.mesh import gen_lshape, gen_square_uniform
+from maxnit.problems import lshape_case, square_case
 
 GOLDEN_VTK = """# vtk DataFile Version 3.0
 maxnit field snapshot
@@ -55,6 +57,25 @@ def test_snapshot_contains_six_arrays():
     snap = snapshot_from_solution(mesh, sol, case)
     assert set(snap.fields) == {"u_x", "u_y", "p", "u_x_exact", "u_y_exact", "p_exact"}
     assert all(len(a) == mesh.n_vertices for a in snap.fields.values())
+
+
+def test_snapshot_singular_corner_is_nan():
+    mesh = gen_lshape(4)
+    snap = snapshot_from_solution(mesh, np.zeros(3 * mesh.n_vertices), lshape_case(1))
+    corner = np.hypot(*mesh.vertices.T) < 1e-14
+    assert corner.sum() == 1
+    assert np.isnan(snap.fields["u_x_exact"][corner]).all()
+    assert np.isfinite(snap.fields["u_x_exact"][~corner]).all()
+
+
+def test_snapshot_propagates_other_field_errors():
+    def broken(points):
+        raise TypeError("bad field")
+
+    mesh = gen_square_uniform(2)
+    case = replace(square_case(), exact_u=broken)
+    with pytest.raises(TypeError, match="bad field"):
+        snapshot_from_solution(mesh, np.zeros(3 * mesh.n_vertices), case)
 
 
 def test_snapshot_length_validation():
