@@ -45,6 +45,11 @@ def _coeffs(sol) -> np.ndarray:
     return sol.coeffs if isinstance(sol, SolutionFields) else np.asarray(sol, float)
 
 
+def _udofs(nodal: np.ndarray) -> np.ndarray:
+    """Interleaved (u_x, u_y) element vectors from nodal (..., 3, [ux, uy, p])."""
+    return nodal[..., :2].reshape(nodal.shape[:-2] + (6,))
+
+
 def evaluate_fe(mesh: Mesh, sol, point) -> tuple[float, float, float, float]:
     """(u1, u2, p, curl_u) at a point located by brute barycentric scan."""
     x = _coeffs(sol)
@@ -61,10 +66,7 @@ def evaluate_fe(mesh: Mesh, sol, point) -> tuple[float, float, float, float]:
     t = int(np.argmax(inside))
     nodal = x.reshape(-1, 3)[mesh.triangles[t]]  # (3, [ux, uy, p])
     vals = lam[t] @ nodal
-    udofs = np.empty(6)
-    udofs[0::2] = nodal[:, 0]
-    udofs[1::2] = nodal[:, 1]
-    curl = float(_curl_coefs(grads[t : t + 1])[0] @ udofs)
+    curl = float(_curl_coefs(grads[t : t + 1])[0] @ _udofs(nodal))
     return float(vals[0]), float(vals[1]), float(vals[2]), curl
 
 
@@ -118,10 +120,7 @@ def l2_errors(
 
     nodal = x.reshape(-1, 3)[mesh.triangles]  # (m, 3, 3)
     vals_h = np.einsum("qk,mkf->mqf", rule.points, nodal)
-    udofs = np.empty((mesh.n_triangles, 6))
-    udofs[:, 0::2] = nodal[:, :, 0]
-    udofs[:, 1::2] = nodal[:, :, 1]
-    c_h = np.einsum("ma,ma->m", _curl_coefs(grads), udofs)
+    c_h = np.einsum("ma,ma->m", _curl_coefs(grads), _udofs(nodal))
 
     w2a = 2.0 * mesh.tri_area
     du = ((u_ex - vals_h[:, :, :2]) ** 2).sum(axis=2)
@@ -147,9 +146,7 @@ def triple_norm(mesh: Mesh, sol, params: Params) -> float:
     coords = mesh.vertices[mesh.triangles]
     area, h_k, grads = _tri_geometry(coords)
     nodal = x.reshape(-1, 3)[mesh.triangles]
-    udofs = np.empty((mesh.n_triangles, 6))
-    udofs[:, 0::2] = nodal[:, :, 0]
-    udofs[:, 1::2] = nodal[:, :, 1]
+    udofs = _udofs(nodal)
 
     curl = np.einsum("ma,ma->m", _curl_coefs(grads), udofs)
     div = np.einsum("ma,ma->m", _div_coefs(grads), udofs)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -27,6 +28,7 @@ from .assembly import (
 from .linsolve import ResidualError, SingularSystemError, factorize, solve
 from .mesh import (
     Mesh,
+    MeshError,
     gen_lshape,
     gen_lshape_uniform,
     gen_square_crisscross,
@@ -285,24 +287,16 @@ def _fmt_rate(rate) -> str:
     return "" if rate is None else f" ({rate:.2f})"
 
 
-def emit_table(report: StudyReport, fmt: str = "markdown") -> str:
-    """Human table (markdown) or machine table (csv, full precision)."""
-    if fmt == "markdown":
-        lines = ["| h | err_u (rate) | err_curl (rate) |", "| --- | --- | --- |"]
-        for rep, ru, rc in zip(report.reports, report.rates_u, report.rates_curl):
-            lines.append(
-                f"| {rep.h:.4f} | {rep.err_u:.2e}{_fmt_rate(ru)} | "
-                f"{rep.err_curl:.2e}{_fmt_rate(rc)} |"
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        lines = ["h,err_u,rate_u,err_curl,rate_curl"]
-        for rep, ru, rc in zip(report.reports, report.rates_u, report.rates_curl):
-            ru_s = "" if ru is None else f"{ru:.17g}"
-            rc_s = "" if rc is None else f"{rc:.17g}"
-            lines.append(f"{rep.h:.17g},{rep.err_u:.17g},{ru_s},{rep.err_curl:.17g},{rc_s}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown table format {fmt!r}")
+def emit_table(report: StudyReport) -> str:
+    """Markdown table of h and the u and curl errors with their rates; the
+    machine-readable table is `io.write_report_csv`."""
+    lines = ["| h | err_u (rate) | err_curl (rate) |", "| --- | --- | --- |"]
+    for rep, ru, rc in zip(report.reports, report.rates_u, report.rates_curl):
+        lines.append(
+            f"| {rep.h:.4f} | {rep.err_u:.2e}{_fmt_rate(ru)} | "
+            f"{rep.err_curl:.2e}{_fmt_rate(rc)} |"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def default_configs() -> dict[str, list[StudyConfig]]:
@@ -399,15 +393,18 @@ def _cmd_run(args) -> int:
         configs = presets[args.preset]
     else:
         configs = [_config_from_json(args.config)]
-    for cfg in configs:
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.emit is not None:
-            cfg.emit = tuple(args.emit.split(","))
-            cfg.__post_init__()
+    overrides = {}
+    if args.out is not None:
+        overrides["out_dir"] = args.out
+    if args.emit is not None:
+        overrides["emit"] = tuple(args.emit.split(","))
+    configs = [replace(cfg, **overrides) for cfg in configs]
+    # an unwritable output directory fails here, not after the studies ran
+    for out_dir in sorted({cfg.out_dir for cfg in configs} - {None}):
+        os.makedirs(out_dir, exist_ok=True)
     for cfg, report in zip(configs, run_studies(configs)):
         print(f"## {_title(cfg)}  [{cfg.params.formulation}]")
-        print(emit_table(report, "markdown"))
+        print(emit_table(report))
     return 0
 
 
@@ -459,8 +456,14 @@ def main(argv=None) -> int:
     except (SingularSystemError, ResidualError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except MeshError as exc:
+        print(f"mesh failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
 
 

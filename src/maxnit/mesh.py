@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "Mesh",
@@ -35,7 +33,7 @@ class MeshError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
     """Immutable triangulation with precomputed geometry.
 
@@ -74,12 +72,13 @@ class Mesh:
         return self.edge_vertices.shape[0]
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+
 def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     p = vertices[triangles]
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-    )
+    return 0.5 * _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
 
 
 def _diameters(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -90,29 +89,41 @@ def _diameters(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return np.sqrt((e**2).sum(axis=2)).max(axis=1)
 
 
-def _boundary_edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Directed boundary edges (as ordered in their CCW triangle) and owners."""
-    m = triangles.shape[0]
-    directed = np.concatenate(
+def _edge_table(triangles: np.ndarray):
+    """Unique undirected edges of a triangulation, in lexicographic order.
+
+    Half-edge r = k*m + t of an m-triangle mesh runs from local vertex k to
+    k+1 (mod 3) of triangle t. Returns the (3m, 2) half-edges, the (n_e, 2)
+    sorted vertex pairs of the edges, the edge of every half-edge (3m,), and
+    the first and second half-edge of every edge (n_e, 2), the second being
+    -1 on the boundary.
+    """
+    half = np.concatenate(
         [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
     )
-    owner = np.tile(np.arange(m), 3)
-    key = np.sort(directed, axis=1)
-    order = np.lexsort((key[:, 1], key[:, 0]))
-    key_sorted = key[order]
-    same_prev = np.zeros(len(order), dtype=bool)
-    same_prev[1:] = np.all(key_sorted[1:] == key_sorted[:-1], axis=1)
-    same_next = np.zeros(len(order), dtype=bool)
-    same_next[:-1] = same_prev[1:]
-    multiplicity = 1 + same_prev.astype(int) + same_next.astype(int)
-    if multiplicity.max() > 2:
+    # one integer key per vertex pair sorts like the pair (low id first)
+    n = int(triangles.max()) + 1
+    key = half.min(axis=1) * n + half.max(axis=1)
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    starts = np.concatenate([[True], key[1:] != key[:-1]])
+    first = np.flatnonzero(starts)
+    count = np.diff(np.append(first, len(key)))
+    if count.max() > 2:
         raise MeshError("non-manifold edge: shared by more than two triangles")
-    single = order[multiplicity == 1]
-    return directed[single], owner[single]
+    edges = np.column_stack(np.divmod(key[first], n))
+    edge_of = np.empty(len(key), dtype=np.int64)
+    edge_of[by_key] = np.cumsum(starts) - 1
+    sides = np.full((len(edges), 2), -1, dtype=np.int64)
+    sides[:, 0] = by_key[first]
+    shared = count == 2
+    sides[shared, 1] = by_key[first[shared] + 1]
+    return half, edges, edge_of, sides
 
 
-def _build(vertices, triangles, domain, tag_of=None, edge_tags=None) -> Mesh:
-    """Assemble the derived geometry; `tag_of` maps edge midpoints to names."""
+def _build(vertices, triangles, domain, tag_edges=None) -> Mesh:
+    """Assemble the derived geometry; `tag_edges` maps the (k, 2) directed
+    boundary edges to their k segment names (all "boundary" without it)."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     areas = _signed_areas(vertices, triangles)
@@ -120,20 +131,19 @@ def _build(vertices, triangles, domain, tag_of=None, edge_tags=None) -> Mesh:
         raise MeshError("triangle with non-positive signed area")
     h_k = _diameters(vertices, triangles)
 
-    bedges, owners = _boundary_edges(triangles)
+    # each boundary edge keeps the orientation of its one CCW triangle
+    half, _, _, sides = _edge_table(triangles)
+    lone = sides[sides[:, 1] < 0, 0]
+    bedges, owners = half[lone], lone % len(triangles)
     tangents = vertices[bedges[:, 1]] - vertices[bedges[:, 0]]
     lengths = np.sqrt((tangents**2).sum(axis=1))
     # interior is left of the directed edge, so the outward normal is its
     # clockwise rotation
     normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / lengths[:, None]
-
-    if edge_tags is not None:
-        tags = [edge_tags[frozenset(pair)] for pair in bedges.tolist()]
-    elif tag_of is not None:
-        mids = 0.5 * (vertices[bedges[:, 0]] + vertices[bedges[:, 1]])
-        tags = [tag_of(x, y) for x, y in mids]
-    else:
+    if tag_edges is None:
         tags = ["boundary"] * len(bedges)
+    else:
+        tags = np.asarray(tag_edges(bedges)).tolist()
 
     on_bnd = np.zeros(len(vertices), dtype=bool)
     on_bnd[bedges.ravel()] = True
@@ -154,147 +164,83 @@ def _build(vertices, triangles, domain, tag_of=None, edge_tags=None) -> Mesh:
     )
 
 
-def _square_tag(x: float, y: float, tol: float = 1e-12) -> str:
-    if abs(x + 1.0) < tol:
-        return "left"
-    if abs(x - 1.0) < tol:
-        return "right"
-    if abs(y + 1.0) < tol:
-        return "bottom"
-    return "top"
+# straight boundary segments as (name, axis, coordinate), first match wins
+_SEGMENTS = {
+    "square": [("left", 0, -1.0), ("right", 0, 1.0), ("bottom", 1, -1.0), ("top", 1, 1.0)],
+    "lshape": [
+        ("left", 0, -1.0), ("top", 1, 1.0), ("right", 0, 1.0), ("bottom", 1, -1.0),
+        ("leg-x", 1, 0.0), ("leg-y", 0, 0.0),
+    ],
+}
 
 
-def _lshape_tag(x: float, y: float, tol: float = 1e-12) -> str:
-    if abs(x + 1.0) < tol:
-        return "left"
-    if abs(y - 1.0) < tol:
-        return "top"
-    if abs(x - 1.0) < tol:
-        return "right"
-    if abs(y + 1.0) < tol:
-        return "bottom"
-    if abs(y) < tol:
-        return "leg-x"
-    if abs(x) < tol:
-        return "leg-y"
-    raise MeshError(f"boundary edge midpoint ({x}, {y}) not on a known segment")
+def _segment_tags(vertices, edges, domain) -> np.ndarray:
+    """Name of the straight segment holding each edge midpoint."""
+    mids = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
+    names, axes, values = zip(*_SEGMENTS[domain])
+    on = np.abs(mids[:, axes] - np.array(values)) < 1e-12
+    if not on.any(axis=1).all():
+        raise MeshError("boundary edge midpoint not on a known segment")
+    return np.array(names)[on.argmax(axis=1)]
+
+
+def _grid_mesh(n: int, domain: str, split: str) -> Mesh:
+    """n x n cells on [-1,1]^2 (minus [0,1]x[-1,0] for "lshape"), each cell
+    cut along its (v00, v11) diagonal ("diagonal") or by both diagonals
+    through an added centre vertex ("crisscross"). Cells, and the triangles
+    within a cell, are numbered row-major in (i, j); vertex ids follow grid
+    order with unused grid vertices dropped, then the centres."""
+    if domain == "lshape" and (n < 2 or n % 2 != 0):
+        raise ValueError("n_cells must be even and >= 2 for the L-shaped domain")
+    if n < 1:
+        raise ValueError("n_cells must be >= 1")
+    coords = np.linspace(-1.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(coords, coords, indexing="ij")
+    vertices = np.column_stack([xx.ravel(), yy.ravel()])
+    i, j = np.divmod(np.arange(n * n), n)
+    if domain == "lshape":
+        keep = ~((i >= n // 2) & (j < n // 2))
+        i, j = i[keep], j[keep]
+    v00 = i * (n + 1) + j
+    v10, v01 = v00 + n + 1, v00 + 1
+    v11 = v10 + 1
+    if split == "diagonal":
+        pattern = [(v00, v10, v11), (v00, v11, v01)]
+    else:
+        mids = 0.5 * (coords[:-1] + coords[1:])
+        ctr = len(vertices) + np.arange(len(i))
+        vertices = np.concatenate([vertices, np.column_stack([mids[i], mids[j]])])
+        pattern = [(v00, v10, ctr), (v10, v11, ctr), (v11, v01, ctr), (v01, v00, ctr)]
+    tris = np.stack([np.column_stack(t) for t in pattern], axis=1).reshape(-1, 3)
+
+    used = np.zeros(len(vertices), dtype=bool)
+    used[tris] = True
+    new_id = np.cumsum(used) - 1
+    vertices = vertices[used]
+    return _build(
+        vertices, new_id[tris], domain,
+        tag_edges=lambda edges: _segment_tags(vertices, edges, domain),
+    )
 
 
 def gen_square_uniform(n_cells: int) -> Mesh:
     """n x n grid on (-1,1)^2, every cell split along the same diagonal."""
-    if n_cells < 1:
-        raise ValueError("n_cells must be >= 1")
-    n = n_cells
-    coords = np.linspace(-1.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(coords, coords, indexing="ij")
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((v00, v10, v11))  # diagonal from v00 to v11
-            tris.append((v00, v11, v01))
-    return _build(vertices, np.array(tris), "square", tag_of=_square_tag)
+    return _grid_mesh(n_cells, "square", "diagonal")
 
 
 def gen_square_crisscross(n_cells: int) -> Mesh:
     """n x n grid on (-1,1)^2, every cell split by both diagonals."""
-    if n_cells < 1:
-        raise ValueError("n_cells must be >= 1")
-    n = n_cells
-    coords = np.linspace(-1.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(coords, coords, indexing="ij")
-    grid = np.column_stack([xx.ravel(), yy.ravel()])
-    centers = np.array(
-        [
-            (0.5 * (coords[i] + coords[i + 1]), 0.5 * (coords[j] + coords[j + 1]))
-            for i in range(n)
-            for j in range(n)
-        ]
-    )
-    vertices = np.concatenate([grid, centers])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    base = (n + 1) ** 2
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            ctr = base + i * n + j
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            tris += [(v00, v10, ctr), (v10, v11, ctr), (v11, v01, ctr), (v01, v00, ctr)]
-    return _build(vertices, np.array(tris), "square", tag_of=_square_tag)
-
-
-def _lshape_cells(n: int):
-    """Grid cells of [-1,1]^2 kept for the L-domain (x>=0, y<=0 removed)."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError("n_cells must be even and >= 2 for the L-shaped domain")
-    half = n // 2
-    return [(i, j) for i in range(n) for j in range(n) if not (i >= half and j < half)]
-
-
-def _compact(vertices, tris):
-    used = np.unique(np.asarray(tris).ravel())
-    remap = np.full(len(vertices), -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return vertices[used], remap[np.asarray(tris)]
+    return _grid_mesh(n_cells, "square", "crisscross")
 
 
 def gen_lshape(n_cells: int) -> Mesh:
     """Criss-cross mesh of [-1,1]^2 minus [0,1]x[-1,0]; the origin is a vertex."""
-    n = n_cells
-    cells = _lshape_cells(n)
-    coords = np.linspace(-1.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(coords, coords, indexing="ij")
-    grid = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    centers = np.array(
-        [
-            (0.5 * (coords[i] + coords[i + 1]), 0.5 * (coords[j] + coords[j + 1]))
-            for i, j in cells
-        ]
-    )
-    vertices = np.concatenate([grid, centers])
-    base = (n + 1) ** 2
-    tris = []
-    for k, (i, j) in enumerate(cells):
-        ctr = base + k
-        v00, v10 = vid(i, j), vid(i + 1, j)
-        v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-        tris += [(v00, v10, ctr), (v10, v11, ctr), (v11, v01, ctr), (v01, v00, ctr)]
-    vertices, tris = _compact(vertices, tris)
-    return _build(vertices, tris, "lshape", tag_of=_lshape_tag)
+    return _grid_mesh(n_cells, "lshape", "crisscross")
 
 
 def gen_lshape_uniform(n_cells: int) -> Mesh:
     """Same-diagonal right-angled mesh of the L-domain (Powell-Sabin base)."""
-    n = n_cells
-    cells = _lshape_cells(n)
-    coords = np.linspace(-1.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(coords, coords, indexing="ij")
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i, j in cells:
-        v00, v10 = vid(i, j), vid(i + 1, j)
-        v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-        tris += [(v00, v10, v11), (v00, v11, v01)]
-    vertices, tris = _compact(vertices, tris)
-    return _build(vertices, tris, "lshape", tag_of=_lshape_tag)
+    return _grid_mesh(n_cells, "lshape", "diagonal")
 
 
 def _incenters(vertices, triangles):
@@ -313,101 +259,45 @@ def powell_sabin_refine(m: Mesh) -> Mesh:
     tris = m.triangles
     n_v, n_t = len(verts), len(tris)
     centers = _incenters(verts, tris)
+    _, edges, edge_of, sides = _edge_table(tris)
 
-    # unique undirected edges with their one or two adjacent triangles
-    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    owner = np.tile(np.arange(n_t), 3)
-    key = np.sort(directed, axis=1)
-    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    n_e = len(uniq)
-    adj = np.full((n_e, 2), -1, dtype=np.int64)
-    for row, e in enumerate(inverse):
-        if adj[e, 0] < 0:
-            adj[e, 0] = owner[row]
-        else:
-            adj[e, 1] = owner[row]
-
-    splits = np.empty((n_e, 2))
-    interior = adj[:, 1] >= 0
-    p0 = verts[uniq[:, 0]]
-    p1 = verts[uniq[:, 1]]
-    splits[~interior] = 0.5 * (p0[~interior] + p1[~interior])
-    if interior.any():
-        z1 = centers[adj[interior, 0]]
-        z2 = centers[adj[interior, 1]]
-        e01 = p1[interior] - p0[interior]
-        dz = z2 - z1
-        denom = e01[:, 0] * dz[:, 1] - e01[:, 1] * dz[:, 0]
-        num = (z1 - p0[interior])[:, 0] * dz[:, 1] - (z1 - p0[interior])[:, 1] * dz[:, 0]
-        t = num / denom
-        if np.any(t <= 1e-9) or np.any(t >= 1.0 - 1e-9):
-            raise MeshError("incenter segment misses the open edge; mesh too distorted")
-        splits[interior] = p0[interior] + t[:, None] * e01
+    # boundary edges split at their midpoint, interior ones where the
+    # segment between the two adjacent incenters crosses them
+    p0, p1 = verts[edges[:, 0]], verts[edges[:, 1]]
+    splits = 0.5 * (p0 + p1)
+    interior = sides[:, 1] >= 0
+    z1, z2 = centers[sides[interior] % n_t].transpose(1, 0, 2)
+    a = p0[interior]
+    e01 = p1[interior] - a
+    dz = z2 - z1
+    t = _cross(z1 - a, dz) / _cross(e01, dz)
+    if np.any(t <= 1e-9) or np.any(t >= 1.0 - 1e-9):
+        raise MeshError("incenter segment misses the open edge; mesh too distorted")
+    splits[interior] = a + t[:, None] * e01
 
     new_verts = np.concatenate([verts, centers, splits])
-    center_id = n_v + np.arange(n_t)
-    split_id = n_v + n_t + np.arange(n_e)
+    split_id = n_v + n_t + edge_of.reshape(3, n_t).T  # per local edge (k, k+1)
+    center_id = np.repeat(n_v + np.arange(n_t)[:, None], 3, axis=1)
+    first = np.stack([tris, split_id, center_id], axis=-1)
+    second = np.stack([split_id, np.roll(tris, -1, axis=1), center_id], axis=-1)
+    children = np.stack([first, second], axis=2).reshape(-1, 3)
 
-    # per-triangle local edges in CCW order: (0,1), (1,2), (2,0)
-    edge_of_tri = inverse.reshape(3, n_t).T
-    children = np.empty((6 * n_t, 3), dtype=np.int64)
-    for loc, (la, lb) in enumerate(((0, 1), (1, 2), (2, 0))):
-        a = tris[:, la]
-        b = tris[:, lb]
-        mid = split_id[edge_of_tri[:, loc]]
-        z = center_id
-        children[2 * loc::6] = np.column_stack([a, mid, z])
-        children[2 * loc + 1::6] = np.column_stack([mid, b, z])
+    # a child boundary edge holds one split vertex of a parent boundary edge,
+    # whose tag it inherits; parent boundary edges are in edge-table order
+    parent_edge = np.full(len(new_verts), -1)
+    parent_edge[n_v + n_t + np.flatnonzero(~interior)] = np.arange(m.n_boundary_edges)
 
-    # child boundary edges contain exactly one split vertex; inherit its tag
-    parent_tag = {}
-    old_tags = {frozenset(p): t for p, t in zip(m.edge_vertices.tolist(), m.edge_tag)}
-    for e in range(n_e):
-        if not interior[e]:
-            pair = frozenset(uniq[e].tolist())
-            parent_tag[int(split_id[e])] = old_tags[pair]
+    def inherit(bedges):
+        parent = parent_edge[bedges].max(axis=1)
+        if np.any(parent < 0):
+            raise MeshError("refined boundary edge without a split vertex")
+        return np.asarray(m.edge_tag)[parent]
 
-    def tag_of_edge(pair: frozenset) -> str:
-        for v in pair:
-            if v in parent_tag:
-                return parent_tag[v]
-        raise MeshError("refined boundary edge without a split vertex")
-
-    refined = _build(new_verts, children, m.domain)
-    tags = [tag_of_edge(frozenset(p)) for p in refined.edge_vertices.tolist()]
-    refined.edge_tag = tags
-    return refined
+    return _build(new_verts, children, m.domain, tag_edges=inherit)
 
 
 _ARC_CENTER = np.array([1.0, -1.0])
 _ARC_RADIUS = 2.0
-
-
-def _graph_laplacian_smooth(vertices, triangles, fixed):
-    """Interior vertices moved to the converged Laplacian-smoothing positions:
-    the solution of the uniform graph-Laplace equation with fixed boundary."""
-    edges = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
-    edges = np.unique(np.sort(edges, axis=1), axis=0)
-    n = len(vertices)
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    lap = sp.diags(deg) - adj
-
-    free = ~fixed
-    if not free.any():
-        return vertices.copy()
-    a_ff = lap[free][:, free].tocsc()
-    a_fb = lap[free][:, fixed]
-    rhs = -a_fb @ vertices[fixed]
-    lu = spla.splu(a_ff)
-    out = vertices.copy()
-    out[free, 0] = lu.solve(rhs[:, 0])
-    out[free, 1] = lu.solve(rhs[:, 1])
-    return out
 
 
 def _blend_toward_arc(points: np.ndarray) -> np.ndarray:
@@ -436,42 +326,24 @@ def _blend_toward_arc(points: np.ndarray) -> np.ndarray:
     return _ARC_CENTER + rel * scale[:, None]
 
 
-def map_to_curved_l(m: Mesh, max_sweeps: int = 200) -> Mesh:
+def map_to_curved_l(m: Mesh) -> Mesh:
     """Project the x=-1 and y=1 boundary onto the radius-2 arc centred at
-    (1,-1); interior vertices follow a compatible radial blend, with
-    safeguarded Laplacian relaxation as a fallback if any triangle folds."""
+    (1,-1); interior vertices follow a compatible radial blend. A triangle
+    folded by the map raises MeshError."""
     if m.domain != "lshape":
         raise MeshError("map_to_curved_l expects an L-shape mesh")
     verts = _blend_toward_arc(m.vertices)
 
+    on_arc = np.isin(m.edge_tag, ("left", "top"))
     project = np.zeros(len(verts), dtype=bool)
-    for pair, tag in zip(m.edge_vertices, m.edge_tag):
-        if tag in ("left", "top"):
-            project[pair] = True
+    project[m.edge_vertices[on_arc]] = True
     radial = m.vertices[project] - _ARC_CENTER
     dist = np.linalg.norm(radial, axis=1)
     verts[project] = _ARC_CENTER + radial * (_ARC_RADIUS / dist)[:, None]
 
-    # safeguarded Laplacian sweeps; a no-op when the blend already yields
-    # positive areas everywhere
-    sweep = 0
-    while np.any(_signed_areas(verts, m.triangles) <= 0.0):
-        if sweep >= max_sweeps:
-            raise MeshError("smoothing failed to restore positive areas")
-        sweep += 1
-        bad = np.unique(m.triangles[_signed_areas(verts, m.triangles) <= 0.0])
-        for v in bad:
-            if m.on_boundary[v]:
-                continue
-            nbrs = np.unique(m.triangles[np.any(m.triangles == v, axis=1)])
-            nbrs = nbrs[nbrs != v]
-            verts[v] = 0.5 * verts[v] + 0.5 * verts[nbrs].mean(axis=0)
-
-    tags = {
-        frozenset(p): ("arc" if t in ("left", "top") else t)
-        for p, t in zip(m.edge_vertices.tolist(), m.edge_tag)
-    }
-    return _build(verts, m.triangles, "curved-l", edge_tags=tags)
+    # same triangles, so the same boundary edges in the same order as `m`
+    tags = np.where(on_arc, "arc", m.edge_tag)
+    return _build(verts, m.triangles, "curved-l", tag_edges=lambda _: tags)
 
 
 def mesh_stats(m: Mesh) -> dict:
@@ -502,10 +374,9 @@ def validate_mesh(m: Mesh, area_tol: float = 1e-10) -> None:
     if np.any(_signed_areas(m.vertices, m.triangles) <= 0.0):
         raise MeshError("non-CCW triangle")
 
-    bedges, owners = _boundary_edges(m.triangles)
-    found = {frozenset(p) for p in bedges.tolist()}
-    stored = {frozenset(p) for p in m.edge_vertices.tolist()}
-    if found != stored:
+    _, edges, _, sides = _edge_table(m.triangles)
+    stored = np.unique(np.sort(m.edge_vertices, axis=1), axis=0)
+    if not np.array_equal(edges[sides[:, 1] < 0], stored):
         raise MeshError("stored boundary edges disagree with connectivity")
 
     mids = 0.5 * (m.vertices[m.edge_vertices[:, 0]] + m.vertices[m.edge_vertices[:, 1]])
@@ -527,18 +398,19 @@ def validate_mesh(m: Mesh, area_tol: float = 1e-10) -> None:
 
 def save_txt(m: Mesh, path: str) -> None:
     """Plain-text export: one header line, then one line per entity."""
+    k = m.n_boundary_edges
+    edges = np.empty((k, 7), dtype=object)
+    edges[:, 0] = np.arange(k)
+    edges[:, 1:3] = m.edge_vertices
+    edges[:, 3] = m.edge_tri
+    edges[:, 4:6] = m.edge_normal
+    edges[:, 6] = m.edge_tag
     with open(path, "w") as f:
         f.write(
             f"VERTICES {m.n_vertices} / TRIANGLES {m.n_triangles} / "
-            f"BEDGES {m.n_boundary_edges}\n"
+            f"BEDGES {k}\n"
         )
-        for i, (x, y) in enumerate(m.vertices):
-            f.write(f"{i} {x:.17g} {y:.17g}\n")
-        for i, (a, b, c) in enumerate(m.triangles):
-            f.write(f"{i} {a} {b} {c}\n")
-        for i in range(m.n_boundary_edges):
-            a, b = m.edge_vertices[i]
-            nx, ny = m.edge_normal[i]
-            f.write(
-                f"{i} {a} {b} {m.edge_tri[i]} {nx:.17g} {ny:.17g} {m.edge_tag[i]}\n"
-            )
+        np.savetxt(f, np.column_stack([np.arange(m.n_vertices), m.vertices]),
+                   fmt="%d %.17g %.17g")
+        np.savetxt(f, np.column_stack([np.arange(m.n_triangles), m.triangles]), fmt="%d")
+        np.savetxt(f, edges, fmt="%d %d %d %d %.17g %.17g %s")

@@ -18,7 +18,8 @@ from maxnit.harness import (
     run_studies,
     run_study,
 )
-from maxnit.io import _CSV_COLUMNS
+from maxnit.io import _CSV_COLUMNS, write_report_csv
+from maxnit.mesh import MeshError
 
 
 def quick_config(**kwargs):
@@ -182,33 +183,21 @@ class TestRunStudies:
 class TestEmitTable:
     def test_markdown_shape(self):
         report = run_study(quick_config(levels=[2, 4]))
-        text = emit_table(report, "markdown")
+        text = emit_table(report)
         lines = text.strip().splitlines()
         assert len(lines) == 2 + 2  # header, rule, one row per level
         assert lines[2].startswith("| 1.4142 | ")
         assert "(" in lines[3] and ")" in lines[3]
 
-    def test_csv_round_trip(self):
-        report = run_study(quick_config(levels=[2, 4]))
-        text = emit_table(report, "csv")
-        lines = text.strip().splitlines()
-        assert lines[0] == "h,err_u,rate_u,err_curl,rate_curl"
-        first = lines[1].split(",")
-        assert float(first[0]) == report.reports[0].h
-        assert float(first[1]) == report.reports[0].err_u
-        assert first[2] == ""
-        second = lines[2].split(",")
-        assert float(second[2]) == report.rates_u[1]
-
-    def test_determinism(self):
-        config_a = quick_config(levels=[2, 4])
-        config_b = quick_config(levels=[2, 4])
-        assert emit_table(run_study(config_a), "csv") == emit_table(run_study(config_b), "csv")
-
-    def test_unknown_format(self):
-        report = run_study(quick_config(levels=[2]))
-        with pytest.raises(ValueError):
-            emit_table(report, "html")
+    def test_determinism(self, tmp_path):
+        texts = []
+        for name in ("a.csv", "b.csv"):
+            study = run_study(quick_config(levels=[2, 4]))
+            # the wall time is the one column that differs from run to run
+            study.reports = [replace(rep, wall_ms=0.0) for rep in study.reports]
+            write_report_csv(study, str(tmp_path / name))
+            texts.append((tmp_path / name).read_bytes())
+        assert texts[0] == texts[1]
 
 
 class TestPresets:
@@ -269,6 +258,11 @@ class TestCli:
         vtk = tmp_path / "m.vtk"
         assert main(["mesh", "--family", "uniform", "--level", "2", "--out", str(vtk)]) == 0
         assert vtk.read_text().startswith("# vtk DataFile")
+
+    def test_mesh_command_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "m.txt"
+        assert main(["mesh", "--family", "uniform", "--level", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("I/O error")
 
     def test_mesh_command_bad_level(self):
         assert main(["mesh", "--family", "crisscross", "--level", "3",
@@ -339,3 +333,28 @@ class TestCli:
             lines = (tmp_path / f"{label}.csv").read_text().splitlines()
             assert lines[0] == ",".join(_CSV_COLUMNS)
             assert len(lines) == 1 + rows
+
+    def test_missing_out_dir_is_created(self, tmp_path):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"case": "square", "family": "uniform",
+                                    "levels": [2], "label": "tiny"}))
+        out = tmp_path / "missing" / "nested"
+        assert main(["run", "--config", str(path), "--out", str(out), "--emit", "csv"]) == 0
+        assert (out / "tiny.csv").read_text().startswith(",".join(_CSV_COLUMNS))
+
+    def test_uncreatable_out_dir_fails_before_any_mesh(self, monkeypatch, tmp_path, capsys):
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"case": "square", "family": "uniform", "levels": [2]}))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["run", "--config", str(path), "--out", str(blocker / "sub"), "--emit", "csv"])
+        assert (code, len(meshes)) == (2, 0)
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_mesh_failure_exit_code(self, monkeypatch):
+        def folded(*args):
+            raise MeshError("triangle with non-positive signed area")
+
+        monkeypatch.setattr(harness, "build_mesh", folded)
+        assert main(["run", "--preset", "table6-ps"]) == 3

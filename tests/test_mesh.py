@@ -1,10 +1,14 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from maxnit import mesh as mesh_module
 from maxnit.mesh import (
     MeshError,
+    _build,
     gen_lshape,
     gen_lshape_uniform,
     gen_square_crisscross,
@@ -90,8 +94,6 @@ def test_powell_sabin_counts_and_area():
 def test_powell_sabin_equilateral_symmetry():
     # single equilateral triangle: the incenter equals the centroid and the
     # six children are congruent
-    from maxnit.mesh import _build
-
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
     base = _build(coords, np.array([[0, 1, 2]]), "test")
     ps = powell_sabin_refine(base)
@@ -152,8 +154,6 @@ def test_mesh_stats():
     assert s["n_vertices"] == 81
     assert mesh_stats(gen_square_crisscross(8))["h"] == pytest.approx(0.25)
 
-    from maxnit.mesh import _build
-
     ref = _build(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]), "test"
     )
@@ -164,8 +164,6 @@ def test_mesh_stats():
 
 
 def test_validator_catches_flipped_triangle():
-    from maxnit.mesh import _build
-
     with pytest.raises(MeshError):
         _build(
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -202,3 +200,91 @@ def test_save_txt(tmp_path):
     # vertex coordinates round-trip through the text format
     vid, x, y = lines[1].split()
     assert float(x) == m.vertices[int(vid), 0]
+
+
+def test_non_manifold_edge_rejected():
+    # edge (0, 1) is shared by three positively oriented triangles
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(MeshError, match="non-manifold"):
+        _build(coords, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]), "test")
+
+
+def test_validator_catches_stale_boundary_table():
+    m = gen_square_uniform(2)
+    with pytest.raises(MeshError, match="disagree"):
+        validate_mesh(dataclasses.replace(m, edge_vertices=m.edge_vertices[1:]))
+
+
+def test_mesh_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gen_square_uniform(1).edge_tag = []
+
+
+def test_folding_curved_map_raises(monkeypatch):
+    base = gen_lshape(4)
+    inner = int(np.flatnonzero(~base.on_boundary)[0])
+    blend = mesh_module._blend_toward_arc
+
+    def folding_blend(points):
+        out = blend(points)
+        out[inner] += 5.0  # far outside the domain: incident triangles turn over
+        return out
+
+    monkeypatch.setattr(mesh_module, "_blend_toward_arc", folding_blend)
+    with pytest.raises(MeshError, match="non-positive"):
+        map_to_curved_l(base)
+
+
+_FINGERPRINT_FIELDS = (
+    "vertices", "triangles", "tri_area", "tri_h", "edge_vertices", "edge_tri",
+    "edge_normal", "edge_length", "edge_local_h", "on_boundary",
+)
+
+
+def _fingerprint(m) -> str:
+    """sha256 over every array field (name, dtype, shape, bytes) and the tags."""
+    digest = hashlib.sha256()
+    for name in _FINGERPRINT_FIELDS:
+        a = getattr(m, name)
+        digest.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    digest.update("\n".join(m.edge_tag).encode())
+    return digest.hexdigest()
+
+
+_FAMILY_BUILDERS = {
+    "square-uniform": gen_square_uniform,
+    "square-crisscross": gen_square_crisscross,
+    "square-ps": lambda n: powell_sabin_refine(gen_square_uniform(n)),
+    "lshape-crisscross": gen_lshape,
+    "lshape-uniform": gen_lshape_uniform,
+    "lshape-ps": lambda n: powell_sabin_refine(gen_lshape_uniform(n)),
+    "curved-mapped": lambda n: map_to_curved_l(gen_lshape(n)),
+    "curved-ps": lambda n: powell_sabin_refine(map_to_curved_l(gen_lshape(n))),
+}
+
+# Recorded from the per-cell loop generators this module used to have; every
+# assembled matrix, LU ordering and reported error depends on these bytes.
+_FINGERPRINTS = {
+    ("curved-mapped", 2): "3e049606aacc6e9b86b83f19d6bebab4029e41313a1d2aebe33769ac8a43ff8f",
+    ("curved-mapped", 4): "fd59ae00e612d69ffab2c6d580d6e1d161e78505d2a1eeae36f757bc26ae0f91",
+    ("curved-ps", 2): "cc959a01aaced042b7e0b3b46e8a844a83aa1b034d317710a6d9725cc0e2a769",
+    ("curved-ps", 4): "d31336d1c9e5d5d60b327806bf4a0074d004782580fcf64a2addc3ca1cd5511b",
+    ("lshape-crisscross", 2): "d548be3855576b7536f6d5b8e17df2719c9dec3f24096e344df828f42df54f6d",
+    ("lshape-crisscross", 4): "66bddd7571a568e65a6eb8c9adff9b5ddc814c0aa7e5817b6abef4aa8cd3a79f",
+    ("lshape-ps", 2): "61fac3bd6e3b9ee01cdbbf5ef45b09ba628c58d543d44edd7aece6d72dc4a919",
+    ("lshape-ps", 4): "cd0df66ce212723c76d0af08a453777628ec98800b7ca7af091d2efe34dcef6d",
+    ("lshape-uniform", 2): "c0ba63bbe26b3e92a35c70bdae9ce346ea7cc45a51f33700c605d2951477be24",
+    ("lshape-uniform", 4): "468dfad487421fb04c1e00585a4ac83072c267215d5b50186695476e3f2dc369",
+    ("square-crisscross", 2): "bf3d45b908480459a4c027214eaa02c6f460bc06dc70e221cec52374523f4a2b",
+    ("square-crisscross", 4): "93a2477b50825728fcefad68c1a72248b210054d538c89272c4a0e2f96805cef",
+    ("square-ps", 2): "7c805e693b9cee16dcab38707d0903b9da05cbd2003fd3c020ba8f2e916ed9b6",
+    ("square-ps", 4): "d55ca930503e916fb70fc52de92bc42ca15ec4145185b411203478ebc3083c88",
+    ("square-uniform", 2): "fa5aeb4c18faa61f8de691d8cf86e7253eb1fb3b6907fb5619418b5604a92731",
+    ("square-uniform", 4): "42b9441c0e93e13fccb73647de1fc7381d8d3478bef00dd70a20b4bd56fade61",
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(_FINGERPRINTS))
+def test_mesh_fingerprint(family, n):
+    assert _fingerprint(_FAMILY_BUILDERS[family](n)) == _FINGERPRINTS[family, n]
