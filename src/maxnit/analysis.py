@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Params, _curl_coefs, _div_coefs, _tri_geometry
+from .assembly import Params, _curl_coefs, _div_coefs, _edge_mass, _edge_trace, _tri_geometry
 from .linsolve import SolutionFields
 from .mesh import Mesh
 from .problems import ProblemCase
-from .quadrature import edge_rule, subdivide_triangle_rule, triangle_rule
+from .quadrature import subdivide_triangle_rule, triangle_rule
 
 __all__ = [
     "ErrorReport",
@@ -160,14 +160,14 @@ def triple_norm(mesh: Mesh, sol, params: Params) -> float:
         vals = nodal[:, :, comp]
         total += (nu / l0**2) * (area * np.einsum("mi,ij,mj->m", vals, _P1_MASS, vals)).sum()
 
-    mass2 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    mass = _edge_mass(1.0)
     ev = mesh.edge_vertices
     tvecs = np.column_stack([-mesh.edge_normal[:, 1], mesh.edge_normal[:, 0]])
     uverts = x.reshape(-1, 3)[:, :2]
     tvals = np.einsum("kd,kid->ki", tvecs, uverts[ev])  # t(v) at edge endpoints
     qvals = x.reshape(-1, 3)[:, 2][ev]
-    eint_t = mesh.edge_length * np.einsum("ki,ij,kj->k", tvals, mass2, tvals)
-    eint_q = mesh.edge_length * np.einsum("ki,ij,kj->k", qvals, mass2, qvals)
+    eint_t = mesh.edge_length * np.einsum("ki,ij,kj->k", tvals, mass, tvals)
+    eint_q = mesh.edge_length * np.einsum("ki,ij,kj->k", qvals, mass, qvals)
     total += (nu / mesh.edge_local_h * eint_t).sum()
     total += (l0**2 / (nu * mesh.edge_local_h) * eint_q).sum()
     return float(total)
@@ -184,16 +184,8 @@ def boundary_data_norm(mesh: Mesh, case: ProblemCase, params: Params) -> float:
         np.einsum("m,q,mq->", 2.0 * mesh.tri_area, rule.weights, (f**2).sum(axis=2))
     )
 
-    erule = edge_rule(11)
-    p0 = mesh.vertices[mesh.edge_vertices[:, 0]]
-    p1 = mesh.vertices[mesh.edge_vertices[:, 1]]
-    epts = p0[:, None, :] + erule.points[None, :, None] * (p1 - p0)[:, None, :]
-    ubar = case.dirichlet_u(epts.reshape(-1, 2)).reshape(epts.shape)
-    tu = (
-        mesh.edge_normal[:, None, 0] * ubar[:, :, 1]
-        - mesh.edge_normal[:, None, 1] * ubar[:, :, 0]
-    )
-    t_norm = np.sqrt((mesh.edge_length[:, None] * erule.weights * tu**2).sum())
+    _, weights, tu = _edge_trace(mesh, case)
+    t_norm = np.sqrt((mesh.edge_length[:, None] * weights * tu**2).sum())
     return float(f_norm + np.sqrt(params.nu / mesh.h) * t_norm)
 
 

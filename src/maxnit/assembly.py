@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh
-from .problems import ProblemCase, SingularPointError
+from .mesh import Mesh, MeshError
+from .problems import ProblemCase, _eval_or_fill
 from .quadrature import edge_rule, subdivide_triangle_rule, triangle_rule
 
 __all__ = [
@@ -60,6 +60,8 @@ RHS_TRI_SUBDIV = 1
 RHS_EDGE_DEGREE = 11
 
 _PENALTY_WARN_THRESHOLD = 4.0  # ~4 * (unit trace-constant estimate)^2
+
+_EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
 class DegenerateTriangleError(ValueError):
@@ -228,8 +230,68 @@ def local_pressure_laplacian(tri: np.ndarray, params: Params) -> np.ndarray:
     return _batch_pressure_laplacian(area, grads, params)[0]
 
 
-def _edge_mass(length: float) -> np.ndarray:
-    return length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+def _edge_mass(length) -> np.ndarray:
+    """P1 x P1 mass matrix of an edge, (..., 2, 2) for a length array."""
+    return (np.asarray(length, dtype=float) / 6.0)[..., None, None] * _EDGE_MASS
+
+
+def _edge_frame(mesh: Mesh):
+    """Per boundary edge: the owner triangle's P1 gradients (k, 3, 2) and
+    element curl coefficients (k, 6), the tangent t = (-n2, n1) (k, 2), the
+    edge dofs (ux0, uy0, ux1, uy1) and (p0, p1), and the owner triangle's
+    u dofs (k, 6) and p dofs (k, 3)."""
+    dofs = DofMap(mesh.n_vertices)
+    tris = mesh.triangles[mesh.edge_tri]
+    _, _, grads = _tri_geometry(mesh.vertices[tris])
+    n = mesh.edge_normal
+    return (
+        grads,
+        _curl_coefs(grads),
+        np.column_stack([-n[:, 1], n[:, 0]]),
+        dofs.u_pair(mesh.edge_vertices.ravel()).reshape(-1, 4),
+        dofs.p(mesh.edge_vertices),
+        dofs.u_pair(tris.ravel()).reshape(-1, 6),
+        dofs.p(tris),
+    )
+
+
+def _edge_blocks(mesh: Mesh, params: Params):
+    """Boundary blocks of every edge as (rows (k, r), cols (k, c), values
+    (k, r, c)) triples, in the order consistency, its transpose, normal
+    flux, its transpose, u penalty, p penalty, and for the stabilised form
+    the pressure flux and its transpose."""
+    grads, curl6, tvec, edge_u, edge_p, tri_u, tri_p = _edge_frame(mesh)
+    n = mesh.edge_normal
+    ell = mesh.edge_length
+    lh = mesh.edge_local_h
+    mass = _edge_mass(ell)
+
+    t4 = np.tile(tvec, 2)  # coefficient of t(v) per edge dof ux0, uy0, ux1, uy1
+    cons = (-params.nu * (ell / 2.0))[:, None, None] * (t4[:, :, None] * curl6[:, None, :])
+    # <n.u, q>: P1 x P1 edge mass composed with the normal
+    nq = -(mass[:, :, :, None] * n[:, None, None, :]).reshape(-1, 2, 4)
+    tt = tvec[:, :, None] * tvec[:, None, :]
+    pen_u = (params.N_u * params.nu / lh)[:, None, None] * (
+        mass[:, :, None, :, None] * tt[:, None, :, None, :]
+    ).reshape(-1, 4, 4)
+    pen_p = (-params.N_p * params.L0**2 / (params.nu * lh))[:, None, None] * mass
+
+    blocks = [
+        (edge_u, tri_u, cons),
+        (tri_u, edge_u, cons.transpose(0, 2, 1)),
+        (edge_p, edge_u, nq),
+        (edge_u, edge_p, nq.transpose(0, 2, 1)),
+        (edge_u, edge_u, pen_u),
+        (edge_p, edge_p, pen_p),
+    ]
+    if params.formulation == "stabilised-nitsche" and params.include_p_flux:
+        # n . grad psi_a, element constant; a batched matmul rounds like the
+        # per-edge `grads[e] @ n[e]`, an einsum would not
+        ndgrad = (grads @ n[:, :, None])[:, :, 0]
+        scale = params.L0**2 / params.nu * (ell / 2.0)
+        pflux = (scale[:, None] * ndgrad)[:, None, :].repeat(2, axis=1)
+        blocks += [(edge_p, tri_p, pflux), (tri_p, edge_p, pflux.transpose(0, 2, 1))]
+    return blocks
 
 
 def edge_nitsche_blocks(mesh: Mesh, e: int, params: Params):
@@ -238,50 +300,7 @@ def edge_nitsche_blocks(mesh: Mesh, e: int, params: Params):
     present; the two pressure-flux terms only for the stabilised form."""
     if params.formulation == "stabilised-strong":
         return []
-    dofs = DofMap(mesh.n_vertices)
-    v0, v1 = mesh.edge_vertices[e]
-    tri_id = int(mesh.edge_tri[e])
-    tri = mesh.triangles[tri_id]
-    n = mesh.edge_normal[e]
-    ell = float(mesh.edge_length[e])
-    lh = float(mesh.edge_local_h[e])
-
-    area, _, grads = _tri_geometry(mesh.vertices[tri][None])
-    curl6 = _curl_coefs(grads)[0]
-
-    tvec = np.array([-n[1], n[0]])  # coefficient of t(v) per component
-    t4 = np.concatenate([tvec, tvec])  # edge dofs ordered ux0, uy0, ux1, uy1
-    mass = _edge_mass(ell)
-
-    edge_u = dofs.u_pair([v0, v1])
-    edge_p = dofs.p(np.array([v0, v1]))
-    tri_u = dofs.u_pair(tri)
-    tri_p = dofs.p(tri)
-
-    blocks = []
-
-    cons = -params.nu * (ell / 2.0) * np.outer(t4, curl6)
-    blocks.append((edge_u, tri_u, cons))
-    blocks.append((tri_u, edge_u, cons.T))
-
-    # <n.u, q>: P1 x P1 edge mass composed with the normal
-    nq = -np.kron(mass, n[None, :])
-    blocks.append((edge_p, edge_u, nq))
-    blocks.append((edge_u, edge_p, nq.T))
-
-    pen_u = params.N_u * params.nu / lh * np.kron(mass, np.outer(tvec, tvec))
-    blocks.append((edge_u, edge_u, pen_u))
-
-    pen_p = -params.N_p * params.L0**2 / (params.nu * lh) * mass
-    blocks.append((edge_p, edge_p, pen_p))
-
-    if params.formulation == "stabilised-nitsche" and params.include_p_flux:
-        ndgrad = grads[0] @ n  # n . grad psi_a, element constant
-        pflux = params.L0**2 / params.nu * (ell / 2.0) * np.outer(np.ones(2), ndgrad)
-        blocks.append((edge_p, tri_p, pflux))
-        blocks.append((tri_p, edge_p, pflux.T))
-
-    return blocks
+    return [(r[e], c[e], v[e]) for r, c, v in _edge_blocks(mesh, params)]
 
 
 def _map_rule_points(rule, coords):
@@ -289,15 +308,24 @@ def _map_rule_points(rule, coords):
     return np.einsum("qk,mkd->mqd", rule.points, coords)
 
 
-def _tangential_trace(case_values: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    return normals[..., 0] * case_values[..., 1] - normals[..., 1] * case_values[..., 0]
+def _edge_trace(mesh: Mesh, case: ProblemCase):
+    """Points t on [0, 1] and weights of the boundary-data edge rule, and the
+    tangential trace t(ubar) = n1 ubar2 - n2 ubar1 at the rule points of
+    every boundary edge, (k, q)."""
+    rule = edge_rule(RHS_EDGE_DEGREE)
+    p0 = mesh.vertices[mesh.edge_vertices[:, 0]]
+    p1 = mesh.vertices[mesh.edge_vertices[:, 1]]
+    epts = p0[:, None, :] + rule.points[None, :, None] * (p1 - p0)[:, None, :]
+    ubar = case.dirichlet_u(epts.reshape(-1, 2)).reshape(epts.shape)
+    n = mesh.edge_normal[:, None, :]
+    return rule.points, rule.weights, n[..., 0] * ubar[..., 1] - n[..., 1] * ubar[..., 0]
 
 
 def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
     if case.domain != mesh.domain:
         raise ValueError(f"case domain {case.domain!r} != mesh domain {mesh.domain!r}")
     dofs = DofMap(mesh.n_vertices)
-    b = np.zeros(dofs.n_dofs)
+    parts = []  # (dof indices, values), summed in this order
 
     coords = mesh.vertices[mesh.triangles]
     rule = subdivide_triangle_rule(triangle_rule(RHS_TRI_DEGREE), RHS_TRI_SUBDIV)
@@ -310,45 +338,42 @@ def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
         contrib = 2.0 * mesh.tri_area[:, None, None] * np.einsum(
             "q,qi,mqd->mid", w, lam, fvals
         )
-        for i in range(3):
-            np.add.at(b, dofs.ux(mesh.triangles[:, i]), contrib[:, i, 0])
-            np.add.at(b, dofs.uy(mesh.triangles[:, i]), contrib[:, i, 1])
+        # per vertex slot i: the u_x entries of all triangles, then the u_y ones
+        slots = 3 * mesh.triangles.T[:, None, :] + np.arange(2)[:, None]  # (3, 2, m)
+        parts.append((slots, contrib.transpose(1, 2, 0)))
 
-    if params.formulation == "stabilised-strong":
-        return b
+    if params.formulation != "stabilised-strong":
+        t, ew, tu = _edge_trace(mesh, case)
+        _, curl6, tvec, edge_u, _, tri_u, _ = _edge_frame(mesh)
+        # -nu <t(ubar), c(v)>: element-constant curl, so one moment per edge
+        moment0 = mesh.edge_length * (tu @ ew)
+        parts.append((tri_u, -params.nu * moment0[:, None] * curl6))
+        # +N_u (nu/h) <t(v), t(ubar)> over the two edge hat functions
+        lam_edge = np.column_stack([1.0 - t, t])  # (q, 2)
+        moment1 = mesh.edge_length[:, None] * np.einsum("q,qi,kq->ki", ew, lam_edge, tu)
+        scale = params.N_u * params.nu / mesh.edge_local_h
+        parts.append((edge_u, scale[:, None, None] * moment1[:, :, None] * tvec[:, None, :]))
 
-    erule = edge_rule(RHS_EDGE_DEGREE)
-    t = erule.points
-    ew = erule.weights
-    p0 = mesh.vertices[mesh.edge_vertices[:, 0]]
-    p1 = mesh.vertices[mesh.edge_vertices[:, 1]]
-    epts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
-    ubar = case.dirichlet_u(epts.reshape(-1, 2)).reshape(epts.shape)
-    tu = _tangential_trace(ubar, mesh.edge_normal[:, None, :])  # (k, q)
-
-    # -nu <t(ubar), c(v)>: element-constant curl, so one moment per edge
-    _, _, grads = _tri_geometry(mesh.vertices[mesh.triangles[mesh.edge_tri]])
-    curl6 = _curl_coefs(grads)  # (k, 6)
-    moment0 = mesh.edge_length * (tu @ ew)
-    cons = -params.nu * moment0[:, None] * curl6
-    tri_u_dofs = dofs.u_pair(mesh.triangles[mesh.edge_tri].ravel()).reshape(-1, 6)
-    np.add.at(b, tri_u_dofs.ravel(), cons.ravel())
-
-    # +N_u (nu/h) <t(v), t(ubar)> over the two edge hat functions
-    lam_edge = np.column_stack([1.0 - t, t])  # (q, 2)
-    moment1 = mesh.edge_length[:, None] * np.einsum("q,qi,kq->ki", ew, lam_edge, tu)
-    scale = params.N_u * params.nu / mesh.edge_local_h
-    tvecs = np.column_stack([-mesh.edge_normal[:, 1], mesh.edge_normal[:, 0]])
-    pen = scale[:, None, None] * moment1[:, :, None] * tvecs[:, None, :]  # (k, 2, 2)
-    edge_u_dofs = dofs.u_pair(mesh.edge_vertices.ravel()).reshape(-1, 4)
-    np.add.at(b, edge_u_dofs.ravel(), pen.reshape(-1, 4).ravel())
-    return b
+    if not parts:
+        return np.zeros(dofs.n_dofs)
+    return np.bincount(
+        np.concatenate([i.ravel() for i, _ in parts]),
+        weights=np.concatenate([v.ravel() for _, v in parts]),
+        minlength=dofs.n_dofs,
+    )
 
 
-def _scatter(rows_blocks, n_dofs) -> sp.csr_matrix:
-    rows = np.concatenate([r for r, _, _ in rows_blocks])
-    cols = np.concatenate([c for _, c, _ in rows_blocks])
-    vals = np.concatenate([v for _, _, v in rows_blocks])
+def _triplets(rows, cols, blocks):
+    """(rows, cols, values) of a batch of dense blocks, each (m, r * c)."""
+    return (
+        np.repeat(rows, cols.shape[1], axis=1),
+        np.tile(cols, (1, rows.shape[1])),
+        blocks.reshape(len(blocks), -1),
+    )
+
+
+def _scatter(triplets, n_dofs) -> sp.csr_matrix:
+    rows, cols, vals = (np.concatenate([t[i].ravel() for t in triplets]) for i in range(3))
     a = sp.coo_matrix((vals, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
     return (a + a.T) * 0.5  # blocks are symmetric; enforce exact symmetry
 
@@ -369,29 +394,18 @@ def assemble_global(mesh: Mesh, params: Params, case: ProblemCase) -> LinearSyst
         uu = uu + _batch_div_div(area, h_k, grads, params)
     up = _batch_mixed_grad(area, grads)
 
-    triplets = []
-
-    def add_batch(rows, cols, blocks):
-        r = np.repeat(rows, cols.shape[1], axis=1).ravel()
-        c = np.tile(cols, (1, rows.shape[1])).ravel()
-        triplets.append((r, c, blocks.ravel()))
-
-    add_batch(u_idx, u_idx, uu)
-    add_batch(u_idx, p_idx, up)
-    add_batch(p_idx, u_idx, up.transpose(0, 2, 1))
+    triplets = [
+        _triplets(u_idx, u_idx, uu),
+        _triplets(u_idx, p_idx, up),
+        _triplets(p_idx, u_idx, up.transpose(0, 2, 1)),
+    ]
     if stabilised:
-        add_batch(p_idx, p_idx, _batch_pressure_laplacian(area, grads, params))
+        triplets.append(_triplets(p_idx, p_idx, _batch_pressure_laplacian(area, grads, params)))
 
     if params.formulation != "stabilised-strong":
-        for e in range(mesh.n_boundary_edges):
-            for rows, cols, block in edge_nitsche_blocks(mesh, e, params):
-                triplets.append(
-                    (
-                        np.repeat(rows, len(cols)),
-                        np.tile(cols, len(rows)),
-                        block.ravel(),
-                    )
-                )
+        # edge-major: every block of one edge before the next edge's
+        edges = [_triplets(*block) for block in _edge_blocks(mesh, params)]
+        triplets.append(tuple(np.concatenate(part, axis=1) for part in zip(*edges)))
 
     matrix = _scatter(triplets, dofs.n_dofs)
     rhs = assemble_rhs(mesh, case, params)
@@ -399,30 +413,23 @@ def assemble_global(mesh: Mesh, params: Params, case: ProblemCase) -> LinearSyst
 
 
 def _boundary_vertex_info(mesh: Mesh):
-    """Incident boundary-edge data per boundary vertex.
-
-    Returns vertex -> (incoming edge index, outgoing edge index) following
-    the CCW boundary orientation, so corner convexity can be read off the
-    turn direction.
-    """
-    incoming: dict[int, int] = {}
-    outgoing: dict[int, int] = {}
-    for e in range(mesh.n_boundary_edges):
-        v0, v1 = mesh.edge_vertices[e]
-        if int(v1) in incoming or int(v0) in outgoing:
-            raise ValueError("boundary vertex with other than two incident segments")
-        incoming[int(v1)] = e
-        outgoing[int(v0)] = e
-    if set(incoming) != set(outgoing):
-        raise ValueError("boundary is not a union of closed loops")
-    return {v: (incoming[v], outgoing[v]) for v in incoming}
+    """Boundary vertices in ascending order with their incoming and outgoing
+    boundary edge. Edges follow the CCW boundary orientation, so corner
+    convexity can be read off the turn direction."""
+    v0, v1 = mesh.edge_vertices.T
+    e_in, e_out = np.argsort(v1), np.argsort(v0)
+    head, tail = v1[e_in], v0[e_out]
+    if np.any(head[1:] == head[:-1]) or np.any(tail[1:] == tail[:-1]):
+        raise MeshError("boundary vertex with other than two incident segments")
+    if not np.array_equal(head, tail):
+        raise MeshError("boundary is not a union of closed loops")
+    return head, e_in, e_out
 
 
-def _dirichlet_value(case: ProblemCase, point: np.ndarray) -> np.ndarray:
-    try:
-        return np.asarray(case.dirichlet_u(point), dtype=float)
-    except SingularPointError:
-        return np.zeros(2)  # pin the unbounded corner value to zero
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (m, 2) arrays. A batched matmul rounds
+    like the 1-D `a[i] @ b[i]`; a sum of products may differ in the last bit."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def apply_strong_bc(
@@ -436,72 +443,53 @@ def apply_strong_bc(
     both components prescribed from the boundary data, which is consistent
     there; the requested strategy is applied at re-entrant corners, where
     the nodal tangent is genuinely ambiguous.
+
+    Reduced unknowns are numbered in vertex order: three per interior vertex
+    (u_x, u_y, p), one per tangentially constrained vertex (the normal
+    component), two for a free corner (u_x, u_y), none for a fixed one.
     """
     if corner_strategy not in CORNER_STRATEGIES:
         raise ValueError(f"unknown corner strategy {corner_strategy!r}")
     dofs = system.dofmap
     n_full = dofs.n_dofs
-    info = _boundary_vertex_info(mesh)
+    vb, e_in, e_out = _boundary_vertex_info(mesh)
+    n_a, n_b = mesh.edge_normal[e_in], mesh.edge_normal[e_out]
+    turn = n_a[:, 0] * n_b[:, 1] - n_a[:, 1] * n_b[:, 0]  # sign of the CCW boundary turn
+    colinear = (np.abs(turn) < 1e-12) & (_rowdot(n_a, n_b) > 0.0)
+    tags = np.asarray(mesh.edge_tag)
+    # equal tags: interior vertex of a polygonally approximated curved
+    # segment, treated like a straight vertex with the averaged normal
+    averaged = ~colinear & (tags[e_in] == tags[e_out])
+    # a convex corner has both tangents prescribed, so both components
+    # are fixed by the data; the strategy decides at re-entrant corners
+    reentrant = ~colinear & ~averaged & ~(turn > 0.0)
+    averaged |= reentrant & (corner_strategy == "bisector-normal")
+    free = reentrant & (corner_strategy == "free")
+    tangential = colinear | averaged
 
-    cols_rows: list[int] = []
-    cols_cols: list[int] = []
-    cols_vals: list[float] = []
-    offset = np.zeros(n_full)
-    next_col = 0
+    normal = n_a.copy()
+    s = n_a[averaged] + n_b[averaged]
+    normal[averaged] = s / np.sqrt(_rowdot(s, s))[:, None]
+    tau = np.column_stack([-normal[:, 1], normal[:, 0]])
+    # an unbounded corner value is pinned to zero
+    ubar = _eval_or_fill(case.dirichlet_u, mesh.vertices[vb], 0.0)
+    prescribed = np.where(tangential[:, None], _rowdot(tau, ubar)[:, None] * tau, ubar)
+    offset = np.zeros(n_full)  # p = 0 on the whole boundary
+    offset.reshape(-1, 3)[vb, :2] = np.where(free[:, None], 0.0, prescribed)
 
-    def keep(dof):
-        nonlocal next_col
-        cols_rows.append(dof)
-        cols_cols.append(next_col)
-        cols_vals.append(1.0)
-        next_col += 1
-
-    def keep_direction(vertex, direction):
-        nonlocal next_col
-        for comp, val in enumerate(direction):
-            cols_rows.append(3 * vertex + comp)
-            cols_cols.append(next_col)
-            cols_vals.append(float(val))
-        next_col += 1
-
-    def constrain_tangential(vertex, normal):
-        tau = np.array([-normal[1], normal[0]])
-        ubar = _dirichlet_value(case, mesh.vertices[vertex])
-        keep_direction(vertex, normal)
-        offset[3 * vertex : 3 * vertex + 2] = (tau @ ubar) * tau
-
-    for v in range(mesh.n_vertices):
-        if v not in info:
-            keep(3 * v)
-            keep(3 * v + 1)
-            keep(3 * v + 2)
-            continue
-        e_in, e_out = info[v]
-        n_a, n_b = mesh.edge_normal[e_in], mesh.edge_normal[e_out]
-        turn = n_a[0] * n_b[1] - n_a[1] * n_b[0]  # sign of the CCW boundary turn
-        colinear = abs(turn) < 1e-12 and n_a @ n_b > 0.0
-
-        if colinear:
-            constrain_tangential(v, n_a)
-        elif mesh.edge_tag[e_in] == mesh.edge_tag[e_out]:
-            # interior vertex of a polygonally approximated curved segment:
-            # treat like a straight vertex with the averaged numerical normal
-            constrain_tangential(v, (n_a + n_b) / np.linalg.norm(n_a + n_b))
-        elif turn > 0.0:
-            # convex corner: the tangents of both segments are prescribed,
-            # so both components are fixed by the data
-            offset[3 * v : 3 * v + 2] = _dirichlet_value(case, mesh.vertices[v])
-        elif corner_strategy == "both-zero":
-            offset[3 * v : 3 * v + 2] = _dirichlet_value(case, mesh.vertices[v])
-        elif corner_strategy == "free":
-            keep(3 * v)
-            keep(3 * v + 1)
-        else:  # bisector-normal
-            constrain_tangential(v, (n_a + n_b) / np.linalg.norm(n_a + n_b))
-        # p = 0 on the whole boundary: no column, zero offset
-
+    n_cols = np.full(mesh.n_vertices, 3)
+    n_cols[vb] = np.select([tangential, free], [1, 2], 0)
+    cols = (np.cumsum(n_cols) - n_cols)[:, None] + np.arange(3)
+    vals = np.ones(cols.shape)
+    vt = vb[tangential]
+    cols[vt, 1] = cols[vt, 0]  # u_x and u_y both feed the normal-component column
+    vals[vt, :2] = normal[tangential]
+    # dofs with a column: all three of an interior vertex, u_x and u_y of a
+    # tangential or free one
+    mapped = np.arange(3) < np.where(n_cols == 1, 2, n_cols)[:, None]
     transform = sp.coo_matrix(
-        (cols_vals, (cols_rows, cols_cols)), shape=(n_full, next_col)
+        (vals[mapped], (np.flatnonzero(mapped), cols[mapped])),
+        shape=(n_full, int(n_cols.sum())),
     ).tocsr()
     reduced = (transform.T @ system.matrix @ transform).tocsr()
     reduced = (reduced + reduced.T) * 0.5

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -168,11 +169,15 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
     elimination, solve, error norms) plus an equal share of each shared step
     it took part in: the mesh build, and the matrix assembly (which includes
     the first case's right-hand side) with the factorisation. Reports come
-    back in config order. An exception keeps its type and attributes; its
-    message gains the level, and the study's title when a per-case stage
-    raised it.
+    back in config order. Every `out_dir` is created, parents included,
+    before the first mesh is built. An exception keeps its type and
+    attributes; its message gains the level, and the study's title when a
+    per-case stage raised it.
     """
     cases = [build_case(c.case, c.params.nu) for c in configs]
+    # an unwritable output directory fails here, not after the studies ran
+    for out_dir in sorted({c.out_dir for c in configs} - {None}):
+        os.makedirs(out_dir, exist_ok=True)
     rows: list[list[ErrorReport]] = [[] for _ in configs]
     for level in sorted({lv for c in configs for lv in c.levels}):
         at_level = [i for i, c in enumerate(configs) if level in c.levels]
@@ -399,9 +404,6 @@ def _cmd_run(args) -> int:
     if args.emit is not None:
         overrides["emit"] = tuple(args.emit.split(","))
     configs = [replace(cfg, **overrides) for cfg in configs]
-    # an unwritable output directory fails here, not after the studies ran
-    for out_dir in sorted({cfg.out_dir for cfg in configs} - {None}):
-        os.makedirs(out_dir, exist_ok=True)
     for cfg, report in zip(configs, run_studies(configs)):
         print(f"## {_title(cfg)}  [{cfg.params.formulation}]")
         print(emit_table(report))
@@ -409,6 +411,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):  # fail before the mesh is built
+        raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
     mesh = build_mesh(args.domain, args.family, args.level)
     if args.out.endswith(".vtk"):
         mio.write_mesh_vtk(mesh, args.out)

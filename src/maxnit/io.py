@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Mesh
-from .problems import SingularPointError
+from .problems import _eval_or_fill
 
 __all__ = [
     "FieldSnapshot",
@@ -39,16 +39,7 @@ def snapshot_from_solution(mesh: Mesh, sol, case) -> FieldSnapshot:
     """Computed components, p, and the exact counterparts (six arrays)."""
     coeffs = sol.coeffs if hasattr(sol, "coeffs") else np.asarray(sol)
     nodal = coeffs.reshape(-1, 3)
-    try:
-        u_ex = case.exact_u(mesh.vertices)
-    except SingularPointError:
-        # singular corner value: fall back to vertex-wise evaluation
-        u_ex = np.zeros((mesh.n_vertices, 2))
-        for i, pt in enumerate(mesh.vertices):
-            try:
-                u_ex[i] = case.exact_u(pt)
-            except SingularPointError:
-                u_ex[i] = np.nan
+    u_ex = _eval_or_fill(case.exact_u, mesh.vertices, np.nan)  # NaN at a singular corner
     fields = {
         "u_x": nodal[:, 0].copy(),
         "u_y": nodal[:, 1].copy(),

@@ -27,6 +27,18 @@ class SingularPointError(ValueError):
     """Field evaluation requested at a point where it is unbounded."""
 
 
+def _eval_or_fill(field, points: np.ndarray, fill: float) -> np.ndarray:
+    """A vector field at an (m, 2) point batch. If the batch raises
+    SingularPointError, the points are evaluated one at a time and the
+    singular ones get `fill`."""
+    try:
+        return np.asarray(field(points), dtype=float)
+    except SingularPointError:
+        if len(points) == 1:
+            return np.full((1, 2), float(fill))
+        return np.concatenate([_eval_or_fill(field, point[None], fill) for point in points])
+
+
 @dataclass(frozen=True)
 class ProblemCase:
     """Exact solution bundle; the pseudo-pressure is identically zero."""

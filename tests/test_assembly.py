@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,13 +19,20 @@ from maxnit.assembly import (
 )
 from maxnit.linsolve import solve
 from maxnit.mesh import (
+    MeshError,
     gen_lshape,
     gen_square_crisscross,
     gen_square_uniform,
     map_to_curved_l,
     powell_sabin_refine,
 )
-from maxnit.problems import ProblemCase, _vectorised, lshape_case, square_case
+from maxnit.problems import (
+    ProblemCase,
+    _vectorised,
+    curved_l_case,
+    lshape_case,
+    square_case,
+)
 
 from conftest import (
     oracle_curl_curl,
@@ -444,6 +454,22 @@ class TestStrongBc:
         sol = solve(system)
         assert np.isfinite(sol.coeffs).all()
 
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            (lambda ev: ev[1:], "not a union of closed loops"),
+            (lambda ev: np.vstack([ev, [[ev[0, 0], ev[1, 1]]]]), "other than two incident"),
+        ],
+        ids=["edge-dropped", "two-outgoing"],
+    )
+    def test_broken_boundary_is_mesh_error(self, broken, message):
+        mesh = gen_square_uniform(2)
+        case = square_case()
+        system = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
+        mesh = replace(mesh, edge_vertices=broken(mesh.edge_vertices))
+        with pytest.raises(MeshError, match=message):
+            apply_strong_bc(system, mesh, case, "both-zero")
+
     def test_unknown_strategy_rejected(self):
         mesh = gen_square_uniform(2)
         case = square_case()
@@ -498,3 +524,108 @@ def test_velocity_block_positive_definite(rng):
         for _ in range(20):
             x = rng.standard_normal(2 * n)
             assert x @ a_uu @ x > 0.0
+
+
+def _digest(digest, name, a):
+    a = np.asarray(a)
+    digest.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
+    digest.update(np.ascontiguousarray(a).tobytes())
+
+
+def _digest_sparse(digest, name, m):
+    m = m.tocsr(copy=True)
+    m.sort_indices()
+    for part in ("indptr", "indices", "data"):
+        _digest(digest, f"{name}.{part}", getattr(m, part))
+
+
+def _system_fingerprint(mesh, case, params) -> str:
+    """sha256 over the assembled matrix and RHS and, for the strong form,
+    the transform, offset, reduced matrix and reduced RHS."""
+    system = assemble_global(mesh, params, case)
+    digest = hashlib.sha256()
+    _digest_sparse(digest, "matrix", system.matrix)
+    _digest(digest, "rhs", system.rhs)
+    if params.formulation == "stabilised-strong":
+        reduced = apply_strong_bc(system, mesh, case, params.corner_strategy)
+        _digest_sparse(digest, "transform", reduced.transform)
+        _digest(digest, "offset", reduced.offset)
+        _digest_sparse(digest, "reduced", reduced.matrix)
+        _digest(digest, "reduced_rhs", reduced.rhs)
+    return digest.hexdigest()
+
+
+_SYSTEM_MESHES = {
+    "square-uniform": (gen_square_uniform, square_case),
+    "square-ps": (lambda n: powell_sabin_refine(gen_square_uniform(n)), square_case),
+    "lshape-crisscross": (gen_lshape, lambda: lshape_case(1)),
+    "curved-ps": (
+        lambda n: powell_sabin_refine(map_to_curved_l(gen_lshape(n))),
+        lambda: curved_l_case(1),
+    ),
+}
+
+_SYSTEM_FORMS = {
+    "galerkin-nitsche": dict(formulation="galerkin-nitsche"),
+    "stabilised-nitsche": dict(formulation="stabilised-nitsche"),
+    "strong-both-zero": dict(formulation="stabilised-strong", corner_strategy="both-zero"),
+    "strong-free": dict(formulation="stabilised-strong", corner_strategy="free"),
+    "strong-bisector-normal": dict(
+        formulation="stabilised-strong", corner_strategy="bisector-normal"
+    ),
+}
+
+# Recorded from the per-edge and per-vertex boundary code that maxnit.assembly
+# had before its batched edge kernel; the singular L-shape and curved-L cases
+# also cover the corner value pinned to zero.
+_SYSTEM_FINGERPRINTS = {
+    ("curved-ps", 2, "galerkin-nitsche"): "a0c8dbbb7b8a5df4c4ec26bb022982c832c23398ff1da42b411597f263b6f2ff",
+    ("curved-ps", 2, "stabilised-nitsche"): "024b9dc11d6c1e841223225446444108cc0b376ba249a28ab1548db954e910b1",
+    ("curved-ps", 2, "strong-bisector-normal"): "91a251c90d943635a8b3b29b2eca5aadaa2ea571119ac14abc56c07c5e43a154",
+    ("curved-ps", 2, "strong-both-zero"): "a7cd93290d8e05779fcc2ffd50a56a3bfd70c159298fb1179e409ad4bee5a056",
+    ("curved-ps", 2, "strong-free"): "99df2e4a246181a7fa922643f3071d14750dc2884fdaceb5530cbbfa4e25bf81",
+    ("curved-ps", 4, "galerkin-nitsche"): "ea447f99de1331afa773c7753a9ba284c4c82136b526285d51594c9532bb20dd",
+    ("curved-ps", 4, "stabilised-nitsche"): "132b0d84d8cfa582ad008ee7786c8e9c85b601379f962927ac5013e2ff474572",
+    ("curved-ps", 4, "strong-bisector-normal"): "47d7c7dac31b7b6a2c41a0163bb8134e542c7a15a9ec2c84b81b53d21cf3e280",
+    ("curved-ps", 4, "strong-both-zero"): "8456cbee28a63abed647ca2b9a21f67a8928e2864c5a50fcc3d915207f12f4c0",
+    ("curved-ps", 4, "strong-free"): "a5a9c1cb3cfc0ed69bc99f2f452be58b59218c03b31ebc9e6cf7f59ac67feec0",
+    ("lshape-crisscross", 2, "galerkin-nitsche"): "b155c717b165617f503731b68780e34931dbd7056d5f33dd60b302eeb5847b81",
+    ("lshape-crisscross", 2, "stabilised-nitsche"): "e6e9111738545bb381ac26f5fdc1719ed0e57fb474d93d7c71b6fbdfef9fa196",
+    ("lshape-crisscross", 2, "strong-bisector-normal"): "0be15b7e19df69ca975bfdc4fe602fad257d5a54942eb8cbae9ab3c61cc7380b",
+    ("lshape-crisscross", 2, "strong-both-zero"): "c3672f3af4995d93fb5effcd50e3a57230861ca2011f074302c4fe2b3c854b72",
+    ("lshape-crisscross", 2, "strong-free"): "ca4496b10290ead7b7a039c40877c4c8adc9a7aac3e64cadcf538284c1650db3",
+    ("lshape-crisscross", 4, "galerkin-nitsche"): "4ea9f124bb9baaf2915b32320766b789d5440e0d7ef8f58d9cd27831a29a8805",
+    ("lshape-crisscross", 4, "stabilised-nitsche"): "54860d097523d8f0e60b49f54f1aa49e620e01782f0e38eb3e80f3c4a8d2fd4a",
+    ("lshape-crisscross", 4, "strong-bisector-normal"): "955d2e57c112d3de8783ec1d80050bf553ef5bbd852a1efc535b3bc917df4aac",
+    ("lshape-crisscross", 4, "strong-both-zero"): "1663d818a963bc510cee9178c99fcebf42a59909d3980e63ce37876040f6b256",
+    ("lshape-crisscross", 4, "strong-free"): "7e1f03b06b5c3a78a3f0c4fa6226a0085ef0be04ba54d670257988d92ec86ac2",
+    ("square-ps", 2, "galerkin-nitsche"): "4d3663de419d1279f5c669b07e4c0697175a623d0ef0c656ecfea3ac90559be1",
+    ("square-ps", 2, "stabilised-nitsche"): "d03d55b86c8de2048f8ba29369f5c04374f5067c5f3b4ab3686afba87d19940b",
+    ("square-ps", 2, "strong-bisector-normal"): "16cb728a1e1bfe4ee085315bbb3b95959314b853f35c0b829bcb24948ad4179d",
+    ("square-ps", 2, "strong-both-zero"): "16cb728a1e1bfe4ee085315bbb3b95959314b853f35c0b829bcb24948ad4179d",
+    ("square-ps", 2, "strong-free"): "16cb728a1e1bfe4ee085315bbb3b95959314b853f35c0b829bcb24948ad4179d",
+    ("square-ps", 4, "galerkin-nitsche"): "6b91f4d97416508ab0c0b4ccfe27c3aaeb66b988337a2e958bfb72194e055b16",
+    ("square-ps", 4, "stabilised-nitsche"): "15aaa439917b77f384bbf80684638980c4d206e0d6eebd7c4c54e9ac2faee214",
+    ("square-ps", 4, "strong-bisector-normal"): "d1f0753a7c1dc8addd795ee90384f2cecce77fa3a8100ed1a9c4350296bf3c1e",
+    ("square-ps", 4, "strong-both-zero"): "d1f0753a7c1dc8addd795ee90384f2cecce77fa3a8100ed1a9c4350296bf3c1e",
+    ("square-ps", 4, "strong-free"): "d1f0753a7c1dc8addd795ee90384f2cecce77fa3a8100ed1a9c4350296bf3c1e",
+    ("square-uniform", 2, "galerkin-nitsche"): "94c7192dcbe941620b3c06eb97cf5766b992c1677300fbe79b04b41c279792db",
+    ("square-uniform", 2, "stabilised-nitsche"): "c03f52855912aa73a3780de555b27d9219e277aaaee5020102f4e9fb2b53445c",
+    ("square-uniform", 2, "strong-bisector-normal"): "3c93de101771ffaa13084038524e00b976fff8db470b45546b3e04884be972ac",
+    ("square-uniform", 2, "strong-both-zero"): "3c93de101771ffaa13084038524e00b976fff8db470b45546b3e04884be972ac",
+    ("square-uniform", 2, "strong-free"): "3c93de101771ffaa13084038524e00b976fff8db470b45546b3e04884be972ac",
+    ("square-uniform", 4, "galerkin-nitsche"): "76a9eb65e0d85a25e9bd5066dc3f26199ad5a0c8bf42a1f17fd45e098ced01fe",
+    ("square-uniform", 4, "stabilised-nitsche"): "9c2f20b43e304af8bd77ad08abea371aeb4e62b7de878b621a192e64c7492c8a",
+    ("square-uniform", 4, "strong-bisector-normal"): "eaefe457c208e9c473a86e6e59ab19e7b28918908cafbc0ecedef01fed8e1592",
+    ("square-uniform", 4, "strong-both-zero"): "eaefe457c208e9c473a86e6e59ab19e7b28918908cafbc0ecedef01fed8e1592",
+    ("square-uniform", 4, "strong-free"): "eaefe457c208e9c473a86e6e59ab19e7b28918908cafbc0ecedef01fed8e1592",
+}
+
+
+@pytest.mark.parametrize("family, n, form", sorted(_SYSTEM_FINGERPRINTS))
+def test_system_fingerprint(family, n, form):
+    build, case = _SYSTEM_MESHES[family]
+    params = replace(
+        Params(nu=1.3, L0=0.6, c_u=0.7, N_u=40.0, N_p=25.0), **_SYSTEM_FORMS[form]
+    )
+    assert _system_fingerprint(build(n), case(), params) == _SYSTEM_FINGERPRINTS[family, n, form]

@@ -2,6 +2,7 @@ import json
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from maxnit import harness, linsolve
@@ -179,6 +180,11 @@ class TestRunStudies:
         for study, ref in zip(studies, alone):
             assert replace(study.reports[0], wall_ms=0.0) == replace(ref, wall_ms=0.0)
 
+    def test_missing_out_dir_is_created(self, tmp_path):
+        out = tmp_path / "missing" / "nested"
+        run_studies([quick_config(levels=[2], label="tiny", out_dir=str(out), emit=("csv",))])
+        assert (out / "tiny.csv").read_text().startswith(",".join(_CSV_COLUMNS))
+
 
 class TestEmitTable:
     def test_markdown_shape(self):
@@ -259,10 +265,12 @@ class TestCli:
         assert main(["mesh", "--family", "uniform", "--level", "2", "--out", str(vtk)]) == 0
         assert vtk.read_text().startswith("# vtk DataFile")
 
-    def test_mesh_command_unwritable_out(self, tmp_path, capsys):
+    def test_mesh_command_unwritable_out(self, monkeypatch, tmp_path, capsys):
+        meshes = counting(monkeypatch, harness, "build_mesh")
         out = tmp_path / "missing" / "m.txt"
         assert main(["mesh", "--family", "uniform", "--level", "2", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("I/O error")
+        assert len(meshes) == 0
 
     def test_mesh_command_bad_level(self):
         assert main(["mesh", "--family", "crisscross", "--level", "3",
@@ -358,3 +366,26 @@ class TestCli:
 
         monkeypatch.setattr(harness, "build_mesh", folded)
         assert main(["run", "--preset", "table6-ps"]) == 3
+
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            (lambda ev: ev[1:], "boundary is not a union of closed loops"),
+            (
+                lambda ev: np.vstack([ev, [[ev[0, 0], ev[1, 1]]]]),
+                "boundary vertex with other than two incident segments",
+            ),
+        ],
+        ids=["edge-dropped", "two-outgoing"],
+    )
+    def test_broken_boundary_exit_code(self, monkeypatch, tmp_path, capsys, broken, message):
+        def broken_mesh(*args):
+            mesh = build_mesh("square", "uniform", 2)
+            return replace(mesh, edge_vertices=broken(mesh.edge_vertices))
+
+        monkeypatch.setattr(harness, "build_mesh", broken_mesh)
+        path = tmp_path / "strong.json"
+        path.write_text(json.dumps({"case": "square", "family": "uniform", "levels": [2],
+                                    "params": {"formulation": "stabilised-strong"}}))
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == f"mesh failure: level 2, square / uniform: {message}\n"
