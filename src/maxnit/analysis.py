@@ -1,13 +1,12 @@
-"""Field evaluation, error norms, stability norms and convergence rates."""
+"""Error norms, stability norms and convergence rates."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Params, _curl_coefs, _div_coefs, _edge_mass, _edge_trace, _tri_geometry
+from .assembly import Params, _curl_coefs, _div_coefs, _edge_mass, _edge_trace
 from .linsolve import SolutionFields
 from .mesh import Mesh
 from .problems import ProblemCase
@@ -15,8 +14,6 @@ from .quadrature import subdivide_triangle_rule, triangle_rule
 
 __all__ = [
     "ErrorReport",
-    "penalty_sweep",
-    "evaluate_fe",
     "nodal_interpolant",
     "l2_errors",
     "triple_norm",
@@ -48,26 +45,6 @@ def _coeffs(sol) -> np.ndarray:
 def _udofs(nodal: np.ndarray) -> np.ndarray:
     """Interleaved (u_x, u_y) element vectors from nodal (..., 3, [ux, uy, p])."""
     return nodal[..., :2].reshape(nodal.shape[:-2] + (6,))
-
-
-def evaluate_fe(mesh: Mesh, sol, point) -> tuple[float, float, float, float]:
-    """(u1, u2, p, curl_u) at a point located by brute barycentric scan."""
-    x = _coeffs(sol)
-    pt = np.asarray(point, dtype=float)
-    area, _, grads = _tri_geometry(mesh.vertices[mesh.triangles])
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    lam = np.empty((mesh.n_triangles, 3))
-    offs = pt[None, :] - v0
-    for i in range(3):
-        lam[:, i] = (1.0 if i == 0 else 0.0) + (grads[:, i] * offs).sum(axis=1)
-    inside = np.all(lam >= -1e-12, axis=1)
-    if not inside.any():
-        raise ValueError(f"point {point} lies outside the mesh")
-    t = int(np.argmax(inside))
-    nodal = x.reshape(-1, 3)[mesh.triangles[t]]  # (3, [ux, uy, p])
-    vals = lam[t] @ nodal
-    curl = float(_curl_coefs(grads[t : t + 1])[0] @ _udofs(nodal))
-    return float(vals[0]), float(vals[1]), float(vals[2]), curl
 
 
 def nodal_interpolant(mesh: Mesh, case: ProblemCase) -> np.ndarray:
@@ -112,7 +89,6 @@ def l2_errors(
     x = _coeffs(sol)
     rule = _quad_rule_for(case, degree, subdivide)
     coords = mesh.vertices[mesh.triangles]
-    _, _, grads = _tri_geometry(coords)
 
     pts = np.einsum("qk,mkd->mqd", rule.points, coords)
     flat = pts.reshape(-1, 2)
@@ -120,7 +96,7 @@ def l2_errors(
 
     nodal = x.reshape(-1, 3)[mesh.triangles]  # (m, 3, 3)
     vals_h = np.einsum("qk,mkf->mqf", rule.points, nodal)
-    c_h = np.einsum("ma,ma->m", _curl_coefs(grads), _udofs(nodal))
+    c_h = np.einsum("ma,ma->m", _curl_coefs(mesh.tri_grads), _udofs(nodal))
 
     w2a = 2.0 * mesh.tri_area
     du = ((u_ex - vals_h[:, :, :2]) ** 2).sum(axis=2)
@@ -143,8 +119,7 @@ def triple_norm(mesh: Mesh, sol, params: Params) -> float:
       + sum_e (nu/h_e) ||t(v)||_e^2 + sum_e (L0^2/(nu h_e)) ||q||_e^2
     """
     x = _coeffs(sol)
-    coords = mesh.vertices[mesh.triangles]
-    area, h_k, grads = _tri_geometry(coords)
+    area, h_k, grads = mesh.tri_area, mesh.tri_h, mesh.tri_grads
     nodal = x.reshape(-1, 3)[mesh.triangles]
     udofs = _udofs(nodal)
 
@@ -197,29 +172,3 @@ def convergence_rate(coarse: ErrorReport, fine: ErrorReport, field: str = "err_u
     if e_c <= 0.0 or e_f <= 0.0:
         raise ValueError("rates need strictly positive errors")
     return float(np.log(e_c / e_f) / np.log(coarse.h / fine.h))
-
-
-def penalty_sweep(mesh: Mesh, params: Params, case, decades=range(-3, 5)) -> float | None:
-    """Smallest power of ten for N_u = N_p making the test-flipped quadratic
-    form positive semi-definite, or None if no probed decade is stable.
-
-    Diagnostic for choosing the boundary penalty constants: the form is
-    evaluated by the smallest eigenvalue of the symmetrised flipped matrix,
-    so meshes should be kept coarse.
-    """
-    from dataclasses import replace
-
-    from .assembly import assemble_global
-
-    for decade in decades:
-        n = 10.0**decade
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            system = assemble_global(mesh, replace(params, N_u=n, N_p=n), case)
-        flip = np.ones(system.dofmap.n_dofs)
-        flip[2::3] = -1.0
-        m = system.matrix.multiply(flip).toarray()
-        lam_min = np.linalg.eigvalsh(0.5 * (m + m.T)).min()
-        if lam_min >= -1e-10 * np.abs(m).max():
-            return float(n)
-    return None

@@ -22,6 +22,8 @@ with h the diameter of the edge's adjacent element. The right-hand side is
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -38,12 +40,6 @@ __all__ = [
     "Params",
     "DofMap",
     "LinearSystem",
-    "DegenerateTriangleError",
-    "local_curl_curl",
-    "local_mixed_grad",
-    "local_div_div",
-    "local_pressure_laplacian",
-    "edge_nitsche_blocks",
     "assemble_rhs",
     "assemble_global",
     "apply_strong_bc",
@@ -64,10 +60,6 @@ _PENALTY_WARN_THRESHOLD = 4.0  # ~4 * (unit trace-constant estimate)^2
 _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
-class DegenerateTriangleError(ValueError):
-    pass
-
-
 @dataclass
 class Params:
     """Physical and algorithmic constants plus the formulation selectors."""
@@ -82,6 +74,11 @@ class Params:
     include_p_flux: bool = True
 
     def __post_init__(self):
+        for name in ("nu", "L0", "c_u", "N_u", "N_p"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number")
         for name in ("nu", "L0", "c_u"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -91,6 +88,8 @@ class Params:
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.corner_strategy not in CORNER_STRATEGIES:
             raise ValueError(f"unknown corner strategy {self.corner_strategy!r}")
+        if not isinstance(self.include_p_flux, bool):
+            raise ValueError("include_p_flux must be true or false")
         if self.formulation != "stabilised-strong" and (
             self.N_u < _PENALTY_WARN_THRESHOLD or self.N_p < _PENALTY_WARN_THRESHOLD
         ):
@@ -110,12 +109,6 @@ class DofMap:
     @property
     def n_dofs(self) -> int:
         return 3 * self.n_vertices
-
-    def ux(self, v):
-        return 3 * np.asarray(v)
-
-    def uy(self, v):
-        return 3 * np.asarray(v) + 1
 
     def p(self, v):
         return 3 * np.asarray(v) + 2
@@ -141,28 +134,6 @@ class LinearSystem:
     @property
     def n_unknowns(self) -> int:
         return self.matrix.shape[0]
-
-
-def _tri_geometry(coords: np.ndarray):
-    """Areas, diameters and P1 gradients for a (m, 3, 2) coordinate batch."""
-    coords = np.asarray(coords, dtype=float)
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    edges = np.stack(
-        [coords[:, 2] - coords[:, 1], coords[:, 0] - coords[:, 2], d1], axis=1
-    )
-    h_k = np.sqrt((edges**2).sum(axis=2)).max(axis=1)
-    if np.any(area < 1e-14 * h_k**2):
-        raise DegenerateTriangleError("triangle area below the degeneracy floor")
-    grads = np.empty((len(coords), 3, 2))
-    # grad lambda_i = (y_j - y_k, x_k - x_j) / (2A), cyclic
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        grads[:, i, 0] = coords[:, j, 1] - coords[:, k, 1]
-        grads[:, i, 1] = coords[:, k, 0] - coords[:, j, 0]
-    grads /= 2.0 * area[:, None, None]
-    return area, h_k, grads
 
 
 def _curl_coefs(grads: np.ndarray) -> np.ndarray:
@@ -204,32 +175,6 @@ def _batch_pressure_laplacian(area, grads, params):
     return scale[:, None, None] * np.einsum("mid,mjd->mij", grads, grads)
 
 
-def _single(coords):
-    return np.asarray(coords, dtype=float)[None]
-
-
-def local_curl_curl(tri: np.ndarray, nu: float) -> np.ndarray:
-    """6x6 curl-curl block of a CCW triangle given as (3, 2) coordinates."""
-    area, _, grads = _tri_geometry(_single(tri))
-    return _batch_curl_curl(area, grads, nu)[0]
-
-
-def local_mixed_grad(tri: np.ndarray) -> np.ndarray:
-    """6x3 coupling (v, grad p); its transpose couples (u, grad q)."""
-    area, _, grads = _tri_geometry(_single(tri))
-    return _batch_mixed_grad(area, grads)[0]
-
-
-def local_div_div(tri: np.ndarray, params: Params) -> np.ndarray:
-    area, h_k, grads = _tri_geometry(_single(tri))
-    return _batch_div_div(area, h_k, grads, params)[0]
-
-
-def local_pressure_laplacian(tri: np.ndarray, params: Params) -> np.ndarray:
-    area, _, grads = _tri_geometry(_single(tri))
-    return _batch_pressure_laplacian(area, grads, params)[0]
-
-
 def _edge_mass(length) -> np.ndarray:
     """P1 x P1 mass matrix of an edge, (..., 2, 2) for a length array."""
     return (np.asarray(length, dtype=float) / 6.0)[..., None, None] * _EDGE_MASS
@@ -242,7 +187,7 @@ def _edge_frame(mesh: Mesh):
     u dofs (k, 6) and p dofs (k, 3)."""
     dofs = DofMap(mesh.n_vertices)
     tris = mesh.triangles[mesh.edge_tri]
-    _, _, grads = _tri_geometry(mesh.vertices[tris])
+    grads = mesh.tri_grads[mesh.edge_tri]
     n = mesh.edge_normal
     return (
         grads,
@@ -292,15 +237,6 @@ def _edge_blocks(mesh: Mesh, params: Params):
         pflux = (scale[:, None] * ndgrad)[:, None, :].repeat(2, axis=1)
         blocks += [(edge_p, tri_p, pflux), (tri_p, edge_p, pflux.transpose(0, 2, 1))]
     return blocks
-
-
-def edge_nitsche_blocks(mesh: Mesh, e: int, params: Params):
-    """All boundary contributions of edge `e` as (rows, cols, block) triples
-    in global dof indices. The five consistency/penalty terms are always
-    present; the two pressure-flux terms only for the stabilised form."""
-    if params.formulation == "stabilised-strong":
-        return []
-    return [(r[e], c[e], v[e]) for r, c, v in _edge_blocks(mesh, params)]
 
 
 def _map_rule_points(rule, coords):
@@ -381,8 +317,7 @@ def _scatter(triplets, n_dofs) -> sp.csr_matrix:
 def assemble_global(mesh: Mesh, params: Params, case: ProblemCase) -> LinearSystem:
     """Full sparse system for the selected formulation."""
     dofs = DofMap(mesh.n_vertices)
-    coords = mesh.vertices[mesh.triangles]
-    area, h_k, grads = _tri_geometry(coords)
+    area, h_k, grads = mesh.tri_area, mesh.tri_h, mesh.tri_grads
 
     u_idx = dofs.u_pair(mesh.triangles.ravel()).reshape(-1, 6)
     p_idx = dofs.p(mesh.triangles)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import numbers
 import os
 import sys
 import time
@@ -79,6 +80,11 @@ class StudyConfig:
     label: str = ""
 
     def __post_init__(self):
+        for name in ("case", "label"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string")
+        if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
+            raise ConfigError("out_dir must be a path")
         domain = self.case.split(":")[0]
         if domain not in _COMPATIBLE:
             raise ConfigError(f"unknown case {self.case!r}")
@@ -94,7 +100,12 @@ class StudyConfig:
             raise ConfigError(f"unknown mesh family {self.family!r}")
         if self.family not in _COMPATIBLE[domain]:
             raise ConfigError(f"family {self.family!r} incompatible with {self.case!r}")
-        if list(self.levels) != sorted(set(self.levels)) or not self.levels:
+        levels = self.levels
+        if not isinstance(levels, list) or not all(
+            isinstance(n, numbers.Integral) and not isinstance(n, bool) and n > 0 for n in levels
+        ):
+            raise ConfigError("levels must be a list of positive integers")
+        if levels != sorted(set(levels)) or not levels:
             raise ConfigError("levels must be non-empty and strictly increasing")
         unknown = set(self.emit) - {"csv", "markdown", "vtk", "matrixmarket"}
         if unknown:
@@ -361,6 +372,8 @@ def default_configs() -> dict[str, list[StudyConfig]]:
 
 
 def _params_from_dict(raw: dict) -> Params:
+    if not isinstance(raw, dict):
+        raise ConfigError("params must be a JSON object")
     allowed = {
         "nu", "L0", "c_u", "N_u", "N_p", "formulation", "corner_strategy",
         "include_p_flux",
@@ -385,6 +398,8 @@ def _config_from_json(path: str) -> StudyConfig:
     if unknown:
         raise ConfigError(f"unknown config fields {sorted(unknown)}")
     if "emit" in raw:
+        if not isinstance(raw["emit"], list) or not all(isinstance(e, str) for e in raw["emit"]):
+            raise ConfigError("emit must be a list of strings")
         raw["emit"] = tuple(raw["emit"])
     return StudyConfig(params=params, **raw)
 

@@ -28,12 +28,6 @@ class SolutionFields:
     n_vertices: int
     residual: float
 
-    def u_at(self, vertex: int) -> np.ndarray:
-        return self.coeffs[3 * vertex : 3 * vertex + 2]
-
-    def p_at(self, vertex: int) -> float:
-        return float(self.coeffs[3 * vertex + 2])
-
     @property
     def u(self) -> np.ndarray:
         return self.coeffs.reshape(-1, 3)[:, :2]

@@ -1,9 +1,11 @@
 """Triangulations of the square, L-shaped and curved-L domains.
 
 All meshes are stored as flat numpy arrays: vertex coordinates, CCW
-triangle connectivity, and an explicit boundary-edge table carrying
-outward normals, the adjacent element, the element diameter used as the
-local boundary length scale, and a segment tag.
+triangle connectivity, the element geometry every assembly and norm reads
+(area, diameter, P1 gradients; computed once, at build), and an explicit
+boundary-edge table carrying outward normals, the adjacent element, the
+element diameter used as the local boundary length scale, and a segment
+tag.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class Mesh:
     domain: str
     tri_area: np.ndarray        # (m,)
     tri_h: np.ndarray           # (m,) diameters (longest edge)
+    tri_grads: np.ndarray       # (m, 3, 2) P1 basis gradients
     edge_vertices: np.ndarray   # (k, 2)
     edge_tri: np.ndarray        # (k,) adjacent triangle id
     edge_normal: np.ndarray     # (k, 2) outward unit normal
@@ -76,17 +79,31 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
-def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = vertices[triangles]
-    return 0.5 * _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+def _tri_geometry(coords: np.ndarray):
+    """Areas, diameters and P1 gradients for a (m, 3, 2) coordinate batch.
 
-
-def _diameters(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = vertices[triangles]
-    e = np.stack(
-        [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1
+    Raises MeshError on a triangle with non-positive signed area, then on
+    one whose area is below the degeneracy floor 1e-14 h_K^2.
+    """
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    if np.any(area <= 0.0):
+        raise MeshError("triangle with non-positive signed area")
+    edges = np.stack(
+        [coords[:, 2] - coords[:, 1], coords[:, 0] - coords[:, 2], d1], axis=1
     )
-    return np.sqrt((e**2).sum(axis=2)).max(axis=1)
+    h_k = np.sqrt((edges**2).sum(axis=2)).max(axis=1)
+    if np.any(area < 1e-14 * h_k**2):
+        raise MeshError("triangle area below the degeneracy floor")
+    grads = np.empty((len(coords), 3, 2))
+    # grad lambda_i = (y_j - y_k, x_k - x_j) / (2A), cyclic
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        grads[:, i, 0] = coords[:, j, 1] - coords[:, k, 1]
+        grads[:, i, 1] = coords[:, k, 0] - coords[:, j, 0]
+    grads /= 2.0 * area[:, None, None]
+    return area, h_k, grads
 
 
 def _edge_table(triangles: np.ndarray):
@@ -126,10 +143,7 @@ def _build(vertices, triangles, domain, tag_edges=None) -> Mesh:
     boundary edges to their k segment names (all "boundary" without it)."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-    areas = _signed_areas(vertices, triangles)
-    if np.any(areas <= 0.0):
-        raise MeshError("triangle with non-positive signed area")
-    h_k = _diameters(vertices, triangles)
+    areas, h_k, grads = _tri_geometry(vertices[triangles])
 
     # each boundary edge keeps the orientation of its one CCW triangle
     half, _, _, sides = _edge_table(triangles)
@@ -154,6 +168,7 @@ def _build(vertices, triangles, domain, tag_edges=None) -> Mesh:
         domain=domain,
         tri_area=areas,
         tri_h=h_k,
+        tri_grads=grads,
         edge_vertices=bedges,
         edge_tri=owners,
         edge_normal=normals,
@@ -371,8 +386,9 @@ def validate_mesh(m: Mesh, area_tol: float = 1e-10) -> None:
     """Raise MeshError on any violated structural invariant."""
     if not np.all(np.isfinite(m.vertices)):
         raise MeshError("non-finite vertex coordinates")
-    if np.any(_signed_areas(m.vertices, m.triangles) <= 0.0):
-        raise MeshError("non-CCW triangle")
+    geometry = _tri_geometry(m.vertices[m.triangles])
+    if not all(map(np.array_equal, geometry, (m.tri_area, m.tri_h, m.tri_grads))):
+        raise MeshError("stored triangle geometry is stale")
 
     _, edges, _, sides = _edge_table(m.triangles)
     stored = np.unique(np.sort(m.edge_vertices, axis=1), axis=0)
@@ -391,9 +407,6 @@ def validate_mesh(m: Mesh, area_tol: float = 1e-10) -> None:
         total = m.tri_area.sum()
         if abs(total - expected) > area_tol * expected:
             raise MeshError(f"area {total} differs from domain area {expected}")
-
-    if not np.array_equal(_diameters(m.vertices, m.triangles), m.tri_h):
-        raise MeshError("stored diameters are stale")
 
 
 def save_txt(m: Mesh, path: str) -> None:

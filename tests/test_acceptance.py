@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from maxnit.analysis import l2_errors
-from maxnit.assembly import Params, apply_strong_bc, assemble_global, edge_nitsche_blocks, DofMap
+from maxnit.assembly import Params, apply_strong_bc, assemble_global, DofMap
 from maxnit.harness import StudyConfig, build_case, run_studies, run_study
 from maxnit.linsolve import solve
 from maxnit.mesh import (
@@ -37,7 +37,7 @@ from conftest import (
     oracle_pressure_laplacian,
     random_ccw_triangle,
 )
-from test_assembly import rotation_patch_case
+from test_assembly import edge_blocks_of, rotation_patch_case, volume_blocks
 
 PROFILE = os.environ.get("MAXNIT_ACCEPT_PROFILE", "full")
 
@@ -308,12 +308,6 @@ def test_c08_quadratic_form_positivity(rng):
 
 def test_c09_local_matrix_oracle(rng):
     """Every local matrix agrees with the brute-force quadrature oracle."""
-    from maxnit.assembly import (
-        local_curl_curl,
-        local_div_div,
-        local_mixed_grad,
-        local_pressure_laplacian,
-    )
     from maxnit.mesh import _build
 
     t0 = time.perf_counter()
@@ -322,13 +316,13 @@ def test_c09_local_matrix_oracle(rng):
     worst = 0.0
     for _ in range(100):
         tri = random_ccw_triangle(rng)
-        checks = [
-            (local_curl_curl(tri, params.nu), oracle_curl_curl(tri, params.nu)),
-            (local_mixed_grad(tri), oracle_mixed_grad(tri)),
-            (local_div_div(tri, params), oracle_div_div(tri, params)),
-            (local_pressure_laplacian(tri, params), oracle_pressure_laplacian(tri, params)),
-        ]
-        for got, want in checks:
+        wanted = (
+            oracle_curl_curl(tri, params.nu),
+            oracle_mixed_grad(tri),
+            oracle_div_div(tri, params),
+            oracle_pressure_laplacian(tri, params),
+        )
+        for got, want in zip(volume_blocks(tri, params), wanted):
             dev = np.abs(got - want).max() / max(1.0, np.abs(want).max())
             worst = max(worst, dev)
             _check(failures, dev < 1e-12, f"volume block deviation {dev:.2e}")
@@ -343,7 +337,7 @@ def test_c09_local_matrix_oracle(rng):
         )
         want = oracle_edge_blocks(tri, local, mesh.edge_normal[e], params)
         dofs = DofMap(3)
-        keyed = {(tuple(r), tuple(c)): b for r, c, b in edge_nitsche_blocks(mesh, e, params)}
+        keyed = {(tuple(r), tuple(c)): b for r, c, b in edge_blocks_of(mesh, e, params)}
         edge_u = tuple(dofs.u_pair([v0, v1]))
         edge_p = tuple(dofs.p(np.array([v0, v1])))
         tri_u = tuple(dofs.u_pair(mesh.triangles[0]))

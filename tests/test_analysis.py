@@ -5,7 +5,6 @@ from maxnit.analysis import (
     ErrorReport,
     boundary_data_norm,
     convergence_rate,
-    evaluate_fe,
     l2_errors,
     nodal_interpolant,
     triple_norm,
@@ -14,8 +13,6 @@ from maxnit.assembly import Params, assemble_global
 from maxnit.linsolve import solve
 from maxnit.mesh import gen_square_crisscross, gen_square_uniform
 from maxnit.problems import ProblemCase, _vectorised, square_case
-
-from test_assembly import rotation_patch_case
 
 
 def linear_case():
@@ -34,36 +31,6 @@ def linear_case():
         return np.zeros((pts.shape[0], 2))
 
     return ProblemCase("square", 1.0, u, curl, f, u)
-
-
-class TestEvaluateFe:
-    def test_vertex_and_centroid_values(self):
-        mesh = gen_square_uniform(2)
-        case = rotation_patch_case()
-        coeffs = nodal_interpolant(mesh, case)
-        v = 4
-        u1, u2, p, curl = evaluate_fe(mesh, coeffs, mesh.vertices[v])
-        assert np.allclose([u1, u2], case.exact_u(mesh.vertices[v]), atol=1e-14)
-        assert p == 0.0
-        assert curl == pytest.approx(2.0)
-
-        cent = mesh.vertices[mesh.triangles[0]].mean(axis=0)
-        u1, u2, _, _ = evaluate_fe(mesh, coeffs, cent)
-        nodal = case.exact_u(mesh.vertices[mesh.triangles[0]])
-        assert np.allclose([u1, u2], nodal.mean(axis=0), atol=1e-14)
-
-    def test_linear_field_reproduced(self, rng):
-        mesh = gen_square_crisscross(3)
-        case = linear_case()
-        coeffs = nodal_interpolant(mesh, case)
-        for pt in rng.uniform(-0.99, 0.99, size=(50, 2)):
-            u1, u2, _, _ = evaluate_fe(mesh, coeffs, pt)
-            assert np.allclose([u1, u2], case.exact_u(pt), atol=1e-13)
-
-    def test_outside_point_rejected(self):
-        mesh = gen_square_uniform(2)
-        with pytest.raises(ValueError):
-            evaluate_fe(mesh, np.zeros(3 * mesh.n_vertices), [3.0, 0.0])
 
 
 class TestL2Errors:
@@ -162,13 +129,3 @@ def test_boundary_data_norm_scales_with_h():
     # the trace term grows like h^(-1/2)
     assert fine > coarse
     assert np.isfinite(coarse) and coarse > 0.0
-
-
-def test_penalty_sweep_reports_stable_decade():
-    from maxnit.analysis import penalty_sweep
-
-    mesh = gen_square_uniform(3)
-    params = Params(nu=1.0, L0=0.5, c_u=1.0)
-    smallest = penalty_sweep(mesh, params, square_case(), decades=range(-3, 4))
-    assert smallest is not None
-    assert smallest <= 100.0  # the working default is comfortably stable

@@ -3,23 +3,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from maxnit.assembly import (
-    DegenerateTriangleError,
     DofMap,
     Params,
+    _batch_curl_curl,
+    _batch_div_div,
+    _batch_mixed_grad,
+    _batch_pressure_laplacian,
+    _edge_blocks,
     apply_strong_bc,
     assemble_global,
     assemble_rhs,
-    edge_nitsche_blocks,
-    local_curl_curl,
-    local_div_div,
-    local_mixed_grad,
-    local_pressure_laplacian,
 )
 from maxnit.linsolve import solve
 from maxnit.mesh import (
     MeshError,
+    _build,
     gen_lshape,
     gen_square_crisscross,
     gen_square_uniform,
@@ -44,6 +45,36 @@ from conftest import (
 )
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def volume_blocks(tri, params):
+    """Curl-curl, mixed gradient, div-div and pressure-Laplacian blocks of
+    one CCW triangle, from the batched kernels on a one-triangle mesh."""
+    mesh = _build(tri, np.array([[0, 1, 2]]), "test")
+    area, h_k, grads = mesh.tri_area, mesh.tri_h, mesh.tri_grads
+    return (
+        _batch_curl_curl(area, grads, params.nu)[0],
+        _batch_mixed_grad(area, grads)[0],
+        _batch_div_div(area, h_k, grads, params)[0],
+        _batch_pressure_laplacian(area, grads, params)[0],
+    )
+
+
+def edge_blocks_of(mesh, e, params):
+    """The (rows, cols, block) triples of boundary edge `e`, sliced from one
+    call of the batched edge kernel."""
+    return [(r[e], c[e], v[e]) for r, c, v in _edge_blocks(mesh, params)]
+
+
+def block_matrix(blocks, n):
+    """Sparse n x n sum of (rows (k, r), cols (k, c), values (k, r, c)) batches."""
+    rows, cols, vals = [], [], []
+    for r, c, v in blocks:
+        rows.append(np.repeat(r, c.shape[1], axis=1).ravel())
+        cols.append(np.tile(c, (1, r.shape[1])).ravel())
+        vals.append(v.ravel())
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.coo_matrix(entries, shape=(n, n)).tocsr()
 
 
 def rotation_patch_case(domain="square"):
@@ -78,13 +109,13 @@ def zero_case(domain="square"):
 
 class TestLocalMatrices:
     def test_curl_curl_reference_entries(self):
-        block = local_curl_curl(REF, 1.0)
+        block = volume_blocks(REF, Params(nu=1.0))[0]
         # curl(lambda_0, 0) = -d2 lambda_0 = 1, curl(0, lambda_0) = d1 lambda_0 = -1
         assert block[0, 0] == pytest.approx(0.5)
         assert block[0, 1] == pytest.approx(-0.5)
 
     def test_curl_curl_nullspace(self):
-        block = local_curl_curl(REF, 2.5)
+        block = volume_blocks(REF, Params(nu=2.5))[0]
         constant = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
         assert np.allclose(block @ constant, 0.0, atol=1e-14)
         # the nodal interpolant of grad(lambda_1) is again a constant field
@@ -92,39 +123,39 @@ class TestLocalMatrices:
         assert abs(gradient @ block @ gradient) < 1e-14
 
     def test_mixed_grad_reference_entry(self):
-        block = local_mixed_grad(REF)
+        block = volume_blocks(REF, Params())[1]
         # int lambda_0 * d1 lambda_1 = (1/3 area) * 1 = 1/6
         assert block[0, 1] == pytest.approx(1.0 / 6.0)
 
     def test_mixed_grad_constant_pressure(self):
-        block = local_mixed_grad(REF)
+        block = volume_blocks(REF, Params())[1]
         assert np.allclose(block @ np.ones(3), 0.0, atol=1e-15)
 
     def test_div_div_rigid_rotation(self):
         params = Params(nu=1.0, L0=1.0, c_u=1.0)
-        block = local_div_div(REF, params)
+        block = volume_blocks(REF, params)[2]
         rot = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 0.0])  # nodal (-y, x)
         assert abs(rot @ block @ rot) < 1e-14
 
     def test_div_div_reference_entry_and_scaling(self):
         params = Params(nu=1.0, L0=1.0, c_u=1.0)
-        block = local_div_div(REF, params)
+        block = volume_blocks(REF, params)[2]
         # h_K = sqrt(2): entry for (lambda_1, 0): 2 * area * (d1 lambda_1)^2
         assert block[2, 2] == pytest.approx(1.0)
-        wide = local_div_div(REF, Params(nu=1.0, L0=2.0, c_u=1.0))
+        wide = volume_blocks(REF, Params(nu=1.0, L0=2.0, c_u=1.0))[2]
         assert np.allclose(wide, block / 4.0)
 
     def test_pressure_laplacian(self):
         params = Params(nu=1.0, L0=1.0, c_u=1.0)
-        block = local_pressure_laplacian(REF, params)
+        block = volume_blocks(REF, params)[3]
         assert np.allclose(block @ np.ones(3), 0.0, atol=1e-15)
         assert block[1, 1] == pytest.approx(-0.5)
         assert np.all(np.linalg.eigvalsh(block) < 1e-14)
 
     def test_degenerate_triangle_rejected(self):
         flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-16]])
-        with pytest.raises(DegenerateTriangleError):
-            local_curl_curl(flat, 1.0)
+        with pytest.raises(MeshError, match="degeneracy"):
+            _build(flat, np.array([[0, 1, 2]]), "test")
 
 
 class TestLocalOracle:
@@ -134,21 +165,17 @@ class TestLocalOracle:
         params = Params(nu=1.3, L0=0.7, c_u=0.4)
         for _ in range(100):
             tri = random_ccw_triangle(rng)
-            for produced, expected in [
-                (local_curl_curl(tri, params.nu), oracle_curl_curl(tri, params.nu)),
-                (local_mixed_grad(tri), oracle_mixed_grad(tri)),
-                (local_div_div(tri, params), oracle_div_div(tri, params)),
-                (
-                    local_pressure_laplacian(tri, params),
-                    oracle_pressure_laplacian(tri, params),
-                ),
-            ]:
+            expected_blocks = (
+                oracle_curl_curl(tri, params.nu),
+                oracle_mixed_grad(tri),
+                oracle_div_div(tri, params),
+                oracle_pressure_laplacian(tri, params),
+            )
+            for produced, expected in zip(volume_blocks(tri, params), expected_blocks):
                 scale = max(1.0, np.abs(expected).max())
                 assert np.abs(produced - expected).max() < 1e-12 * scale
 
     def test_edge_blocks_match_oracle(self, rng):
-        from maxnit.mesh import _build
-
         params = Params(nu=0.8, L0=1.7, c_u=1.0, N_u=35.0, N_p=12.0)
         for _ in range(100):
             tri = random_ccw_triangle(rng)
@@ -160,7 +187,7 @@ class TestLocalOracle:
                 int(np.where(mesh.triangles[0] == v1)[0][0]),
             )
             expected = oracle_edge_blocks(tri, local, mesh.edge_normal[e], params)
-            blocks = edge_nitsche_blocks(mesh, e, params)
+            blocks = edge_blocks_of(mesh, e, params)
             dofs = DofMap(3)
             keyed = {
                 (tuple(r), tuple(c)): b for r, c, b in blocks
@@ -193,7 +220,7 @@ class TestEdgeBlocks:
         assert len(bottoms) == 1
         e = bottoms[0]
         params = Params(nu=1.0, L0=1.0, c_u=1.0, N_u=100.0, N_p=100.0)
-        blocks = edge_nitsche_blocks(mesh, e, params)
+        blocks = edge_blocks_of(mesh, e, params)
         dofs = DofMap(mesh.n_vertices)
         v0, v1 = mesh.edge_vertices[e]
         edge_u = tuple(dofs.u_pair([v0, v1]))
@@ -220,9 +247,15 @@ class TestEdgeBlocks:
         assert np.all(diag[dofs.p(boundary)] < 0)
 
     def test_strong_formulation_has_no_edge_blocks(self):
+        # the strong matrix is the stabilised-Nitsche one without any edge block
         mesh = gen_square_uniform(1)
-        params = Params(formulation="stabilised-strong")
-        assert edge_nitsche_blocks(mesh, 0, params) == []
+        weak = Params()
+        a_weak = assemble_global(mesh, weak, zero_case()).matrix
+        a_strong = assemble_global(
+            mesh, replace(weak, formulation="stabilised-strong"), zero_case()
+        ).matrix
+        edges = block_matrix(_edge_blocks(mesh, weak), a_weak.shape[0])
+        assert abs(a_weak - edges - a_strong).max() < 1e-14 * abs(a_weak).max()
 
 
 class TestRhs:
@@ -258,12 +291,12 @@ class TestRhs:
             "q,qi,mqd->mid", rule.weights, rule.points, f
         )
         for i in range(3):
-            np.add.at(oracle, dofs.ux(mesh.triangles[:, i]), contrib[:, i, 0])
-            np.add.at(oracle, dofs.uy(mesh.triangles[:, i]), contrib[:, i, 1])
+            np.add.at(oracle, 3 * mesh.triangles[:, i], contrib[:, i, 0])
+            np.add.at(oracle, 3 * mesh.triangles[:, i] + 1, contrib[:, i, 1])
 
         erule = edge_rule(21)
         t, ew = erule.points, erule.weights
-        from maxnit.assembly import _curl_coefs, _tri_geometry
+        from maxnit.assembly import _curl_coefs
 
         p0 = mesh.vertices[mesh.edge_vertices[:, 0]]
         p1 = mesh.vertices[mesh.edge_vertices[:, 1]]
@@ -273,8 +306,7 @@ class TestRhs:
             mesh.edge_normal[:, None, 0] * ubar[:, :, 1]
             - mesh.edge_normal[:, None, 1] * ubar[:, :, 0]
         )
-        _, _, grads = _tri_geometry(mesh.vertices[mesh.triangles[mesh.edge_tri]])
-        curl6 = _curl_coefs(grads)
+        curl6 = _curl_coefs(mesh.tri_grads[mesh.edge_tri])
         mom0 = mesh.edge_length * (tu @ ew)
         tri_u = dofs.u_pair(mesh.triangles[mesh.edge_tri].ravel()).reshape(-1, 6)
         np.add.at(oracle, tri_u.ravel(), (-params.nu * mom0[:, None] * curl6).ravel())
@@ -318,13 +350,6 @@ class TestGlobalAssembly:
             assert x @ (system.matrix @ (flip * x)) > 0.0
 
     def test_formulation_nesting(self):
-        from maxnit.assembly import (
-            _batch_div_div,
-            _batch_pressure_laplacian,
-            _tri_geometry,
-        )
-        import scipy.sparse as sp
-
         mesh = gen_square_crisscross(2)
         params_sn = Params(nu=1.0, L0=0.5, c_u=0.7, N_u=50.0, N_p=50.0)
         params_gn = Params(
@@ -335,36 +360,18 @@ class TestGlobalAssembly:
         a_gn = assemble_global(mesh, params_gn, case).matrix
 
         dofs = DofMap(mesh.n_vertices)
-        area, h_k, grads = _tri_geometry(mesh.vertices[mesh.triangles])
+        area, h_k, grads = mesh.tri_area, mesh.tri_h, mesh.tri_grads
         uu = _batch_div_div(area, h_k, grads, params_sn)
         pp = _batch_pressure_laplacian(area, grads, params_sn)
         u_idx = dofs.u_pair(mesh.triangles.ravel()).reshape(-1, 6)
         p_idx = dofs.p(mesh.triangles)
-        rows = np.concatenate(
-            [np.repeat(u_idx, 6, axis=1).ravel(), np.repeat(p_idx, 3, axis=1).ravel()]
-        )
-        cols = np.concatenate(
-            [np.tile(u_idx, (1, 6)).ravel(), np.tile(p_idx, (1, 3)).ravel()]
-        )
-        vals = np.concatenate([uu.ravel(), pp.ravel()])
-        stab = sp.coo_matrix((vals, (rows, cols)), shape=a_sn.shape).tocsr()
+        stab = block_matrix([(u_idx, u_idx, uu), (p_idx, p_idx, pp)], a_sn.shape[0])
 
-        pflux_triplets = []
-        for e in range(mesh.n_boundary_edges):
-            for r, c, b in edge_nitsche_blocks(mesh, e, params_sn):
-                keyset = (len(r), len(c))
-                if keyset in ((2, 3), (3, 2)):
-                    pflux_triplets.append((np.repeat(r, len(c)), np.tile(c, len(r)), b.ravel()))
-        pflux = sp.coo_matrix(
-            (
-                np.concatenate([t[2] for t in pflux_triplets]),
-                (
-                    np.concatenate([t[0] for t in pflux_triplets]),
-                    np.concatenate([t[1] for t in pflux_triplets]),
-                ),
-            ),
-            shape=a_sn.shape,
-        ).tocsr()
+        # the pressure flux is the (p, p) edge-by-triangle pair of blocks
+        pflux = block_matrix(
+            [b for b in _edge_blocks(mesh, params_sn) if b[2].shape[1:] in ((2, 3), (3, 2))],
+            a_sn.shape[0],
+        )
 
         residual = a_sn - (a_gn + stab + pflux)
         scale = max(1.0, abs(a_sn).max())
@@ -408,12 +415,12 @@ class TestStrongBc:
         sol = solve(system)
         ubar = case.dirichlet_u(mesh.vertices)
         for v in np.where(mesh.on_boundary)[0]:
-            assert sol.p_at(v) == 0.0
+            assert sol.p[v] == 0.0
         for corner in [(0, 0), (2, 0), (0, 2), (2, 2)]:
             v = int(np.where(
                 np.all(np.abs(mesh.vertices - np.array([-1.0, -1.0]) - np.array(corner)) < 1e-12, axis=1)
             )[0][0])
-            assert np.allclose(sol.u_at(v), ubar[v], atol=1e-12)
+            assert np.allclose(sol.u[v], ubar[v], atol=1e-12)
 
     def test_tangential_constraint_exact(self):
         mesh = gen_square_uniform(4)
@@ -425,7 +432,7 @@ class TestStrongBc:
         for e in range(mesh.n_boundary_edges):
             n = mesh.edge_normal[e]
             for v in mesh.edge_vertices[e]:
-                t_sol = n[0] * sol.u_at(v)[1] - n[1] * sol.u_at(v)[0]
+                t_sol = n[0] * sol.u[v, 1] - n[1] * sol.u[v, 0]
                 t_bar = n[0] * ubar[v, 1] - n[1] * ubar[v, 0]
                 assert t_sol == pytest.approx(t_bar, abs=1e-11)
 
@@ -483,6 +490,14 @@ class TestParams:
         for bad in (dict(nu=0.0), dict(L0=-1.0), dict(c_u=0.0), dict(N_u=-1.0)):
             with pytest.raises(ValueError):
                 Params(**bad)
+
+    def test_non_real_scalars_rejected(self):
+        for bad in (dict(nu="1"), dict(L0=None), dict(N_u=True), dict(N_p=[1.0]),
+                    dict(nu=float("nan")), dict(c_u=float("inf"))):
+            with pytest.raises(ValueError, match="finite real number"):
+                Params(**bad)
+        with pytest.raises(ValueError, match="include_p_flux"):
+            Params(include_p_flux="no")
 
     def test_unknown_selectors_rejected(self):
         with pytest.raises(ValueError):

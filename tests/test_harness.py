@@ -296,6 +296,39 @@ class TestCli:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"levels": [2.5]},
+            {"levels": ["4"]},
+            {"levels": 4},
+            {"levels": [True]},
+            {"levels": [0]},
+            {"params": {"nu": "1"}},
+            {"params": {"N_p": True}},
+            {"params": {"L0": float("nan")}},
+            {"params": {"c_u": float("inf")}},
+            {"params": {"include_p_flux": "no"}},
+            {"params": [1.0]},
+            {"emit": "csv"},
+            {"emit": [1]},
+            {"case": 5},
+            {"label": ["x"]},
+            {"out_dir": 5},
+        ],
+        ids=lambda bad: json.dumps(bad),
+    )
+    def test_malformed_config_is_config_error(self, monkeypatch, tmp_path, capsys, bad):
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        out = tmp_path / "out"
+        cfg = {"case": "square", "family": "uniform", "levels": [2], "out_dir": str(out)}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**cfg, **bad}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert len(meshes) == 0
+        assert not out.exists()
+
     def test_solver_failure_exit_code(self, tmp_path):
         cfg = {
             "case": "square",

@@ -31,8 +31,8 @@ def test_accessors():
     mesh = gen_square_uniform(2)
     sol = solve(assemble_global(mesh, Params(), rotation_patch_case()))
     v = 4
-    assert np.allclose(sol.u_at(v), sol.u[v])
-    assert sol.p_at(v) == sol.p[v]
+    assert np.array_equal(sol.u[v], sol.coeffs[3 * v : 3 * v + 2])
+    assert sol.p[v] == sol.coeffs[3 * v + 2]
     assert len(sol.coeffs) == 3 * mesh.n_vertices
 
 

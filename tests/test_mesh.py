@@ -215,6 +215,13 @@ def test_validator_catches_stale_boundary_table():
         validate_mesh(dataclasses.replace(m, edge_vertices=m.edge_vertices[1:]))
 
 
+@pytest.mark.parametrize("name", ["tri_area", "tri_h", "tri_grads"])
+def test_validator_catches_stale_geometry(name):
+    m = gen_square_uniform(2)
+    with pytest.raises(MeshError, match="stale"):
+        validate_mesh(dataclasses.replace(m, **{name: 2.0 * getattr(m, name)}))
+
+
 def test_mesh_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         gen_square_uniform(1).edge_tag = []
