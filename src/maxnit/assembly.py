@@ -60,7 +60,7 @@ _PENALTY_WARN_THRESHOLD = 4.0  # ~4 * (unit trace-constant estimate)^2
 _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Params:
     """Physical and algorithmic constants plus the formulation selectors."""
 

@@ -67,7 +67,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     """One convergence study: a case, a mesh family and refinement levels."""
 
@@ -107,6 +107,8 @@ class StudyConfig:
             raise ConfigError("levels must be a list of positive integers")
         if levels != sorted(set(levels)) or not levels:
             raise ConfigError("levels must be non-empty and strictly increasing")
+        if domain != "square" and any(n % 2 for n in levels):
+            raise ConfigError(f"levels of {self.case!r} must be even (an L-shape grid)")
         unknown = set(self.emit) - {"csv", "markdown", "vtk", "matrixmarket"}
         if unknown:
             raise ConfigError(f"unknown emit formats {sorted(unknown)}")

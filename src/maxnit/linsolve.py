@@ -37,23 +37,71 @@ class SolutionFields:
         return self.coeffs.reshape(-1, 3)[:, 2]
 
 
+# A system whose 1-norm condition estimate reaches this is rejected as
+# singular. It is the reciprocal of a 1e-14 relative pivot floor; on the
+# N_p -> 0 sweep of the Galerkin-Nitsche system (CHANGES.md) the estimate is
+# at least the reciprocal pivot ratio, so such a floor rejects nothing more.
+_COND_LIMIT = 1e14
+
+
 def factorize(matrix) -> spla.SuperLU:
     """LU factorisation with fill-reducing ordering.
 
-    Raises SingularSystemError when the factorisation breaks down or a pivot
-    falls below the relative floor.
+    Raises SingularSystemError when the factorisation breaks down or the
+    1-norm condition estimate ||A||_1 * est(||A^-1||_1) is not below
+    `_COND_LIMIT`. The estimate only solves with the factors; reading
+    `lu.L` or `lu.U` would make SuperLU keep CSC copies of both.
     """
+    norm1 = spla.norm(matrix, 1)
     try:
         lu = spla.splu(matrix.tocsc())
     except RuntimeError as exc:
         raise SingularSystemError(f"factorisation failed: {exc}") from exc
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.min() <= 1e-14 * pivots.max():
+    cond = norm1 * _inverse_norm1(lu, matrix.shape[0])
+    if not cond < _COND_LIMIT:
         raise SingularSystemError(
-            "numerically singular system (degenerate pivot); "
+            f"numerically singular system (1-norm condition estimate {cond:.1e}); "
             "check stabilisation and penalty constants"
         )
     return lu
+
+
+def _inverse_norm1(lu: spla.SuperLU, n: int) -> float:
+    """Lower estimate of ||A^-1||_1 from the factors of A: Hager's iteration
+    with Higham's safeguards (LAPACK xLACN2). Deterministic; `inf` when a
+    solve is not finite."""
+
+    def apply(v, trans="N"):
+        y = lu.solve(v, trans=trans)
+        if not np.all(np.isfinite(y)):
+            raise FloatingPointError
+        return y
+
+    # Higham's alternating-sign vector, of 1-norm 3n/2, catches what the
+    # iteration misses; it is solved together with the start vector
+    alt = (1.0 + np.arange(n) / max(n - 1, 1)) * (-1.0) ** np.arange(n)
+    try:
+        y, y_alt = apply(np.column_stack([np.full(n, 1.0 / n), alt])).T
+        est = np.abs(y).sum()
+        signs = np.where(y >= 0.0, 1.0, -1.0)
+        j = None
+        for _ in range(4):
+            z = np.abs(apply(signs, "T"))
+            if j is not None and z[j] == z.max():
+                break  # the next unit vector would repeat the last estimate
+            j = int(np.argmax(z))
+            unit = np.zeros(n)
+            unit[j] = 1.0
+            y = apply(unit)
+            new_signs = np.where(y >= 0.0, 1.0, -1.0)
+            new_est = np.abs(y).sum()
+            if new_est <= est or np.array_equal(new_signs, signs):
+                est = max(est, new_est)
+                break
+            est, signs = new_est, new_signs
+        return max(est, np.abs(y_alt).sum() / (1.5 * n))
+    except FloatingPointError:
+        return np.inf
 
 
 def solve(
@@ -71,7 +119,7 @@ def solve(
     breaks down or yields non-finite values, ResidualError when refinement
     cannot reach `tol`.
     """
-    a = system.matrix.tocsc()
+    a = system.matrix
     b = system.rhs
     if lu is None:
         lu = factorize(a)

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -498,6 +498,14 @@ class TestParams:
                 Params(**bad)
         with pytest.raises(ValueError, match="include_p_flux"):
             Params(include_p_flux="no")
+
+    def test_frozen_after_construction(self):
+        params = Params()
+        with pytest.raises(FrozenInstanceError):
+            params.nu = -1
+        with pytest.raises(ValueError):
+            replace(params, nu=-1.0)  # replace re-runs the checks
+        assert params.nu == 1.0
 
     def test_unknown_selectors_rejected(self):
         with pytest.raises(ValueError):

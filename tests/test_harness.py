@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -56,6 +56,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             quick_config(emit=("pdf",))
 
+    def test_frozen_after_construction(self):
+        cfg = quick_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.levels = [0]
+        with pytest.raises(ConfigError):
+            replace(cfg, levels=[0])  # replace re-runs the checks
+        assert cfg.levels == [2, 4]
+
 
 class TestBuildMesh:
     def test_families(self):
@@ -92,11 +100,17 @@ class TestRunStudy:
             assert rep.triple is not None and rep.triple > 0
             assert rep.data_norm is not None and rep.data_norm > 0
 
-    def test_levels_annotated_with_context_on_failure(self):
-        config = quick_config(case="lshape:1", family="crisscross", levels=[2, 3])
-        # level 3 is odd and rejected by the generator; context is attached
-        with pytest.raises(ValueError, match="level 3"):
-            run_study(config)
+    def test_levels_annotated_with_context_on_failure(self, monkeypatch):
+        build = harness.build_mesh
+
+        def second_level_fails(case, family, level):
+            if level == 4:
+                raise ValueError("n_cells rejected")
+            return build(case, family, level)
+
+        monkeypatch.setattr(harness, "build_mesh", second_level_fails)
+        with pytest.raises(ValueError, match="^level 4: n_cells rejected$"):
+            run_study(quick_config(levels=[2, 4]))
 
     @pytest.mark.parametrize(
         "stage, context",
@@ -315,6 +329,9 @@ class TestCli:
             {"case": 5},
             {"label": ["x"]},
             {"out_dir": 5},
+            {"case": "lshape:1", "family": "crisscross", "levels": [2, 3]},
+            {"case": "lshape:2", "family": "powell-sabin", "levels": [1, 2]},
+            {"case": "curved-l:4", "family": "curved-mapped", "levels": [4, 5]},
         ],
         ids=lambda bad: json.dumps(bad),
     )

@@ -128,10 +128,12 @@ def test_empty_report_writes_header_only(tmp_path):
 
 
 def test_reference_preset_row_count(tmp_path):
-    config = default_configs()["table1-uniform"][0]
-    config.levels = [2, 4, 8, 16]  # same shape, cheaper levels
-    config.out_dir = str(tmp_path)
-    config.emit = ("csv",)
+    config = replace(
+        default_configs()["table1-uniform"][0],
+        levels=[2, 4, 8, 16],  # same shape, cheaper levels
+        out_dir=str(tmp_path),
+        emit=("csv",),
+    )
     run_study(config)
     rows = read_report_csv(str(tmp_path / "t1-uniform.csv"))
     assert len(rows) == 4

@@ -3,9 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from maxnit.assembly import Params, assemble_global
-from maxnit.linsolve import ResidualError, SingularSystemError, solve
+from maxnit import linsolve
+from maxnit.assembly import Params, apply_strong_bc, assemble_global
+from maxnit.harness import StudyConfig, run_study
+from maxnit.linsolve import (
+    ResidualError,
+    SingularSystemError,
+    _inverse_norm1,
+    factorize,
+    solve,
+)
 from maxnit.mesh import gen_square_crisscross, gen_square_uniform
 from maxnit.problems import square_case
 
@@ -67,6 +77,105 @@ def test_singular_system_detected():
     system = assemble_global(mesh, params, square_case())
     with pytest.raises((SingularSystemError, ResidualError)):
         solve(system)
+
+
+def crisscross_matrix(n, N_p, formulation="galerkin-nitsche"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # penalties below the stability estimate
+        params = Params(N_u=100.0, N_p=N_p, formulation=formulation)
+    return assemble_global(gen_square_crisscross(n), params, square_case()).matrix
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("N_p", [1e-16, 0.0])
+def test_factorize_rejects_vanishing_pressure_penalty(n, N_p):
+    # n=4, N_p=0 is the matrix of test_singular_system_detected; the pivot
+    # ratio of every case here is below 1e-17
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        factorize(crisscross_matrix(n, N_p))
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize(
+    "formulation, N_p",
+    [("galerkin-nitsche", N_p) for N_p in (100.0, 1e-4, 1e-8)]
+    + [("stabilised-nitsche", N_p) for N_p in (100.0, 1e-4, 1e-8, 1e-12, 1e-16, 0.0)],
+)
+def test_factorize_accepts_regular_systems(n, formulation, N_p):
+    matrix = crisscross_matrix(n, N_p, formulation)
+    lu = factorize(matrix)
+    assert lu.shape == matrix.shape
+
+
+def small_matrices(rng):
+    mesh, case = gen_square_uniform(3), square_case()
+    strong = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
+    yield crisscross_matrix(2, 100.0)
+    yield crisscross_matrix(4, 1e-4)
+    yield crisscross_matrix(4, 0.0, "stabilised-nitsche")
+    yield apply_strong_bc(strong, mesh, case, "both-zero").matrix
+    yield sp.csr_matrix(rng.standard_normal((40, 40)) + 8.0 * np.eye(40))
+    yield sp.diags([1.0, 1e-3, 1e3, 1e-6])
+
+
+def test_inverse_norm1_is_a_close_lower_bound(rng):
+    for matrix in small_matrices(rng):
+        exact = np.linalg.cond(matrix.toarray(), 1) / spla.norm(matrix, 1)
+        est = _inverse_norm1(spla.splu(sp.csc_matrix(matrix)), matrix.shape[0])
+        assert exact / 10.0 <= est <= exact * (1.0 + 1e-10)
+
+
+def test_inverse_norm1_is_deterministic_and_leaves_global_rng_alone():
+    lu = spla.splu(sp.csc_matrix(crisscross_matrix(8, 1e-4)))
+    before = np.random.get_state()
+    first = _inverse_norm1(lu, lu.shape[0])
+    second = _inverse_norm1(lu, lu.shape[0])
+    after = np.random.get_state()
+    assert first == second
+    assert before[0] == after[0] and before[2:] == after[2:]
+    assert np.array_equal(before[1], after[1])
+
+
+class _FactorsOnly:
+    """SuperLU stand-in that forwards solves and sizes and fails on any other
+    attribute: the first read of `L` or `U` makes SuperLU keep CSC copies of
+    both factors."""
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.shape, self.nnz = lu.shape, lu.nnz
+        self.perm_r, self.perm_c = lu.perm_r, lu.perm_c
+
+    def solve(self, rhs, trans="N"):
+        return self._lu.solve(rhs, trans)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"SuperLU.{name} read")
+
+
+class _SplaView:
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+    def splu(self, *args, **kwargs):
+        self.calls.append(args)
+        return _FactorsOnly(spla.splu(*args, **kwargs))
+
+
+def test_no_factor_copies(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
+    with pytest.raises(AssertionError, match="SuperLU.U read"):
+        factorize(crisscross_matrix(2, 100.0)).U
+    system = assemble_global(gen_square_uniform(3), Params(), square_case())
+    sol = solve(system, lu=factorize(system.matrix))
+    assert sol.residual < 1e-10
+    report = run_study(StudyConfig("square", "uniform", [2, 4]))
+    assert len(report.reports) == 2
+    assert len(calls) == 4
 
 
 def test_residual_tolerance_enforced():
