@@ -6,7 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Params, _curl_coefs, _div_coefs, _edge_mass, _edge_trace
+from .assembly import (
+    Params,
+    _curl_coefs,
+    _div_coefs,
+    _edge_mass,
+    _edge_trace,
+    _map_rule_points,
+)
 from .linsolve import SolutionFields
 from .mesh import Mesh
 from .problems import ProblemCase
@@ -90,12 +97,12 @@ def l2_errors(
     rule = _quad_rule_for(case, degree, subdivide)
     coords = mesh.vertices[mesh.triangles]
 
-    pts = np.einsum("qk,mkd->mqd", rule.points, coords)
+    pts = _map_rule_points(rule, coords)
     flat = pts.reshape(-1, 2)
     u_ex = case.exact_u(flat).reshape(pts.shape)
 
     nodal = x.reshape(-1, 3)[mesh.triangles]  # (m, 3, 3)
-    vals_h = np.einsum("qk,mkf->mqf", rule.points, nodal)
+    vals_h = _map_rule_points(rule, nodal)
     c_h = np.einsum("ma,ma->m", _curl_coefs(mesh.tri_grads), _udofs(nodal))
 
     w2a = 2.0 * mesh.tri_area
@@ -104,7 +111,7 @@ def l2_errors(
     err_p = np.sqrt(np.einsum("m,q,mq->", w2a, rule.weights, vals_h[:, :, 2] ** 2))
 
     crule = triangle_rule(curl_degree)
-    cpts = np.einsum("qk,mkd->mqd", crule.points, coords)
+    cpts = _map_rule_points(crule, coords)
     c_ex = case.exact_curl_u(cpts.reshape(-1, 2)).reshape(cpts.shape[:2])
     dc = (c_ex - c_h[:, None]) ** 2
     err_c = np.sqrt(np.einsum("m,q,mq->", w2a, crule.weights, dc))
@@ -153,7 +160,7 @@ def boundary_data_norm(mesh: Mesh, case: ProblemCase, params: Params) -> float:
     scale against which the solution's triple norm is compared."""
     rule = triangle_rule(6)
     coords = mesh.vertices[mesh.triangles]
-    pts = np.einsum("qk,mkd->mqd", rule.points, coords)
+    pts = _map_rule_points(rule, coords)
     f = case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
     f_norm = np.sqrt(
         np.einsum("m,q,mq->", 2.0 * mesh.tri_area, rule.weights, (f**2).sum(axis=2))

@@ -55,6 +55,9 @@ RHS_TRI_DEGREE = 10
 RHS_TRI_SUBDIV = 1
 RHS_EDGE_DEGREE = 11
 
+# triangles per block of the rule-point kernel and the source quadrature
+_BLOCK = 2048
+
 _PENALTY_WARN_THRESHOLD = 4.0  # ~4 * (unit trace-constant estimate)^2
 
 _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -239,9 +242,21 @@ def _edge_blocks(mesh: Mesh, params: Params):
     return blocks
 
 
-def _map_rule_points(rule, coords):
-    """Physical positions of rule points on every triangle, (m, q, 2)."""
-    return np.einsum("qk,mkd->mqd", rule.points, coords)
+def _map_rule_points(rule, nodal: np.ndarray) -> np.ndarray:
+    """P1 data at the rule points of every triangle: nodal values (m, 3, d)
+    to a C-contiguous (m, q, d), e.g. vertex coordinates to physical points.
+
+    Works in blocks of `_BLOCK` triangles with the triangle index innermost,
+    several times faster than one einsum over (m, 3, d). Each value is the
+    same k-ordered sum of products as `einsum("qk,mkd->mqd")`, bit for bit;
+    `P @ nodal` and `tensordot` round differently (fused multiply-add).
+    """
+    m, _, d = nodal.shape
+    out = np.empty((m, len(rule.points), d))
+    for s in range(0, m, _BLOCK):
+        block = np.ascontiguousarray(nodal[s : s + _BLOCK].transpose(1, 2, 0))
+        out[s : s + _BLOCK] = np.einsum("qk,kdm->qdm", rule.points, block).transpose(2, 0, 1)
+    return out
 
 
 def _edge_trace(mesh: Mesh, case: ProblemCase):
@@ -263,20 +278,27 @@ def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
     dofs = DofMap(mesh.n_vertices)
     parts = []  # (dof indices, values), summed in this order
 
-    coords = mesh.vertices[mesh.triangles]
-    rule = subdivide_triangle_rule(triangle_rule(RHS_TRI_DEGREE), RHS_TRI_SUBDIV)
-    pts = _map_rule_points(rule, coords)
-    fvals = case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
-    if np.any(fvals):
-        # (f, phi_a) with phi the nodal hat functions, both components
+    if not case.zero_source:
+        # (f, phi_a) with phi the nodal hat functions, both components, one
+        # block of triangles at a time to cap the temporaries
+        rule = subdivide_triangle_rule(triangle_rule(RHS_TRI_DEGREE), RHS_TRI_SUBDIV)
         lam = rule.points  # (q, 3) barycentric values are the P1 values
-        w = rule.weights
-        contrib = 2.0 * mesh.tri_area[:, None, None] * np.einsum(
-            "q,qi,mqd->mid", w, lam, fvals
-        )
-        # per vertex slot i: the u_x entries of all triangles, then the u_y ones
-        slots = 3 * mesh.triangles.T[:, None, :] + np.arange(2)[:, None]  # (3, 2, m)
-        parts.append((slots, contrib.transpose(1, 2, 0)))
+        coords = mesh.vertices[mesh.triangles]
+        area = mesh.tri_area
+        contrib = np.empty((mesh.n_triangles, 3, 2))
+        nonzero = False
+        for s in range(0, mesh.n_triangles, _BLOCK):
+            block = slice(s, s + _BLOCK)
+            pts = _map_rule_points(rule, coords[block])
+            fvals = case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
+            nonzero = nonzero or bool(np.any(fvals))
+            contrib[block] = 2.0 * area[block, None, None] * np.einsum(
+                "q,qi,mqd->mid", rule.weights, lam, fvals
+            )
+        if nonzero:
+            # per vertex slot i: the u_x entries of all triangles, then the u_y ones
+            slots = 3 * mesh.triangles.T[:, None, :] + np.arange(2)[:, None]  # (3, 2, m)
+            parts.append((slots, contrib.transpose(1, 2, 0)))
 
     if params.formulation != "stabilised-strong":
         t, ew, tu = _edge_trace(mesh, case)

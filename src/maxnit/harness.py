@@ -185,8 +185,11 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
     back in config order. Every `out_dir` is created, parents included,
     before the first mesh is built. An exception keeps its type and
     attributes; its message gains the level, and the study's title when a
-    per-case stage raised it.
+    per-case stage raised it. Every config is validated again first: a
+    frozen config's `levels` list can still be edited in place.
     """
+    for cfg in configs:
+        replace(cfg)  # re-runs StudyConfig.__post_init__
     cases = [build_case(c.case, c.params.nu) for c in configs]
     # an unwritable output directory fails here, not after the studies ran
     for out_dir in sorted({c.out_dir for c in configs} - {None}):

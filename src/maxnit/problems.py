@@ -7,7 +7,7 @@ points (or a single (2,) point) and return matching arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -50,6 +50,9 @@ class ProblemCase:
     source_f: Callable[[np.ndarray], np.ndarray]
     dirichlet_u: Callable[[np.ndarray], np.ndarray]
     singularity_n: int | None = None
+    # f is identically zero: the right-hand side skips its source quadrature.
+    # `source_f` stays a callable that returns zeros.
+    zero_source: bool = False
 
     def exact_p(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -153,18 +156,11 @@ def lshape_case(n: int, nu: float = 1.0) -> ProblemCase:
     def zero_vector(pts):
         return np.zeros((pts.shape[0], 2))
 
-    return ProblemCase("lshape", nu, u, zero_scalar, zero_vector, u, singularity_n=n)
+    return ProblemCase(
+        "lshape", nu, u, zero_scalar, zero_vector, u, singularity_n=n, zero_source=True
+    )
 
 
 def curved_l_case(n: int, nu: float = 1.0) -> ProblemCase:
     """Same fields as the L-domain case, posed on the curved-L domain."""
-    base = lshape_case(n, nu)
-    return ProblemCase(
-        "curved-l",
-        nu,
-        base.exact_u,
-        base.exact_curl_u,
-        base.source_f,
-        base.dirichlet_u,
-        singularity_n=n,
-    )
+    return replace(lshape_case(n, nu), domain="curved-l")

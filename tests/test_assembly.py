@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from maxnit.analysis import boundary_data_norm
 from maxnit.assembly import (
+    _BLOCK,
+    RHS_TRI_DEGREE,
+    RHS_TRI_SUBDIV,
+    FORMULATIONS,
     DofMap,
     Params,
     _batch_curl_curl,
@@ -13,6 +18,7 @@ from maxnit.assembly import (
     _batch_mixed_grad,
     _batch_pressure_laplacian,
     _edge_blocks,
+    _map_rule_points,
     apply_strong_bc,
     assemble_global,
     assemble_rhs,
@@ -34,6 +40,7 @@ from maxnit.problems import (
     lshape_case,
     square_case,
 )
+from maxnit.quadrature import subdivide_triangle_rule, triangle_rule
 
 from conftest import (
     oracle_curl_curl,
@@ -323,6 +330,69 @@ class TestRhs:
     def test_domain_mismatch_rejected(self):
         with pytest.raises(ValueError):
             assemble_rhs(gen_square_uniform(2), lshape_case(1), Params())
+
+
+# every triangle rule the package maps points with: the RHS source, the
+# singular-case error norm, the error norm and the data norm, the curl error
+_RULES = {
+    "rhs": subdivide_triangle_rule(triangle_rule(RHS_TRI_DEGREE), RHS_TRI_SUBDIV),
+    "degree-6-subdivided": subdivide_triangle_rule(triangle_rule(6), 1),
+    "degree-6": triangle_rule(6),
+    "degree-1": triangle_rule(1),
+}
+
+
+class TestMapRulePoints:
+    @pytest.mark.parametrize("rule", sorted(_RULES))
+    @pytest.mark.parametrize("m", [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 17])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_one_einsum_bit_for_bit(self, rng, rule, m, d):
+        points = _RULES[rule].points
+        nodal = rng.standard_normal((m, 3, d))
+        out = _map_rule_points(_RULES[rule], nodal)
+        assert out.flags.c_contiguous
+        assert out.shape == (m, len(points), d)
+        assert np.array_equal(out, np.einsum("qk,mkd->mqd", points, nodal))
+
+
+def _spy(calls, fn):
+    def spy(points):
+        calls.append(len(points))
+        return fn(points)
+
+    return spy
+
+
+class TestZeroSource:
+    _CASES = {
+        "lshape": (lambda: gen_lshape(4), lambda: lshape_case(1)),
+        "curved-l": (
+            lambda: powell_sabin_refine(map_to_curved_l(gen_lshape(2))),
+            lambda: curved_l_case(2),
+        ),
+    }
+
+    @pytest.mark.parametrize("form", FORMULATIONS)
+    @pytest.mark.parametrize("domain", sorted(_CASES))
+    def test_rhs_equals_unflagged_bit_for_bit(self, domain, form):
+        build, make_case = self._CASES[domain]
+        mesh, case = build(), make_case()
+        params = Params(nu=1.3, L0=0.6, c_u=0.7, N_u=40.0, N_p=25.0, formulation=form)
+        unflagged = assemble_rhs(mesh, replace(case, zero_source=False), params)
+        assert np.array_equal(assemble_rhs(mesh, case, params), unflagged)
+
+    def test_rhs_skips_the_source_and_data_norm_keeps_it(self):
+        mesh = gen_lshape(4)
+        calls = []
+        case = lshape_case(1)
+        case = replace(case, source_f=_spy(calls, case.source_f))
+        assemble_rhs(mesh, case, Params())
+        assert calls == []
+        boundary_data_norm(mesh, case, Params())
+        assert len(calls) >= 1
+        calls.clear()
+        assemble_rhs(mesh, replace(case, zero_source=False), Params())
+        assert sum(calls) == len(_RULES["rhs"].points) * mesh.n_triangles
 
 
 class TestGlobalAssembly:

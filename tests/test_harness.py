@@ -157,6 +157,14 @@ def lshape_batch():
 
 
 class TestRunStudies:
+    def test_levels_edited_in_place_rejected_before_any_mesh(self, monkeypatch):
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        cfg = StudyConfig("lshape:1", "crisscross", [2])
+        cfg.levels.append(3)  # frozen, but the list itself can change
+        with pytest.raises(ConfigError, match="must be even"):
+            run_study(cfg)
+        assert meshes == []
+
     def test_matches_direct_composition(self):
         studies = run_studies(lshape_batch())
         for study in studies:
@@ -345,6 +353,15 @@ class TestCli:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert len(meshes) == 0
         assert not out.exists()
+
+    def test_preset_edited_in_place_is_config_error(self, monkeypatch, capsys):
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        cfg = StudyConfig("lshape:1", "crisscross", [2])
+        cfg.levels.append(3)
+        monkeypatch.setattr(harness, "default_configs", lambda: {"edited": [cfg]})
+        assert main(["run", "--preset", "edited"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert meshes == []
 
     def test_solver_failure_exit_code(self, tmp_path):
         cfg = {

@@ -154,6 +154,17 @@ class TestCurvedLCase:
         assert curved_l_case(2).singularity_n == 2
 
 
+def test_zero_source_flag(rng):
+    assert square_case().zero_source is False
+    pts = rng.uniform(-1.0, 1.0, (50, 2))
+    for n in (1, 2, 4):
+        for case in (lshape_case(n), curved_l_case(n)):
+            assert case.zero_source is True
+            f = case.source_f(pts)
+            assert f.shape == (50, 2)
+            assert np.all(f == 0.0)
+
+
 def test_exact_p_is_zero():
     for case in (square_case(), lshape_case(1), curved_l_case(4)):
         pts = np.array([[0.3, 0.4], [-0.5, 0.25]])
