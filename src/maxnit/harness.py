@@ -10,7 +10,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import assembly as masm
 from . import io as mio
@@ -172,16 +172,18 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
     """Run a batch of studies level by level, sharing work between configs.
 
     Configs that meet at one (domain, family, level) share one mesh; those
-    that also have equal `Params` share one assembled matrix and one LU
-    factorisation. Each case still gets its own right-hand side, strong-BC
-    elimination, solve (refinement and residual gate included) and error
-    norms. One factorisation is alive at a time: a group's LU and matrix are
-    freed before its error norms run.
+    that also have equal `Params` apart from `corner_strategy` share one
+    assembled matrix, and those that also share the reduced system (equal
+    corner strategy, or any weak formulation) share one LU factorisation.
+    Each case still gets its own right-hand side, strong-BC elimination,
+    solve (refinement and residual gate included) and error norms. One
+    factorisation is alive at a time: a group's LU and matrix are freed
+    before its error norms run.
 
     A row's `wall_ms` is its own time (right-hand side, strong-BC
     elimination, solve, error norms) plus an equal share of each shared step
-    it took part in: the mesh build, and the matrix assembly (which includes
-    the first case's right-hand side) with the factorisation. Reports come
+    it took part in: the mesh build, the matrix assembly (which includes the
+    first case's right-hand side) and the factorisation. Reports come
     back in config order. Every `out_dir` is created, parents included,
     before the first mesh is built. An exception keeps its type and
     attributes; its message gains the level, and the study's title when a
@@ -203,10 +205,9 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
             with _context(f"level {level}"):
                 mesh = build_mesh(first.case, first.family, level)
             mesh_ms = (time.perf_counter() - t0) * 1e3 / len(on_mesh)
-            for group in _groups(on_mesh, lambda i: astuple(configs[i].params)):
+            for group in _groups(on_mesh, lambda i: _matrix_key(configs[i].params)):
                 members = [(configs[i], cases[i]) for i in group]
-                group_ms, solved = _solve_group(mesh, level, members)
-                for i, (sol, own_ms) in zip(group, solved):
+                for i, (sol, own_ms) in zip(group, _solve_group(mesh, level, members)):
                     cfg, case = configs[i], cases[i]
                     t0 = time.perf_counter()
                     with _context(f"level {level}, {_title(cfg)}"):
@@ -214,7 +215,7 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
                         rep.triple = triple_norm(mesh, sol, cfg.params)
                         rep.data_norm = boundary_data_norm(mesh, case, cfg.params)
                     own_ms += (time.perf_counter() - t0) * 1e3
-                    rep.wall_ms = own_ms + mesh_ms + group_ms / len(group)
+                    rep.wall_ms = own_ms + mesh_ms
                     rows[i].append(rep)
                     if cfg.out_dir is not None and "vtk" in cfg.emit:
                         snap = mio.snapshot_from_solution(mesh, sol, case)
@@ -235,17 +236,26 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
     return studies
 
 
+def _matrix_key(params: Params) -> tuple:
+    """Params as far as the assembled matrix depends on them: the corner
+    strategy only enters the strong-BC elimination."""
+    return tuple(getattr(params, f.name) for f in fields(params) if f.name != "corner_strategy")
+
+
 def _solve_group(mesh, level, members):
-    """Solve the (config, case) members, whose params are equal, on one mesh
-    against one matrix and one factorisation. Returns the shared time and,
-    per member, the solution with the member's own time; the LU and the
-    matrix die with this frame."""
+    """Solve the (config, case) members, whose params are equal up to the
+    corner strategy, on one mesh against one assembled matrix. The members
+    of one reduced system (one corner strategy; every member of a weak
+    formulation) share one factorisation. Returns, per member, the solution
+    and the member's time with its shares of the assembly and of its
+    factorisation; the LU and the matrix die with this frame."""
     params = members[0][0].params
+    strong = params.formulation == "stabilised-strong"
     t0 = time.perf_counter()
     with _context(f"level {level}"):
         base = assemble_global(mesh, params, members[0][1])
-    shared_ms = (time.perf_counter() - t0) * 1e3
-    own_ms = [0.0] * len(members)
+    assembly_ms = (time.perf_counter() - t0) * 1e3 / len(members)
+    own_ms = [assembly_ms] * len(members)
     # every right-hand side before the LU exists, so that the source
     # quadrature's temporaries never coexist with the factors
     rhs = [base.rhs]
@@ -253,27 +263,40 @@ def _solve_group(mesh, level, members):
         t0 = time.perf_counter()
         with _context(f"level {level}, {_title(cfg)}"):
             rhs.append(masm.assemble_rhs(mesh, case, params))
-        own_ms[k] = (time.perf_counter() - t0) * 1e3
-    lu = None
-    solved = []
-    for k, (cfg, case) in enumerate(members):
-        t0 = time.perf_counter()
+        own_ms[k] += (time.perf_counter() - t0) * 1e3
+    solved = [None] * len(members)
+    for system_of in _groups(
+        range(len(members)), lambda k: members[k][0].params.corner_strategy if strong else None
+    ):
+        lu = None  # the last reduced system's LU is freed before the next exists
         lu_ms = 0.0
-        with _context(f"level {level}, {_title(cfg)}"):
-            system = replace(base, rhs=rhs[k])
-            if params.formulation == "stabilised-strong":
-                # the reduced matrix depends on the mesh and params only
-                system = apply_strong_bc(system, mesh, case, params.corner_strategy)
-            if lu is None:
-                t_lu = time.perf_counter()
-                lu = factorize(system.matrix)
-                lu_ms = (time.perf_counter() - t_lu) * 1e3
-            sol = solve(system, lu=lu)
-        shared_ms += lu_ms
-        solved.append((sol, own_ms[k] + (time.perf_counter() - t0) * 1e3 - lu_ms))
-        if cfg.out_dir is not None and "matrixmarket" in cfg.emit:
-            write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
-    return shared_ms, solved
+        for k in system_of:
+            cfg, case = members[k]
+            t0 = time.perf_counter()
+            with _context(f"level {level}, {_title(cfg)}"):
+                system = replace(base, rhs=rhs[k])
+                if strong:
+                    # the reduced matrix depends on the mesh, params and
+                    # corner strategy only; `base` is left as it was
+                    system = apply_strong_bc(system, mesh, case, cfg.params.corner_strategy)
+                if lu is None:
+                    t_lu = time.perf_counter()
+                    # the reduced strong systems are symmetric quasi-definite.
+                    # The stabilised-Nitsche ones are too, but keep COLAMD:
+                    # their fine-level err_p sits at the solve's rounding and
+                    # moves by up to 1.8e-8 under another ordering, more than
+                    # the benchmark's 1e-9 reference gate (see `factorize`)
+                    lu = factorize(system.matrix, quasi_definite=strong)
+                    lu_ms = (time.perf_counter() - t_lu) * 1e3
+                    own_ms[k] -= lu_ms
+                sol = solve(system, lu=lu)
+            own_ms[k] += (time.perf_counter() - t0) * 1e3
+            solved[k] = sol
+            if cfg.out_dir is not None and "matrixmarket" in cfg.emit:
+                write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
+        for k in system_of:
+            own_ms[k] += lu_ms / len(system_of)
+    return list(zip(solved, own_ms))
 
 
 def _groups(items, key) -> list[list]:

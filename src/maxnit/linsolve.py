@@ -44,8 +44,22 @@ class SolutionFields:
 _COND_LIMIT = 1e14
 
 
-def factorize(matrix) -> spla.SuperLU:
+def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
     """LU factorisation with fill-reducing ordering.
+
+    By default SuperLU orders the columns by COLAMD and pivots partially.
+    `quasi_definite=True` asserts that the matrix is symmetric with an SPD
+    leading block and a negative definite trailing block, up to a symmetric
+    permutation (the stabilised-strong reduced systems). Every symmetric
+    ordering of such a matrix factors stably without pivoting (Vanderbei,
+    SIAM J. Optim. 1995), so the factorisation then takes the minimum degree
+    ordering of A^T + A on the diagonal, with 2.3-3.3x less fill. The
+    stabilised-Nitsche systems are quasi-definite too, but their fine-level
+    pressure errors sit at the solve's rounding level and move by up to
+    1.8e-8 relative under another ordering; they keep the default until the
+    reported numbers stop depending on the factorisation. The
+    Galerkin-Nitsche pressure block is zero inside the domain: not
+    quasi-definite.
 
     Raises SingularSystemError when the factorisation breaks down or the
     1-norm condition estimate ||A||_1 * est(||A^-1||_1) is not below
@@ -53,8 +67,15 @@ def factorize(matrix) -> spla.SuperLU:
     `lu.L` or `lu.U` would make SuperLU keep CSC copies of both.
     """
     norm1 = spla.norm(matrix, 1)
+    ordering = {}
+    if quasi_definite:
+        ordering = dict(
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(matrix.tocsc(), **ordering)
     except RuntimeError as exc:
         raise SingularSystemError(f"factorisation failed: {exc}") from exc
     cond = norm1 * _inverse_norm1(lu, matrix.shape[0])

@@ -7,7 +7,7 @@ import pytest
 
 from maxnit import harness, linsolve
 from maxnit.analysis import boundary_data_norm, l2_errors, triple_norm
-from maxnit.assembly import Params, assemble_global
+from maxnit.assembly import CORNER_STRATEGIES, Params, assemble_global
 from maxnit.harness import (
     ConfigError,
     StudyConfig,
@@ -199,6 +199,34 @@ class TestRunStudies:
         studies = run_studies([strong, weak])
         assert [s.config.label for s in studies] == ["strong", "weak"]
         assert (len(meshes), len(splu)) == (1, 2)
+        for study, ref in zip(studies, alone):
+            assert replace(study.reports[0], wall_ms=0.0) == replace(ref, wall_ms=0.0)
+
+    def test_corner_strategies_share_one_assembly(self, monkeypatch):
+        # table5-corner at level 8: three strong corner strategies and Nitsche
+        strong = replace(LSHAPE, formulation="stabilised-strong")
+        batch = [
+            StudyConfig("lshape:1", "crisscross", [8], replace(strong, corner_strategy=s), label=s)
+            for s in CORNER_STRATEGIES
+        ] + [StudyConfig("lshape:1", "crisscross", [8], LSHAPE, label="nitsche")]
+        alone = [run_study(c).reports[0] for c in batch]
+        splu = counting(monkeypatch, linsolve.spla, "splu")
+        assembled = []
+        assemble = harness.assemble_global
+
+        def keep(*args):
+            system = assemble(*args)
+            m = system.matrix
+            assembled.append((m, [a.tobytes() for a in (m.data, m.indices, m.indptr)]))
+            return system
+
+        monkeypatch.setattr(harness, "assemble_global", keep)
+        strong_bc = counting(monkeypatch, harness, "apply_strong_bc")
+        studies = run_studies(batch)
+        assert (len(assembled), len(splu), len(strong_bc)) == (2, 4, 3)
+        assert {id(args[0].matrix) for args in strong_bc} == {id(assembled[0][0])}
+        for m, before in assembled:
+            assert [a.tobytes() for a in (m.data, m.indices, m.indptr)] == before
         for study, ref in zip(studies, alone):
             assert replace(study.reports[0], wall_ms=0.0) == replace(ref, wall_ms=0.0)
 

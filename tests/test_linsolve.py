@@ -1,5 +1,6 @@
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from maxnit import linsolve
-from maxnit.assembly import Params, apply_strong_bc, assemble_global
-from maxnit.harness import StudyConfig, run_study
+from maxnit.analysis import l2_errors
+from maxnit.assembly import CORNER_STRATEGIES, Params, apply_strong_bc, assemble_global
+from maxnit.harness import StudyConfig, build_case, build_mesh, run_study
 from maxnit.linsolve import (
     ResidualError,
     SingularSystemError,
@@ -90,9 +92,11 @@ def crisscross_matrix(n, N_p, formulation="galerkin-nitsche"):
 @pytest.mark.parametrize("N_p", [1e-16, 0.0])
 def test_factorize_rejects_vanishing_pressure_penalty(n, N_p):
     # n=4, N_p=0 is the matrix of test_singular_system_detected; the pivot
-    # ratio of every case here is below 1e-17
-    with pytest.raises(SingularSystemError, match="numerically singular"):
-        factorize(crisscross_matrix(n, N_p))
+    # ratio of every case here is below 1e-17. The diagonal pivots of the
+    # quasi-definite ordering must not hide the constant-pressure mode either.
+    for quasi_definite in (False, True):
+        with pytest.raises(SingularSystemError, match="numerically singular"):
+            factorize(crisscross_matrix(n, N_p), quasi_definite=quasi_definite)
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -105,6 +109,48 @@ def test_factorize_accepts_regular_systems(n, formulation, N_p):
     matrix = crisscross_matrix(n, N_p, formulation)
     lu = factorize(matrix)
     assert lu.shape == matrix.shape
+
+
+STRONG_SYSTEMS = {
+    "lshape-crisscross-8": ("lshape:1", "crisscross", 8, Params(L0=0.5, c_u=1.0)),
+    "square-powell-sabin-4": ("square", "powell-sabin", 4, Params(L0=2.0, c_u=1.0)),
+}
+
+
+def reduced_strong_system(name, corner_strategy):
+    case_name, family, level, params = STRONG_SYSTEMS[name]
+    mesh, case = build_mesh(case_name, family, level), build_case(case_name)
+    params = replace(params, formulation="stabilised-strong")
+    full = assemble_global(mesh, params, case)
+    return mesh, case, apply_strong_bc(full, mesh, case, corner_strategy)
+
+
+@pytest.mark.parametrize("corner_strategy", CORNER_STRATEGIES)
+@pytest.mark.parametrize("name", sorted(STRONG_SYSTEMS))
+def test_reduced_strong_system_is_quasi_definite(name, corner_strategy):
+    # the precondition of factorize(..., quasi_definite=True): exact
+    # symmetry, an SPD velocity block and an SPD negated pressure block
+    _, _, system = reduced_strong_system(name, corner_strategy)
+    a = system.matrix
+    assert (a != a.T).nnz == 0
+    # reduced columns fed by a pressure dof; boundary pressures have none
+    p_cols = system.transform[2::3].indices
+    u_cols = np.setdiff1d(np.arange(a.shape[0]), p_cols)
+    assert len(p_cols) + len(u_cols) == a.shape[0]
+    np.linalg.cholesky(a[u_cols][:, u_cols].toarray())
+    np.linalg.cholesky(-a[p_cols][:, p_cols].toarray())
+
+
+@pytest.mark.parametrize("corner_strategy", CORNER_STRATEGIES)
+@pytest.mark.parametrize("name", sorted(STRONG_SYSTEMS))
+def test_quasi_definite_ordering_changes_errors_by_rounding_only(name, corner_strategy):
+    mesh, case, system = reduced_strong_system(name, corner_strategy)
+    default, symmetric = (
+        l2_errors(mesh, solve(system, lu=factorize(system.matrix, quasi_definite=q)), case)
+        for q in (False, True)
+    )
+    for field in ("err_u", "err_curl", "err_p"):
+        assert getattr(symmetric, field) == pytest.approx(getattr(default, field), rel=1e-12)
 
 
 def small_matrices(rng):
