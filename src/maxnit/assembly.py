@@ -130,7 +130,6 @@ class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
-    formulation: str
     transform: sp.csr_matrix | None = None
     offset: np.ndarray | None = None
 
@@ -366,7 +365,7 @@ def assemble_global(mesh: Mesh, params: Params, case: ProblemCase) -> LinearSyst
 
     matrix = _scatter(triplets, dofs.n_dofs)
     rhs = assemble_rhs(mesh, case, params)
-    return LinearSystem(matrix, rhs, dofs, params.formulation)
+    return LinearSystem(matrix, rhs, dofs)
 
 
 def _boundary_vertex_info(mesh: Mesh):
@@ -451,9 +450,7 @@ def apply_strong_bc(
     reduced = (transform.T @ system.matrix @ transform).tocsr()
     reduced = (reduced + reduced.T) * 0.5
     rhs = transform.T @ (system.rhs - system.matrix @ offset)
-    return LinearSystem(
-        reduced, rhs, dofs, system.formulation, transform=transform, offset=offset
-    )
+    return LinearSystem(reduced, rhs, dofs, transform=transform, offset=offset)
 
 
 def write_matrix_market(system: LinearSystem, path: str) -> None:

@@ -11,6 +11,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 from . import assembly as masm
 from . import io as mio
@@ -54,12 +55,29 @@ __all__ = [
     "main",
 ]
 
-_FAMILIES = ("uniform", "crisscross", "powell-sabin", "curved-mapped")
+# (domain, family) -> mesh of one refinement level; `level` is the cell count
+# of the base grid. Powell-Sabin families refine a base mesh chosen to track
+# the element sizes of the reference results (uniform right-angled bases for
+# the square and L domains, criss-cross for the curved domain).
+_MESHES = {
+    ("square", "uniform"): gen_square_uniform,
+    ("square", "crisscross"): gen_square_crisscross,
+    ("square", "powell-sabin"): lambda level: powell_sabin_refine(gen_square_uniform(level)),
+    ("lshape", "crisscross"): gen_lshape,
+    ("lshape", "powell-sabin"): lambda level: powell_sabin_refine(gen_lshape_uniform(level)),
+    ("curved-l", "powell-sabin"): lambda level: powell_sabin_refine(
+        map_to_curved_l(gen_lshape(level))
+    ),
+    ("curved-l", "curved-mapped"): lambda level: map_to_curved_l(gen_lshape(level)),
+}
 
-_COMPATIBLE = {
-    "square": ("uniform", "crisscross", "powell-sabin"),
-    "lshape": ("crisscross", "powell-sabin"),
-    "curved-l": ("powell-sabin", "curved-mapped"),
+_FAMILIES = tuple(dict.fromkeys(family for _, family in _MESHES))
+
+# case name -> ProblemCase factory taking nu
+_CASES = {
+    "square": square_case,
+    **{f"lshape:{n}": partial(lshape_case, n) for n in (1, 2, 4)},
+    **{f"curved-l:{n}": partial(curved_l_case, n) for n in (1, 2, 4)},
 }
 
 
@@ -85,20 +103,12 @@ class StudyConfig:
                 raise ConfigError(f"{name} must be a string")
         if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
             raise ConfigError("out_dir must be a path")
-        domain = self.case.split(":")[0]
-        if domain not in _COMPATIBLE:
-            raise ConfigError(f"unknown case {self.case!r}")
-        if domain == "lshape" and self.case not in ("lshape:1", "lshape:2", "lshape:4"):
-            raise ConfigError(f"unknown case {self.case!r}")
-        if domain == "curved-l" and self.case not in (
-            "curved-l:1",
-            "curved-l:2",
-            "curved-l:4",
-        ):
+        if self.case not in _CASES:
             raise ConfigError(f"unknown case {self.case!r}")
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown mesh family {self.family!r}")
-        if self.family not in _COMPATIBLE[domain]:
+        domain = self.case.split(":")[0]
+        if (domain, self.family) not in _MESHES:
             raise ConfigError(f"family {self.family!r} incompatible with {self.case!r}")
         levels = self.levels
         if not isinstance(levels, list) or not all(
@@ -131,37 +141,17 @@ class StudyReport:
 
 
 def build_case(name: str, nu: float = 1.0) -> ProblemCase:
-    if name == "square":
-        return square_case(nu)
-    domain, _, n = name.partition(":")
-    if domain == "lshape":
-        return lshape_case(int(n), nu)
-    if domain == "curved-l":
-        return curved_l_case(int(n), nu)
-    raise ConfigError(f"unknown case {name!r}")
+    if name not in _CASES:
+        raise ConfigError(f"unknown case {name!r}")
+    return _CASES[name](nu)
 
 
 def build_mesh(case: str, family: str, level: int) -> Mesh:
-    """Mesh of one refinement level; `level` is the cell count of the base
-    grid. Powell-Sabin families refine a base mesh chosen to track the
-    element sizes of the reference results (uniform right-angled bases for
-    the square and L domains, criss-cross for the curved domain)."""
+    """Mesh of one refinement level of `case`'s domain (see `_MESHES`)."""
     domain = case.split(":")[0]
-    if domain not in _COMPATIBLE or family not in _COMPATIBLE[domain]:
+    if (domain, family) not in _MESHES:
         raise ConfigError(f"family {family!r} incompatible with domain {domain!r}")
-    if domain == "square":
-        if family == "uniform":
-            return gen_square_uniform(level)
-        if family == "crisscross":
-            return gen_square_crisscross(level)
-        return powell_sabin_refine(gen_square_uniform(level))
-    if domain == "lshape":
-        if family == "crisscross":
-            return gen_lshape(level)
-        return powell_sabin_refine(gen_lshape_uniform(level))
-    if family == "curved-mapped":
-        return map_to_curved_l(gen_lshape(level))
-    return powell_sabin_refine(map_to_curved_l(gen_lshape(level)))
+    return _MESHES[domain, family](level)
 
 
 def run_study(config: StudyConfig) -> StudyReport:
@@ -199,23 +189,19 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
     rows: list[list[ErrorReport]] = [[] for _ in configs]
     for level in sorted({lv for c in configs for lv in c.levels}):
         at_level = [i for i, c in enumerate(configs) if level in c.levels]
+        ms = dict.fromkeys(at_level, 0.0)  # each config's wall_ms at this level
         for on_mesh in _groups(at_level, lambda i: (configs[i].case.split(":")[0], configs[i].family)):
             first = configs[on_mesh[0]]
-            t0 = time.perf_counter()
-            with _context(f"level {level}"):
+            with _stage(f"level {level}", ms, on_mesh):
                 mesh = build_mesh(first.case, first.family, level)
-            mesh_ms = (time.perf_counter() - t0) * 1e3 / len(on_mesh)
             for group in _groups(on_mesh, lambda i: _matrix_key(configs[i].params)):
-                members = [(configs[i], cases[i]) for i in group]
-                for i, (sol, own_ms) in zip(group, _solve_group(mesh, level, members)):
+                for i, sol in zip(group, _solve_group(mesh, level, group, configs, cases, ms)):
                     cfg, case = configs[i], cases[i]
-                    t0 = time.perf_counter()
-                    with _context(f"level {level}, {_title(cfg)}"):
+                    with _stage(f"level {level}, {_title(cfg)}", ms, [i]):
                         rep = l2_errors(mesh, sol, case)
                         rep.triple = triple_norm(mesh, sol, cfg.params)
                         rep.data_norm = boundary_data_norm(mesh, case, cfg.params)
-                    own_ms += (time.perf_counter() - t0) * 1e3
-                    rep.wall_ms = own_ms + mesh_ms
+                    rep.wall_ms = ms[i]
                     rows[i].append(rep)
                     if cfg.out_dir is not None and "vtk" in cfg.emit:
                         snap = mio.snapshot_from_solution(mesh, sol, case)
@@ -242,61 +228,50 @@ def _matrix_key(params: Params) -> tuple:
     return tuple(getattr(params, f.name) for f in fields(params) if f.name != "corner_strategy")
 
 
-def _solve_group(mesh, level, members):
-    """Solve the (config, case) members, whose params are equal up to the
-    corner strategy, on one mesh against one assembled matrix. The members
-    of one reduced system (one corner strategy; every member of a weak
-    formulation) share one factorisation. Returns, per member, the solution
-    and the member's time with its shares of the assembly and of its
-    factorisation; the LU and the matrix die with this frame."""
-    params = members[0][0].params
+def _solve_group(mesh, level, group, configs, cases, ms) -> list:
+    """Solve the configs `group` (indices into `configs` and `cases`), whose
+    params are equal up to the corner strategy, on one mesh against one
+    assembled matrix. The members of one reduced system (one corner
+    strategy; every member of a weak formulation) share one factorisation.
+    Returns the solutions in `group` order and charges the stage times to
+    `ms`; the LU and the matrix die with this frame."""
+    params = configs[group[0]].params
     strong = params.formulation == "stabilised-strong"
-    t0 = time.perf_counter()
-    with _context(f"level {level}"):
-        base = assemble_global(mesh, params, members[0][1])
-    assembly_ms = (time.perf_counter() - t0) * 1e3 / len(members)
-    own_ms = [assembly_ms] * len(members)
+    with _stage(f"level {level}", ms, group):
+        base = assemble_global(mesh, params, cases[group[0]])
     # every right-hand side before the LU exists, so that the source
     # quadrature's temporaries never coexist with the factors
-    rhs = [base.rhs]
-    for k, (cfg, case) in enumerate(members[1:], 1):
-        t0 = time.perf_counter()
-        with _context(f"level {level}, {_title(cfg)}"):
-            rhs.append(masm.assemble_rhs(mesh, case, params))
-        own_ms[k] += (time.perf_counter() - t0) * 1e3
-    solved = [None] * len(members)
+    rhs = {group[0]: base.rhs}
+    for i in group[1:]:
+        with _stage(f"level {level}, {_title(configs[i])}", ms, [i]):
+            rhs[i] = masm.assemble_rhs(mesh, cases[i], params)
+    solved = {}
     for system_of in _groups(
-        range(len(members)), lambda k: members[k][0].params.corner_strategy if strong else None
+        group, lambda i: configs[i].params.corner_strategy if strong else None
     ):
         lu = None  # the last reduced system's LU is freed before the next exists
-        lu_ms = 0.0
-        for k in system_of:
-            cfg, case = members[k]
-            t0 = time.perf_counter()
-            with _context(f"level {level}, {_title(cfg)}"):
-                system = replace(base, rhs=rhs[k])
+        for i in system_of:
+            cfg = configs[i]
+            where = f"level {level}, {_title(cfg)}"
+            with _stage(where, ms, [i]):
+                system = replace(base, rhs=rhs[i])
                 if strong:
                     # the reduced matrix depends on the mesh, params and
                     # corner strategy only; `base` is left as it was
-                    system = apply_strong_bc(system, mesh, case, cfg.params.corner_strategy)
-                if lu is None:
-                    t_lu = time.perf_counter()
+                    system = apply_strong_bc(system, mesh, cases[i], cfg.params.corner_strategy)
+            if lu is None:
+                with _stage(where, ms, system_of):
                     # the reduced strong systems are symmetric quasi-definite.
                     # The stabilised-Nitsche ones are too, but keep COLAMD:
                     # their fine-level err_p sits at the solve's rounding and
                     # moves by up to 1.8e-8 under another ordering, more than
                     # the benchmark's 1e-9 reference gate (see `factorize`)
                     lu = factorize(system.matrix, quasi_definite=strong)
-                    lu_ms = (time.perf_counter() - t_lu) * 1e3
-                    own_ms[k] -= lu_ms
-                sol = solve(system, lu=lu)
-            own_ms[k] += (time.perf_counter() - t0) * 1e3
-            solved[k] = sol
+            with _stage(where, ms, [i]):
+                solved[i] = solve(system, lu=lu)
             if cfg.out_dir is not None and "matrixmarket" in cfg.emit:
                 write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
-        for k in system_of:
-            own_ms[k] += lu_ms / len(system_of)
-    return list(zip(solved, own_ms))
+    return [solved[i] for i in group]
 
 
 def _groups(items, key) -> list[list]:
@@ -308,14 +283,20 @@ def _groups(items, key) -> list[list]:
 
 
 @contextmanager
-def _context(where: str):
-    """Prefix the message of an escaping exception with `where`, keeping the
-    exception object itself (type, attributes, traceback)."""
+def _stage(where: str, ms: dict, rows):
+    """Time the block and add an equal share of its milliseconds to `ms[k]`
+    for every k in `rows`, the configs that the stage serves. An escaping
+    exception gets its message prefixed with `where` and is re-raised as the
+    same object (type, attributes, traceback)."""
+    t0 = time.perf_counter()
     try:
         yield
     except Exception as exc:
         exc.args = (f"{where}: {exc}",)
         raise
+    share = (time.perf_counter() - t0) * 1e3 / len(rows)
+    for k in rows:
+        ms[k] += share
 
 
 def _title(config: StudyConfig) -> str:
@@ -402,14 +383,15 @@ def default_configs() -> dict[str, list[StudyConfig]]:
 def _params_from_dict(raw: dict) -> Params:
     if not isinstance(raw, dict):
         raise ConfigError("params must be a JSON object")
-    allowed = {
-        "nu", "L0", "c_u", "N_u", "N_p", "formulation", "corner_strategy",
-        "include_p_flux",
-    }
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown params fields {sorted(unknown)}")
+    _check_keys(raw, Params, "params")
     return Params(**raw)
+
+
+def _check_keys(raw: dict, cls, what: str) -> None:
+    """The JSON schema is the dataclass: every key must name one of its fields."""
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} fields {sorted(unknown)}")
 
 
 def _config_from_json(path: str) -> StudyConfig:
@@ -421,10 +403,7 @@ def _config_from_json(path: str) -> StudyConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     params = _params_from_dict(raw.pop("params", {}))
-    allowed = {"case", "family", "levels", "out_dir", "emit", "label"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config fields {sorted(unknown)}")
+    _check_keys(raw, StudyConfig, "config")
     if "emit" in raw:
         if not isinstance(raw["emit"], list) or not all(isinstance(e, str) for e in raw["emit"]):
             raise ConfigError("emit must be a list of strings")
@@ -448,8 +427,9 @@ def _cmd_run(args) -> int:
         overrides["emit"] = tuple(args.emit.split(","))
     configs = [replace(cfg, **overrides) for cfg in configs]
     for cfg, report in zip(configs, run_studies(configs)):
-        print(f"## {_title(cfg)}  [{cfg.params.formulation}]")
-        print(emit_table(report))
+        if "markdown" in cfg.emit:
+            print(f"## {_title(cfg)}  [{cfg.params.formulation}]")
+            print(emit_table(report))
     return 0
 
 

@@ -25,7 +25,6 @@ class SolutionFields:
     """Full-length nodal coefficient vector with per-vertex accessors."""
 
     coeffs: np.ndarray
-    n_vertices: int
     residual: float
 
     @property
@@ -42,6 +41,12 @@ class SolutionFields:
 # N_p -> 0 sweep of the Galerkin-Nitsche system (CHANGES.md) the estimate is
 # at least the reciprocal pivot ratio, so such a floor rejects nothing more.
 _COND_LIMIT = 1e14
+
+# `solve` refines until the relative residual is at most _REFINE_TOL, for at
+# most _MAX_REFINE steps, and raises ResidualError if it ends above _RESIDUAL_TOL
+_RESIDUAL_TOL = 1e-10
+_REFINE_TOL = 1e-12
+_MAX_REFINE = 3
 
 
 def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
@@ -125,20 +130,14 @@ def _inverse_norm1(lu: spla.SuperLU, n: int) -> float:
         return np.inf
 
 
-def solve(
-    system: LinearSystem,
-    tol: float = 1e-10,
-    refine_tol: float = 1e-12,
-    max_refine: int = 3,
-    lu: spla.SuperLU | None = None,
-) -> SolutionFields:
+def solve(system: LinearSystem, lu: spla.SuperLU | None = None) -> SolutionFields:
     """LU solve plus iterative refinement.
 
     `lu` is a factorisation of `system.matrix` from `factorize`, shared by
     systems that differ only in the right-hand side; without it the matrix
     is factorised here. Raises SingularSystemError when the factorisation
     breaks down or yields non-finite values, ResidualError when refinement
-    cannot reach `tol`.
+    cannot reach `_RESIDUAL_TOL`.
     """
     a = system.matrix
     b = system.rhs
@@ -153,19 +152,19 @@ def solve(
     scale = np.linalg.norm(b)
     ref = scale if scale > 0.0 else 1.0
     res = np.linalg.norm(b - a @ x) / ref
-    for _ in range(max_refine):
-        if res <= refine_tol:
+    for _ in range(_MAX_REFINE):
+        if res <= _REFINE_TOL:
             break
         dx = lu.solve(b - a @ x)
         if not np.all(np.isfinite(dx)):
             break
         x = x + dx
         res = np.linalg.norm(b - a @ x) / ref
-    if res > tol:
-        raise ResidualError(f"relative residual {res:.3e} above {tol:.1e}")
+    if res > _RESIDUAL_TOL:
+        raise ResidualError(f"relative residual {res:.3e} above {_RESIDUAL_TOL:.1e}")
 
     if system.transform is not None:
         full = system.transform @ x + system.offset
     else:
         full = x
-    return SolutionFields(full, system.dofmap.n_vertices, float(res))
+    return SolutionFields(full, float(res))

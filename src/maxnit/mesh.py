@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _DOMAIN_AREAS = {"square": 4.0, "lshape": 3.0}
+_AREA_TOL = 1e-10  # relative, of the summed triangle areas in `validate_mesh`
 
 
 class MeshError(RuntimeError):
@@ -382,7 +383,7 @@ def mesh_stats(m: Mesh) -> dict:
     }
 
 
-def validate_mesh(m: Mesh, area_tol: float = 1e-10) -> None:
+def validate_mesh(m: Mesh) -> None:
     """Raise MeshError on any violated structural invariant."""
     if not np.all(np.isfinite(m.vertices)):
         raise MeshError("non-finite vertex coordinates")
@@ -405,7 +406,7 @@ def validate_mesh(m: Mesh, area_tol: float = 1e-10) -> None:
     expected = _DOMAIN_AREAS.get(m.domain)
     if expected is not None:
         total = m.tri_area.sum()
-        if abs(total - expected) > area_tol * expected:
+        if abs(total - expected) > _AREA_TOL * expected:
             raise MeshError(f"area {total} differs from domain area {expected}")
 
 

@@ -7,7 +7,6 @@ Gauss-Legendre points on [0,1] with weights summing to 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,23 +40,6 @@ def _tabulated_triangle_rules() -> dict[int, tuple[np.ndarray, np.ndarray]]:
     rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     rules[1] = (np.array([[third, third, third]]), np.array([1.0]))
-
-    pts = _orbit1(1.0 / 6.0)
-    rules[2] = (np.array(pts), np.full(3, third))
-
-    # 4-point rule with a negative centroid weight
-    pts = [(third, third, third)] + _orbit1(0.2)
-    w = np.array([-27.0 / 48.0] + [25.0 / 48.0] * 3)
-    rules[3] = (np.array(pts), w)
-
-    s15 = math.sqrt(15.0)
-    a1 = (6.0 - s15) / 21.0
-    a2 = (6.0 + s15) / 21.0
-    w1 = (155.0 - s15) / 1200.0
-    w2 = (155.0 + s15) / 1200.0
-    pts = [(third, third, third)] + _orbit1(a1) + _orbit1(a2)
-    w = np.array([9.0 / 40.0] + [w1] * 3 + [w2] * 3)
-    rules[5] = (np.array(pts), w)
 
     # 12-point degree-6 rule, two symmetric orbits and one full orbit
     pts = (

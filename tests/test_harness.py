@@ -1,11 +1,13 @@
+import argparse
 import json
 import warnings
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from maxnit import harness, linsolve
+from maxnit import assembly, harness, linsolve
 from maxnit.analysis import boundary_data_norm, l2_errors, triple_norm
 from maxnit.assembly import CORNER_STRATEGIES, Params, assemble_global
 from maxnit.harness import (
@@ -20,7 +22,7 @@ from maxnit.harness import (
     run_study,
 )
 from maxnit.io import _CSV_COLUMNS, write_report_csv
-from maxnit.mesh import MeshError
+from maxnit.mesh import MeshError, validate_mesh
 
 
 def quick_config(**kwargs):
@@ -77,6 +79,47 @@ class TestBuildMesh:
     def test_incompatible_pair_rejected(self):
         with pytest.raises(ConfigError):
             build_mesh("lshape:1", "uniform", 4)
+
+
+class TestTables:
+    @pytest.mark.parametrize("domain, family", list(harness._MESHES))
+    def test_every_mesh_builds_and_validates(self, domain, family):
+        mesh = build_mesh(domain, family, 4)
+        validate_mesh(mesh)
+        assert mesh.domain == domain
+
+    @pytest.mark.parametrize("name", list(harness._CASES))
+    def test_every_case_builds(self, name):
+        case = build_case(name, 2.0)
+        assert (case.domain, case.nu) == (name.split(":")[0], 2.0)
+        quick_config(case=name, family="powell-sabin", levels=[2])
+
+    def test_cli_family_choices_are_the_table_families(self):
+        sub = next(
+            a for a in harness.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        family = next(a for a in sub.choices["mesh"]._actions if a.dest == "family")
+        assert list(family.choices) == list(dict.fromkeys(f for _, f in harness._MESHES))
+
+    def test_incompatible_pairs_rejected_before_any_mesh(self, monkeypatch, tmp_path):
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        pairs = [
+            (name, family)
+            for name in harness._CASES
+            for family in harness._FAMILIES
+            if (name.split(":")[0], family) not in harness._MESHES
+        ]
+        # square: curved-mapped; each L-shape case: uniform and curved-mapped;
+        # each curved-L case: uniform and crisscross
+        assert len(pairs) == 1 + 2 * 3 + 2 * 3
+        for name, family in pairs:
+            with pytest.raises(ConfigError, match="incompatible"):
+                quick_config(case=name, family=family, levels=[2])
+            path = tmp_path / "study.json"
+            path.write_text(json.dumps({"case": name, "family": family, "levels": [2]}))
+            assert main(["run", "--config", str(path)]) == 2
+        assert meshes == []
 
 
 class TestRunStudy:
@@ -147,6 +190,16 @@ def counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapped)
     return calls
+
+
+def ticking(clock, cost, fn):
+    """`fn` that advances `clock` by `cost` seconds per call."""
+
+    def wrapped(*args, **kwargs):
+        clock.s += cost
+        return fn(*args, **kwargs)
+
+    return wrapped
 
 
 def lshape_batch():
@@ -229,6 +282,48 @@ class TestRunStudies:
             assert [a.tobytes() for a in (m.data, m.indices, m.indptr)] == before
         for study, ref in zip(studies, alone):
             assert replace(study.reports[0], wall_ms=0.0) == replace(ref, wall_ms=0.0)
+
+    def test_wall_ms_follows_the_sharing_rule(self, monkeypatch):
+        # a clock that only the stages advance, each by its own power of two
+        clock = SimpleNamespace(s=0.0)
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: clock.s))
+        costs = [
+            (harness, "build_mesh", 1), (harness, "assemble_global", 2),
+            (assembly, "assemble_rhs", 4), (harness, "apply_strong_bc", 8),
+            (harness, "factorize", 16), (harness, "solve", 32), (harness, "l2_errors", 64),
+            (harness, "triple_norm", 128), (harness, "boundary_data_norm", 256),
+        ]
+        for owner, name, cost in costs:
+            monkeypatch.setattr(owner, name, ticking(clock, cost, getattr(owner, name)))
+        strong = replace(LSHAPE, formulation="stabilised-strong")
+        batch = [
+            StudyConfig(case, "crisscross", [8], replace(strong, corner_strategy=s), label=label)
+            for case, s, label in [
+                ("lshape:1", "both-zero", "bz1"),
+                ("lshape:2", "both-zero", "bz2"),
+                ("lshape:4", "free", "free4"),
+            ]
+        ] + [
+            StudyConfig(f"lshape:{n}", "crisscross", [8], LSHAPE, label=f"nitsche{n}")
+            for n in (1, 2, 4)
+        ]
+        studies = run_studies(batch)
+        # README rule: the mesh is shared by all six configs, each assembly
+        # (with its first case's RHS) by three; each strong LU by its reduced
+        # system's configs, the Nitsche LU by three
+        shared = 1 / 6 + (2 + 4) / 3
+        own = 32 + 64 + 128 + 256  # solve and norms
+        expected = {
+            "bz1": shared + 8 + 16 / 2 + own,
+            "bz2": shared + 4 + 8 + 16 / 2 + own,
+            "free4": shared + 4 + 8 + 16 + own,
+            "nitsche1": shared + 16 / 3 + own,
+            "nitsche2": shared + 4 + 16 / 3 + own,
+            "nitsche4": shared + 4 + 16 / 3 + own,
+        }
+        wall = {s.config.label: s.reports[0].wall_ms for s in studies}
+        assert wall == pytest.approx({k: 1e3 * v for k, v in expected.items()}, rel=1e-12)
+        assert sum(wall.values()) == pytest.approx(1e3 * clock.s, rel=1e-12)
 
     def test_missing_out_dir_is_created(self, tmp_path):
         out = tmp_path / "missing" / "nested"
@@ -419,6 +514,20 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "tiny.csv").exists()
+
+    def test_markdown_in_emit_controls_the_table(self, monkeypatch, tmp_path, capsys):
+        pair = [
+            StudyConfig("square", "uniform", [2], label="first"),
+            StudyConfig("square", "crisscross", [2], label="second"),
+        ]
+        monkeypatch.setattr(harness, "default_configs", lambda: {"pair": pair})
+        argv = ["run", "--preset", "pair", "--out", str(tmp_path), "--emit"]
+        assert main(argv + ["csv"]) == 0
+        out = capsys.readouterr().out
+        assert "## " not in out and "| h |" not in out
+        assert main(argv + ["csv,markdown"]) == 0
+        titles = [line for line in capsys.readouterr().out.splitlines() if line.startswith("## ")]
+        assert [t.split()[1] for t in titles] == ["first", "second"]
 
     def test_preset_batch_on_one_mesh(self, monkeypatch, tmp_path, capsys):
         pair = [

@@ -224,10 +224,12 @@ def test_no_factor_copies(monkeypatch):
     assert len(calls) == 4
 
 
-def test_residual_tolerance_enforced():
+def test_residual_tolerance_enforced(monkeypatch):
     system = assemble_global(gen_square_uniform(2), Params(), square_case())
+    monkeypatch.setattr(linsolve, "_RESIDUAL_TOL", 1e-30)
+    monkeypatch.setattr(linsolve, "_REFINE_TOL", 1e-32)
     with pytest.raises(ResidualError):
-        solve(system, tol=1e-30, refine_tol=1e-32)
+        solve(system)
 
 
 def test_finest_table_level_under_budget():

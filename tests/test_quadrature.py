@@ -36,14 +36,6 @@ def test_triangle_degree_one_is_centroid():
     assert np.allclose(rule.points[0], [1 / 3, 1 / 3, 1 / 3])
 
 
-def test_triangle_degree_two_quadratics():
-    rule = triangle_rule(2)
-    assert len(rule.weights) == 3
-    for a, b, exact in [(2, 0, 1 / 12), (1, 1, 1 / 24), (0, 2, 1 / 12)]:
-        val = (rule.weights * rule.points[:, 1] ** a * rule.points[:, 2] ** b).sum()
-        assert val == pytest.approx(exact, rel=1e-14)
-
-
 def test_triangle_degree_six_cubic_product():
     rule = triangle_rule(6)
     val = (rule.weights * rule.points[:, 1] ** 3 * rule.points[:, 2] ** 3).sum()
