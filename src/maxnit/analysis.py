@@ -30,6 +30,10 @@ __all__ = [
 
 _P1_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
+# radius, in mesh sizes h, of the disc around the singular corner inside
+# which the error norm of a singularity_n == 1 case subdivides its rule
+_CORNER_RADIUS_H = 8.0
+
 
 @dataclass
 class ErrorReport:
@@ -63,11 +67,17 @@ def nodal_interpolant(mesh: Mesh, case: ProblemCase) -> np.ndarray:
     return out
 
 
-def _quad_rule_for(case: ProblemCase, degree: int, subdivide: int | None):
-    if subdivide is None:
-        subdivide = 1 if case.singularity_n == 1 else 0
+def _rule_parts(mesh: Mesh, case: ProblemCase, degree: int, subdivide: int | None):
+    """(rule, triangles) pairs that cover every triangle once. By default a
+    case with singularity_n == 1 gets the once-subdivided rule on the
+    triangles near its singular corner, the origin, and the plain rule
+    elsewhere; an explicit `subdivide` applies to every triangle."""
     rule = triangle_rule(degree)
-    return subdivide_triangle_rule(rule, subdivide) if subdivide else rule
+    if subdivide is None and case.singularity_n == 1:
+        centroid = mesh.vertices[mesh.triangles].mean(axis=1)
+        near = np.hypot(centroid[:, 0], centroid[:, 1]) <= _CORNER_RADIUS_H * mesh.h
+        return [(rule, ~near), (subdivide_triangle_rule(rule, 1), near)]
+    return [(subdivide_triangle_rule(rule, subdivide) if subdivide else rule, slice(None))]
 
 
 def l2_errors(
@@ -81,9 +91,11 @@ def l2_errors(
     """Error norms of a discrete solution against the exact fields.
 
     |u - u_h|^2 and |p_h|^2 are integrated with an elementwise rule of the
-    given degree; singular cases get one extra uniform quadrature
-    subdivision per element by default so the corner elements are
-    integrated adequately.
+    given degree. For the strongest singularity (singularity_n == 1) the
+    triangles whose centroid lies within `_CORNER_RADIUS_H` mesh sizes of
+    the corner get one extra uniform quadrature subdivision by default, so
+    the corner elements are integrated adequately; `subdivide` overrides
+    this with that many subdivisions on every triangle.
 
     The curl error is measured at the element Gauss points (one centroid
     point by default). Since the discrete curl is elementwise constant,
@@ -94,21 +106,20 @@ def l2_errors(
     exact curl). Pass curl_degree=6 for the saturated norm instead.
     """
     x = _coeffs(sol)
-    rule = _quad_rule_for(case, degree, subdivide)
     coords = mesh.vertices[mesh.triangles]
-
-    pts = _map_rule_points(rule, coords)
-    flat = pts.reshape(-1, 2)
-    u_ex = case.exact_u(flat).reshape(pts.shape)
-
     nodal = x.reshape(-1, 3)[mesh.triangles]  # (m, 3, 3)
-    vals_h = _map_rule_points(rule, nodal)
     c_h = np.einsum("ma,ma->m", _curl_coefs(mesh.tri_grads), _udofs(nodal))
-
     w2a = 2.0 * mesh.tri_area
-    du = ((u_ex - vals_h[:, :, :2]) ** 2).sum(axis=2)
-    err_u = np.sqrt(np.einsum("m,q,mq->", w2a, rule.weights, du))
-    err_p = np.sqrt(np.einsum("m,q,mq->", w2a, rule.weights, vals_h[:, :, 2] ** 2))
+
+    sq_u = sq_p = 0.0
+    for rule, tris in _rule_parts(mesh, case, degree, subdivide):
+        pts = _map_rule_points(rule, coords[tris])
+        u_ex = case.exact_u(pts.reshape(-1, 2)).reshape(pts.shape)
+        vals_h = _map_rule_points(rule, nodal[tris])
+        du = ((u_ex - vals_h[:, :, :2]) ** 2).sum(axis=2)
+        sq_u += np.einsum("m,q,mq->", w2a[tris], rule.weights, du)
+        sq_p += np.einsum("m,q,mq->", w2a[tris], rule.weights, vals_h[:, :, 2] ** 2)
+    err_u, err_p = np.sqrt(sq_u), np.sqrt(sq_p)
 
     crule = triangle_rule(curl_degree)
     cpts = _map_rule_points(crule, coords)

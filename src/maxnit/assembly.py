@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from .mesh import Mesh, MeshError
 from .problems import ProblemCase, _eval_or_fill
-from .quadrature import edge_rule, subdivide_triangle_rule, triangle_rule
+from .quadrature import edge_rule, triangle_rule
 
 __all__ = [
     "FORMULATIONS",
@@ -50,9 +50,9 @@ FORMULATIONS = ("galerkin-nitsche", "stabilised-nitsche", "stabilised-strong")
 CORNER_STRATEGIES = ("both-zero", "free", "bisector-normal")
 
 # quadrature for data-dependent right-hand-side terms; bilinear terms are
-# polynomial and integrated exactly by construction
-RHS_TRI_DEGREE = 10
-RHS_TRI_SUBDIV = 1
+# polynomial and integrated exactly by construction. The source rule is the
+# 25-point collapsed Gauss product.
+RHS_TRI_DEGREE = 8
 RHS_EDGE_DEGREE = 11
 
 # triangles per block of the rule-point kernel and the source quadrature
@@ -280,8 +280,9 @@ def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
     if not case.zero_source:
         # (f, phi_a) with phi the nodal hat functions, both components, one
         # block of triangles at a time to cap the temporaries
-        rule = subdivide_triangle_rule(triangle_rule(RHS_TRI_DEGREE), RHS_TRI_SUBDIV)
-        lam = rule.points  # (q, 3) barycentric values are the P1 values
+        rule = triangle_rule(RHS_TRI_DEGREE)
+        # w_q * phi_i(x_q): barycentric values are the P1 values
+        wlam = rule.weights[:, None] * rule.points
         coords = mesh.vertices[mesh.triangles]
         area = mesh.tri_area
         contrib = np.empty((mesh.n_triangles, 3, 2))
@@ -291,9 +292,7 @@ def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
             pts = _map_rule_points(rule, coords[block])
             fvals = case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
             nonzero = nonzero or bool(np.any(fvals))
-            contrib[block] = 2.0 * area[block, None, None] * np.einsum(
-                "q,qi,mqd->mid", rule.weights, lam, fvals
-            )
+            contrib[block] = 2.0 * area[block, None, None] * np.einsum("qi,mqd->mid", wlam, fvals)
         if nonzero:
             # per vertex slot i: the u_x entries of all triangles, then the u_y ones
             slots = 3 * mesh.triangles.T[:, None, :] + np.arange(2)[:, None]  # (3, 2, m)

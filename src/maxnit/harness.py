@@ -122,6 +122,9 @@ class StudyConfig:
         unknown = set(self.emit) - {"csv", "markdown", "vtk", "matrixmarket"}
         if unknown:
             raise ConfigError(f"unknown emit formats {sorted(unknown)}")
+        files = set(self.emit) - {"markdown"}
+        if files and self.out_dir is None:
+            raise ConfigError(f"emit formats {sorted(files)} need an output directory (--out)")
 
 
 @dataclass
@@ -203,7 +206,7 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
                         rep.data_norm = boundary_data_norm(mesh, case, cfg.params)
                     rep.wall_ms = ms[i]
                     rows[i].append(rep)
-                    if cfg.out_dir is not None and "vtk" in cfg.emit:
+                    if "vtk" in cfg.emit:
                         snap = mio.snapshot_from_solution(mesh, sol, case)
                         mio.export_vtk(snap, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.vtk")
 
@@ -216,7 +219,7 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
             convergence_rate(a, b, "err_curl") for a, b in zip(reports, reports[1:])
         ]
         study = StudyReport(cfg, reports, rates_u, rates_c)
-        if cfg.out_dir is not None and "csv" in cfg.emit:
+        if "csv" in cfg.emit:
             mio.write_report_csv(study, f"{cfg.out_dir}/{_slug(cfg)}.csv")
         studies.append(study)
     return studies
@@ -269,7 +272,7 @@ def _solve_group(mesh, level, group, configs, cases, ms) -> list:
                     lu = factorize(system.matrix, quasi_definite=strong)
             with _stage(where, ms, [i]):
                 solved[i] = solve(system, lu=lu)
-            if cfg.out_dir is not None and "matrixmarket" in cfg.emit:
+            if "matrixmarket" in cfg.emit:
                 write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
     return [solved[i] for i in group]
 
@@ -394,7 +397,9 @@ def _check_keys(raw: dict, cls, what: str) -> None:
         raise ConfigError(f"unknown {what} fields {sorted(unknown)}")
 
 
-def _config_from_json(path: str) -> StudyConfig:
+def _config_from_json(path: str, overrides: dict) -> StudyConfig:
+    """The config in the JSON file at `path`, with the fields in `overrides`
+    (the command line's `--out` and `--emit`) replaced."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -408,24 +413,23 @@ def _config_from_json(path: str) -> StudyConfig:
         if not isinstance(raw["emit"], list) or not all(isinstance(e, str) for e in raw["emit"]):
             raise ConfigError("emit must be a list of strings")
         raw["emit"] = tuple(raw["emit"])
-    return StudyConfig(params=params, **raw)
+    return StudyConfig(params=params, **{**raw, **overrides})
 
 
 def _cmd_run(args) -> int:
-    if args.preset:
-        presets = default_configs()
-        if args.preset not in presets:
-            print(f"unknown preset {args.preset!r}; see `maxnit presets`", file=sys.stderr)
-            return 2
-        configs = presets[args.preset]
-    else:
-        configs = [_config_from_json(args.config)]
     overrides = {}
     if args.out is not None:
         overrides["out_dir"] = args.out
     if args.emit is not None:
         overrides["emit"] = tuple(args.emit.split(","))
-    configs = [replace(cfg, **overrides) for cfg in configs]
+    if args.preset:
+        presets = default_configs()
+        if args.preset not in presets:
+            print(f"unknown preset {args.preset!r}; see `maxnit presets`", file=sys.stderr)
+            return 2
+        configs = [replace(cfg, **overrides) for cfg in presets[args.preset]]
+    else:
+        configs = [_config_from_json(args.config, overrides)]
     for cfg, report in zip(configs, run_studies(configs)):
         if "markdown" in cfg.emit:
             print(f"## {_title(cfg)}  [{cfg.params.formulation}]")

@@ -69,22 +69,16 @@ def _vectorised(fn):
     return wrapped
 
 
-def _phi(t):
-    return t * t * np.sin(0.5 * np.pi * t)
-
-
-def _phi1(t):
-    return 2.0 * t * np.sin(0.5 * np.pi * t) + 0.5 * np.pi * t * t * np.cos(0.5 * np.pi * t)
-
-
-def _phi2(t):
+def _phis(t, order: int):
+    """phi(t) = t^2 sin(pi t/2) and its derivatives up to `order` (1 to 3),
+    from one sine and one cosine per point."""
     s, c = np.sin(0.5 * np.pi * t), np.cos(0.5 * np.pi * t)
-    return (2.0 - 0.25 * np.pi**2 * t * t) * s + 2.0 * np.pi * t * c
-
-
-def _phi3(t):
-    s, c = np.sin(0.5 * np.pi * t), np.cos(0.5 * np.pi * t)
-    return (3.0 * np.pi - 0.125 * np.pi**3 * t * t) * c - 1.5 * np.pi**2 * t * s
+    out = [t * t * s, 2.0 * t * s + 0.5 * np.pi * t * t * c]
+    if order >= 2:
+        out.append((2.0 - 0.25 * np.pi**2 * t * t) * s + 2.0 * np.pi * t * c)
+    if order >= 3:
+        out.append((3.0 * np.pi - 0.125 * np.pi**3 * t * t) * c - 1.5 * np.pi**2 * t * s)
+    return out
 
 
 def square_case(nu: float = 1.0) -> ProblemCase:
@@ -94,20 +88,20 @@ def square_case(nu: float = 1.0) -> ProblemCase:
 
     @_vectorised
     def u(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return np.column_stack([_phi(x) * _phi1(y), -_phi1(x) * _phi(y)])
+        (px, p1x), (py, p1y) = _phis(pts[:, 0], 1), _phis(pts[:, 1], 1)
+        return np.column_stack([px * p1y, -p1x * py])
 
     @_vectorised
     def curl(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return -(_phi2(x) * _phi(y) + _phi(x) * _phi2(y))
+        (px, _, p2x), (py, _, p2y) = _phis(pts[:, 0], 2), _phis(pts[:, 1], 2)
+        return -(p2x * py + px * p2y)
 
     @_vectorised
     def f(pts):
         # f = nu * vector-curl of the scalar curl, so div f = 0 identically
-        x, y = pts[:, 0], pts[:, 1]
-        dcdx = -(_phi3(x) * _phi(y) + _phi1(x) * _phi2(y))
-        dcdy = -(_phi2(x) * _phi1(y) + _phi(x) * _phi3(y))
+        (px, p1x, p2x, p3x), (py, p1y, p2y, p3y) = _phis(pts[:, 0], 3), _phis(pts[:, 1], 3)
+        dcdx = -(p3x * py + p1x * p2y)
+        dcdy = -(p2x * p1y + px * p3y)
         return nu * np.column_stack([dcdy, -dcdx])
 
     return ProblemCase("square", nu, u, curl, f, u)

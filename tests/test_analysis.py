@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,14 @@ from maxnit.analysis import (
 )
 from maxnit.assembly import Params, assemble_global
 from maxnit.linsolve import solve
-from maxnit.mesh import gen_square_crisscross, gen_square_uniform
-from maxnit.problems import ProblemCase, _vectorised, square_case
+from maxnit.mesh import (
+    gen_lshape,
+    gen_lshape_uniform,
+    gen_square_crisscross,
+    gen_square_uniform,
+    powell_sabin_refine,
+)
+from maxnit.problems import ProblemCase, _vectorised, lshape_case, square_case
 
 
 def linear_case():
@@ -55,6 +63,42 @@ class TestL2Errors:
         case = square_case()
         rep = l2_errors(mesh, solve(assemble_global(mesh, Params(L0=0.1, c_u=0.1), case)), case)
         assert rep.err_p > 0.0
+
+
+class TestCornerSubdivision:
+    """For singularity_n == 1 the default error norm subdivides the rule on
+    the triangles near the corner only."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gen_lshape(32), lambda: powell_sabin_refine(gen_lshape_uniform(16))],
+        ids=["crisscross-32", "powell-sabin-16"],
+    )
+    def test_equals_full_subdivision(self, build):
+        mesh, case = build(), lshape_case(1)
+        sol = solve(assemble_global(mesh, Params(nu=1.0, L0=0.5, c_u=1.0), case))
+
+        def norm(subdivide):
+            """The error report and the number of exact_u points it took."""
+            points = []
+
+            def exact_u(pts):
+                points.append(len(pts))
+                return case.exact_u(pts)
+
+            rep = l2_errors(mesh, sol, replace(case, exact_u=exact_u), subdivide=subdivide)
+            return rep, sum(points)
+
+        (corner, n_corner), (full, n_full), (plain, n_plain) = map(norm, (None, 1, 0))
+        assert corner.err_u == pytest.approx(full.err_u, rel=1e-12, abs=0.0)
+        assert corner.err_p == pytest.approx(full.err_p, rel=1e-12, abs=0.0)
+        assert corner.err_curl == full.err_curl
+        # the subdivision matters at that tolerance; an explicit `subdivide`
+        # applies to every triangle (12 points each unsubdivided, 48 once
+        # subdivided), the default to some of them only
+        assert abs(plain.err_u / full.err_u - 1.0) > 1e-4
+        assert (n_plain, n_full) == (12 * mesh.n_triangles, 48 * mesh.n_triangles)
+        assert n_plain < n_corner < n_full
 
 
 class TestQuasiOptimality:

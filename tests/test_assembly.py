@@ -9,7 +9,6 @@ from maxnit.analysis import boundary_data_norm
 from maxnit.assembly import (
     _BLOCK,
     RHS_TRI_DEGREE,
-    RHS_TRI_SUBDIV,
     FORMULATIONS,
     DofMap,
     Params,
@@ -335,7 +334,7 @@ class TestRhs:
 # every triangle rule the package maps points with: the RHS source, the
 # singular-case error norm, the error norm and the data norm, the curl error
 _RULES = {
-    "rhs": subdivide_triangle_rule(triangle_rule(RHS_TRI_DEGREE), RHS_TRI_SUBDIV),
+    "rhs": triangle_rule(RHS_TRI_DEGREE),
     "degree-6-subdivided": subdivide_triangle_rule(triangle_rule(6), 1),
     "degree-6": triangle_rule(6),
     "degree-1": triangle_rule(1),
@@ -632,20 +631,21 @@ def _digest_sparse(digest, name, m):
         _digest(digest, f"{name}.{part}", getattr(m, part))
 
 
-def _system_fingerprint(mesh, case, params) -> str:
-    """sha256 over the assembled matrix and RHS and, for the strong form,
-    the transform, offset, reduced matrix and reduced RHS."""
+def _system_fingerprints(mesh, case, params) -> tuple[str, str]:
+    """sha256 over the assembled matrix and, for the strong form, the
+    transform, offset and reduced matrix; and sha256 over the RHS and, for
+    the strong form, the reduced RHS."""
     system = assemble_global(mesh, params, case)
-    digest = hashlib.sha256()
-    _digest_sparse(digest, "matrix", system.matrix)
-    _digest(digest, "rhs", system.rhs)
+    matrix, rhs = hashlib.sha256(), hashlib.sha256()
+    _digest_sparse(matrix, "matrix", system.matrix)
+    _digest(rhs, "rhs", system.rhs)
     if params.formulation == "stabilised-strong":
         reduced = apply_strong_bc(system, mesh, case, params.corner_strategy)
-        _digest_sparse(digest, "transform", reduced.transform)
-        _digest(digest, "offset", reduced.offset)
-        _digest_sparse(digest, "reduced", reduced.matrix)
-        _digest(digest, "reduced_rhs", reduced.rhs)
-    return digest.hexdigest()
+        _digest_sparse(matrix, "transform", reduced.transform)
+        _digest(matrix, "offset", reduced.offset)
+        _digest_sparse(matrix, "reduced", reduced.matrix)
+        _digest(rhs, "reduced_rhs", reduced.rhs)
+    return matrix.hexdigest(), rhs.hexdigest()
 
 
 _SYSTEM_MESHES = {
@@ -668,57 +668,191 @@ _SYSTEM_FORMS = {
     ),
 }
 
-# Recorded from the per-edge and per-vertex boundary code that maxnit.assembly
-# had before its batched edge kernel; the singular L-shape and curved-L cases
-# also cover the corner value pinned to zero.
+# (matrix hash, RHS hash). The matrix hashes are those of the per-edge and
+# per-vertex boundary code that maxnit.assembly had before its batched edge
+# kernel; so are the RHS hashes of the L-shape and curved-L cases, which
+# also cover the corner value pinned to zero. The square RHS hashes were
+# recorded with the 25-point source rule (RHS_TRI_DEGREE = 8), the only
+# intended change to any of these systems since.
 _SYSTEM_FINGERPRINTS = {
-    ("curved-ps", 2, "galerkin-nitsche"): "a0c8dbbb7b8a5df4c4ec26bb022982c832c23398ff1da42b411597f263b6f2ff",
-    ("curved-ps", 2, "stabilised-nitsche"): "024b9dc11d6c1e841223225446444108cc0b376ba249a28ab1548db954e910b1",
-    ("curved-ps", 2, "strong-bisector-normal"): "91a251c90d943635a8b3b29b2eca5aadaa2ea571119ac14abc56c07c5e43a154",
-    ("curved-ps", 2, "strong-both-zero"): "a7cd93290d8e05779fcc2ffd50a56a3bfd70c159298fb1179e409ad4bee5a056",
-    ("curved-ps", 2, "strong-free"): "99df2e4a246181a7fa922643f3071d14750dc2884fdaceb5530cbbfa4e25bf81",
-    ("curved-ps", 4, "galerkin-nitsche"): "ea447f99de1331afa773c7753a9ba284c4c82136b526285d51594c9532bb20dd",
-    ("curved-ps", 4, "stabilised-nitsche"): "132b0d84d8cfa582ad008ee7786c8e9c85b601379f962927ac5013e2ff474572",
-    ("curved-ps", 4, "strong-bisector-normal"): "47d7c7dac31b7b6a2c41a0163bb8134e542c7a15a9ec2c84b81b53d21cf3e280",
-    ("curved-ps", 4, "strong-both-zero"): "8456cbee28a63abed647ca2b9a21f67a8928e2864c5a50fcc3d915207f12f4c0",
-    ("curved-ps", 4, "strong-free"): "a5a9c1cb3cfc0ed69bc99f2f452be58b59218c03b31ebc9e6cf7f59ac67feec0",
-    ("lshape-crisscross", 2, "galerkin-nitsche"): "b155c717b165617f503731b68780e34931dbd7056d5f33dd60b302eeb5847b81",
-    ("lshape-crisscross", 2, "stabilised-nitsche"): "e6e9111738545bb381ac26f5fdc1719ed0e57fb474d93d7c71b6fbdfef9fa196",
-    ("lshape-crisscross", 2, "strong-bisector-normal"): "0be15b7e19df69ca975bfdc4fe602fad257d5a54942eb8cbae9ab3c61cc7380b",
-    ("lshape-crisscross", 2, "strong-both-zero"): "c3672f3af4995d93fb5effcd50e3a57230861ca2011f074302c4fe2b3c854b72",
-    ("lshape-crisscross", 2, "strong-free"): "ca4496b10290ead7b7a039c40877c4c8adc9a7aac3e64cadcf538284c1650db3",
-    ("lshape-crisscross", 4, "galerkin-nitsche"): "4ea9f124bb9baaf2915b32320766b789d5440e0d7ef8f58d9cd27831a29a8805",
-    ("lshape-crisscross", 4, "stabilised-nitsche"): "54860d097523d8f0e60b49f54f1aa49e620e01782f0e38eb3e80f3c4a8d2fd4a",
-    ("lshape-crisscross", 4, "strong-bisector-normal"): "955d2e57c112d3de8783ec1d80050bf553ef5bbd852a1efc535b3bc917df4aac",
-    ("lshape-crisscross", 4, "strong-both-zero"): "1663d818a963bc510cee9178c99fcebf42a59909d3980e63ce37876040f6b256",
-    ("lshape-crisscross", 4, "strong-free"): "7e1f03b06b5c3a78a3f0c4fa6226a0085ef0be04ba54d670257988d92ec86ac2",
-    ("square-ps", 2, "galerkin-nitsche"): "4d3663de419d1279f5c669b07e4c0697175a623d0ef0c656ecfea3ac90559be1",
-    ("square-ps", 2, "stabilised-nitsche"): "d03d55b86c8de2048f8ba29369f5c04374f5067c5f3b4ab3686afba87d19940b",
-    ("square-ps", 2, "strong-bisector-normal"): "16cb728a1e1bfe4ee085315bbb3b95959314b853f35c0b829bcb24948ad4179d",
-    ("square-ps", 2, "strong-both-zero"): "16cb728a1e1bfe4ee085315bbb3b95959314b853f35c0b829bcb24948ad4179d",
-    ("square-ps", 2, "strong-free"): "16cb728a1e1bfe4ee085315bbb3b95959314b853f35c0b829bcb24948ad4179d",
-    ("square-ps", 4, "galerkin-nitsche"): "6b91f4d97416508ab0c0b4ccfe27c3aaeb66b988337a2e958bfb72194e055b16",
-    ("square-ps", 4, "stabilised-nitsche"): "15aaa439917b77f384bbf80684638980c4d206e0d6eebd7c4c54e9ac2faee214",
-    ("square-ps", 4, "strong-bisector-normal"): "d1f0753a7c1dc8addd795ee90384f2cecce77fa3a8100ed1a9c4350296bf3c1e",
-    ("square-ps", 4, "strong-both-zero"): "d1f0753a7c1dc8addd795ee90384f2cecce77fa3a8100ed1a9c4350296bf3c1e",
-    ("square-ps", 4, "strong-free"): "d1f0753a7c1dc8addd795ee90384f2cecce77fa3a8100ed1a9c4350296bf3c1e",
-    ("square-uniform", 2, "galerkin-nitsche"): "94c7192dcbe941620b3c06eb97cf5766b992c1677300fbe79b04b41c279792db",
-    ("square-uniform", 2, "stabilised-nitsche"): "c03f52855912aa73a3780de555b27d9219e277aaaee5020102f4e9fb2b53445c",
-    ("square-uniform", 2, "strong-bisector-normal"): "3c93de101771ffaa13084038524e00b976fff8db470b45546b3e04884be972ac",
-    ("square-uniform", 2, "strong-both-zero"): "3c93de101771ffaa13084038524e00b976fff8db470b45546b3e04884be972ac",
-    ("square-uniform", 2, "strong-free"): "3c93de101771ffaa13084038524e00b976fff8db470b45546b3e04884be972ac",
-    ("square-uniform", 4, "galerkin-nitsche"): "76a9eb65e0d85a25e9bd5066dc3f26199ad5a0c8bf42a1f17fd45e098ced01fe",
-    ("square-uniform", 4, "stabilised-nitsche"): "9c2f20b43e304af8bd77ad08abea371aeb4e62b7de878b621a192e64c7492c8a",
-    ("square-uniform", 4, "strong-bisector-normal"): "eaefe457c208e9c473a86e6e59ab19e7b28918908cafbc0ecedef01fed8e1592",
-    ("square-uniform", 4, "strong-both-zero"): "eaefe457c208e9c473a86e6e59ab19e7b28918908cafbc0ecedef01fed8e1592",
-    ("square-uniform", 4, "strong-free"): "eaefe457c208e9c473a86e6e59ab19e7b28918908cafbc0ecedef01fed8e1592",
+    ("curved-ps", 2, "galerkin-nitsche"): (
+        "59240e18fef591aab2499bac79f025f4e411d76bbae75df18d5f59f07b9b3980",
+        "ae176ef07a26625daebda228833590ee8bef4636d3c950315bd4fc99b2df2f94",
+    ),
+    ("curved-ps", 2, "stabilised-nitsche"): (
+        "41b716de6b682e8498b662c221088b6b1a75ea672d4dc610e17cc3b357f168b4",
+        "ae176ef07a26625daebda228833590ee8bef4636d3c950315bd4fc99b2df2f94",
+    ),
+    ("curved-ps", 2, "strong-bisector-normal"): (
+        "8652ff7c853aa3def510e3e6975197a85affb8485b0add666da41ef93045bc03",
+        "190bcf8b123e0adbaea067501f9d288d553dc55744476b9e96603a8ca8f1e882",
+    ),
+    ("curved-ps", 2, "strong-both-zero"): (
+        "72d614603869b8971aac77884ac43fd6160b2e51cc948758d98a7f42545ebf52",
+        "70280a54b54eee1276b48c1c966fe3e06009a9665466295e6a8a84e41aa0c594",
+    ),
+    ("curved-ps", 2, "strong-free"): (
+        "933cb8e9f08bc7b4b69213f5bcf73bac6ca98805cf5eeb5f6bbdadffbb93c268",
+        "587ff805e17a62d84073575aa4960326446d158384b1ff95f3e9abf1307b5a1d",
+    ),
+    ("curved-ps", 4, "galerkin-nitsche"): (
+        "d5c09fcb79b4e41db096f6107b187adcffe8ce21d47f9fb9656372723f95baa4",
+        "da18ced904c3733a76b577f2b03a5e816d98a75afd7e1dd62bcf1b9ea9408c41",
+    ),
+    ("curved-ps", 4, "stabilised-nitsche"): (
+        "d9efb3650e6d3878793a11666676d53d65c8a1efb85cb5d778981ed497a5eb58",
+        "da18ced904c3733a76b577f2b03a5e816d98a75afd7e1dd62bcf1b9ea9408c41",
+    ),
+    ("curved-ps", 4, "strong-bisector-normal"): (
+        "e7f440706c10db7002ddaac9a4384d1a50e87c2aed2b7fe0189ba782725fb48f",
+        "929b95615c150cfe243a337c5173c549deb3d11980f8546b15de924031246316",
+    ),
+    ("curved-ps", 4, "strong-both-zero"): (
+        "e905247b69aa3f66e942f5db37da8b32c1e2f174c5a7c25586ac5903bd58a7ba",
+        "232bcdff03e412b8927c48722824160551e93d4b2277452060147221cd8c0cb9",
+    ),
+    ("curved-ps", 4, "strong-free"): (
+        "bb212971d08e80d56f58d12ee70d538dd8531ddfbce93187767c29d5c5451949",
+        "d3e8f24338c4c5fdefad2fe22c8da87d71398429159a6dca09e8ab00b35db874",
+    ),
+    ("lshape-crisscross", 2, "galerkin-nitsche"): (
+        "624fd97736c96b1cd05a10802b83f3afe0015296f50b19b3ef996531b95d00bb",
+        "633b8bb20b6d077dc8689a006544ca3ee44c62f5149e692836808974cb93bbfb",
+    ),
+    ("lshape-crisscross", 2, "stabilised-nitsche"): (
+        "5cf18b4d623a7ae30583a92888095331dbf42fae998e4c654c4684225c66bca5",
+        "633b8bb20b6d077dc8689a006544ca3ee44c62f5149e692836808974cb93bbfb",
+    ),
+    ("lshape-crisscross", 2, "strong-bisector-normal"): (
+        "32d931fe6e689f11e1cc677e171462354f0bb2b3215f2121ee5ffd09b3f2120c",
+        "ade6d8550e258c87aa245443b4731a00ab251e4a8d6e34ad75171275e44eed58",
+    ),
+    ("lshape-crisscross", 2, "strong-both-zero"): (
+        "b834a07090a2551489b8be9ab20f26c4a86e73dd7e1f4e1775cdced922152372",
+        "6d693cb249a191e9ce85fb224a6f61caf4c88d5c72a3785609fcb1a37482f2ae",
+    ),
+    ("lshape-crisscross", 2, "strong-free"): (
+        "af47de9df2cfeae6c596b4fd8a49202499141422792478125811fd92f57ff19f",
+        "09252f52b6fd9ad8a815bf58d3e8776fdb1575bf6b38f03b01c11ca70f49e483",
+    ),
+    ("lshape-crisscross", 4, "galerkin-nitsche"): (
+        "21b94ce3b661f542e98c6838001a383f8d8c1a6314041d1b6b653a110a89fdbe",
+        "92121ca99f11d6421a3ac924f5ebedf86c3d67a67693ce6bccd1a3d1acd81476",
+    ),
+    ("lshape-crisscross", 4, "stabilised-nitsche"): (
+        "f92b4276bdb7d651029d4e4d54d758963c0dacd65a68f6556da2ebd428df4ead",
+        "92121ca99f11d6421a3ac924f5ebedf86c3d67a67693ce6bccd1a3d1acd81476",
+    ),
+    ("lshape-crisscross", 4, "strong-bisector-normal"): (
+        "d2edab6e98c133c5e6981c18b217d8831c90c481637c779004e9d6da1a3101a6",
+        "c11bd1540899045e98d8df6d1bbdd8275f0ff3e4702b5096acabcb7f9b35c246",
+    ),
+    ("lshape-crisscross", 4, "strong-both-zero"): (
+        "715cda2d333188c1a0f676da31d70e95f64b6b25e4c8dc1a88c941de32f9df93",
+        "e001da03c0d822d8592ea2f8d72d4ecdab9366f9cd063175aa98599b0efc6cbb",
+    ),
+    ("lshape-crisscross", 4, "strong-free"): (
+        "566d96a232238852d54c8c8e26d3288d8f6caaab1413f0fd72d04d38e4044ec4",
+        "0e6cae0f0f1ed08cfa89288f803077ce7232c7591dc5eb63b754783c0c2fcc08",
+    ),
+    ("square-ps", 2, "galerkin-nitsche"): (
+        "ff49c30525e0af577dbe38d2fb0b9dd0a2f9e1d91d90372bba70b1a5f7a18240",
+        "ec2d056be6d687a190b9bf01109f2d8c1cd983b4b53e0df9b71aee720df29e5a",
+    ),
+    ("square-ps", 2, "stabilised-nitsche"): (
+        "c1e381fd64b6cfa61945218e0f2d16b274815dac2c99cc7edff4e0ed512e7294",
+        "ec2d056be6d687a190b9bf01109f2d8c1cd983b4b53e0df9b71aee720df29e5a",
+    ),
+    ("square-ps", 2, "strong-bisector-normal"): (
+        "b70764878a075420174424f095a798781bb3f5513229f960afafb97dbac650a8",
+        "967dbfa5417e297bec5a29e450f21e515406028f6c4a1300178a78e9e211d6a8",
+    ),
+    ("square-ps", 2, "strong-both-zero"): (
+        "b70764878a075420174424f095a798781bb3f5513229f960afafb97dbac650a8",
+        "967dbfa5417e297bec5a29e450f21e515406028f6c4a1300178a78e9e211d6a8",
+    ),
+    ("square-ps", 2, "strong-free"): (
+        "b70764878a075420174424f095a798781bb3f5513229f960afafb97dbac650a8",
+        "967dbfa5417e297bec5a29e450f21e515406028f6c4a1300178a78e9e211d6a8",
+    ),
+    ("square-ps", 4, "galerkin-nitsche"): (
+        "9bc23a22dcfad47950af80a03431ed19f43d1d65ad1caa3af4e914169a3a7363",
+        "4cf6100cd6e416ee865b91b8196c809cb032664b13187e550497b7104a0f8d89",
+    ),
+    ("square-ps", 4, "stabilised-nitsche"): (
+        "21854585c417289c3beab6c2477ba6b6791bb3e190b0d2266520c189bcc92328",
+        "4cf6100cd6e416ee865b91b8196c809cb032664b13187e550497b7104a0f8d89",
+    ),
+    ("square-ps", 4, "strong-bisector-normal"): (
+        "c4298cb36e67b562d1291bf3e4a5dcc2cf1592dc4fdeb9aa5243f56deb68c7df",
+        "4900fd0832df6122f39a69961a74d2d42bb1ad0d11f7b3ee41474b72a77d7bb1",
+    ),
+    ("square-ps", 4, "strong-both-zero"): (
+        "c4298cb36e67b562d1291bf3e4a5dcc2cf1592dc4fdeb9aa5243f56deb68c7df",
+        "4900fd0832df6122f39a69961a74d2d42bb1ad0d11f7b3ee41474b72a77d7bb1",
+    ),
+    ("square-ps", 4, "strong-free"): (
+        "c4298cb36e67b562d1291bf3e4a5dcc2cf1592dc4fdeb9aa5243f56deb68c7df",
+        "4900fd0832df6122f39a69961a74d2d42bb1ad0d11f7b3ee41474b72a77d7bb1",
+    ),
+    ("square-uniform", 2, "galerkin-nitsche"): (
+        "46d3bf76d8cbd40d96a7b6488f682ecd79c8c7b098f70c6e05f558c25a3b6bec",
+        "e327d01cf9328edf7d3b9a33cf1fb94cfcb98e415bda767a476cfec0c6831149",
+    ),
+    ("square-uniform", 2, "stabilised-nitsche"): (
+        "9fb1e9d41ef7093ac79f4f01d0cf3f09eafe0c6029276646ef1373f7bac87f98",
+        "e327d01cf9328edf7d3b9a33cf1fb94cfcb98e415bda767a476cfec0c6831149",
+    ),
+    ("square-uniform", 2, "strong-bisector-normal"): (
+        "13a64420ea3ed5ca7c30a0506050cd04833f684e921d7a57ed0d8c2c3733fed6",
+        "e52ca22015bdf43a0db793dd8edb6b64ab7c3172ccccde3fde58942a31f9f6e4",
+    ),
+    ("square-uniform", 2, "strong-both-zero"): (
+        "13a64420ea3ed5ca7c30a0506050cd04833f684e921d7a57ed0d8c2c3733fed6",
+        "e52ca22015bdf43a0db793dd8edb6b64ab7c3172ccccde3fde58942a31f9f6e4",
+    ),
+    ("square-uniform", 2, "strong-free"): (
+        "13a64420ea3ed5ca7c30a0506050cd04833f684e921d7a57ed0d8c2c3733fed6",
+        "e52ca22015bdf43a0db793dd8edb6b64ab7c3172ccccde3fde58942a31f9f6e4",
+    ),
+    ("square-uniform", 4, "galerkin-nitsche"): (
+        "b97bb8a9a1d632f719d2631f1c83bdbd803f14a279534d3c4215bb53fadb05e5",
+        "97e3cf4a32b7450beb596b811ac95217cbc8a4b84d39c8899eae85c2417128e6",
+    ),
+    ("square-uniform", 4, "stabilised-nitsche"): (
+        "c8067679ea9f3d861290e6c1bda9b15283c71478d0c77e92cf795d6eb57c5bc5",
+        "97e3cf4a32b7450beb596b811ac95217cbc8a4b84d39c8899eae85c2417128e6",
+    ),
+    ("square-uniform", 4, "strong-bisector-normal"): (
+        "999f819ef40ea5ffd60a05587c9e4661095d1b5f6bfeceec9256f09bc543dd58",
+        "dba52c9a9b21d11fdbbf9db647240d2488871b20563458e9b076256b1f6a63b4",
+    ),
+    ("square-uniform", 4, "strong-both-zero"): (
+        "999f819ef40ea5ffd60a05587c9e4661095d1b5f6bfeceec9256f09bc543dd58",
+        "dba52c9a9b21d11fdbbf9db647240d2488871b20563458e9b076256b1f6a63b4",
+    ),
+    ("square-uniform", 4, "strong-free"): (
+        "999f819ef40ea5ffd60a05587c9e4661095d1b5f6bfeceec9256f09bc543dd58",
+        "dba52c9a9b21d11fdbbf9db647240d2488871b20563458e9b076256b1f6a63b4",
+    ),
 }
 
 
-@pytest.mark.parametrize("family, n, form", sorted(_SYSTEM_FINGERPRINTS))
-def test_system_fingerprint(family, n, form):
+def _fingerprints(family, n, form) -> tuple[str, str]:
     build, case = _SYSTEM_MESHES[family]
     params = replace(
         Params(nu=1.3, L0=0.6, c_u=0.7, N_u=40.0, N_p=25.0), **_SYSTEM_FORMS[form]
     )
-    assert _system_fingerprint(build(n), case(), params) == _SYSTEM_FINGERPRINTS[family, n, form]
+    return _system_fingerprints(build(n), case(), params)
+
+
+@pytest.mark.parametrize("family, n, form", sorted(_SYSTEM_FINGERPRINTS))
+def test_system_fingerprint(family, n, form):
+    """The matrix (and the strong form's transform, offset and reduced matrix)."""
+    assert _fingerprints(family, n, form)[0] == _SYSTEM_FINGERPRINTS[family, n, form][0]
+
+
+@pytest.mark.parametrize("family, n, form", sorted(_SYSTEM_FINGERPRINTS))
+def test_rhs_fingerprint(family, n, form):
+    """The RHS (and the strong form's reduced RHS)."""
+    assert _fingerprints(family, n, form)[1] == _SYSTEM_FINGERPRINTS[family, n, form][1]

@@ -554,6 +554,27 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(out), "--emit", "csv"]) == 0
         assert (out / "tiny.csv").read_text().startswith(",".join(_CSV_COLUMNS))
 
+    def test_emit_files_without_out_is_config_error(self, monkeypatch, tmp_path, capsys):
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        pair = [StudyConfig("square", "uniform", [2], label="first")]
+        monkeypatch.setattr(harness, "default_configs", lambda: {"pair": pair})
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"case": "square", "family": "uniform",
+                                    "levels": [2], "emit": ["csv"]}))
+        for argv in (
+            ["run", "--preset", "pair", "--emit", "csv"],
+            ["run", "--preset", "pair", "--emit", "markdown,vtk"],
+            ["run", "--config", str(path)],
+            ["run", "--config", str(path), "--emit", "matrixmarket"],
+        ):
+            assert main(argv) == 2
+            assert "output directory" in capsys.readouterr().err
+        assert meshes == []
+        # the command line's --out completes a config file's csv
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert len(meshes) == 1 and len(list(out.glob("*.csv"))) == 1
+
     def test_uncreatable_out_dir_fails_before_any_mesh(self, monkeypatch, tmp_path, capsys):
         meshes = counting(monkeypatch, harness, "build_mesh")
         path = tmp_path / "study.json"

@@ -66,6 +66,39 @@ class TestSquareCase:
         with pytest.raises(ValueError):
             square_case(0.0)
 
+    def test_fields_equal_per_derivative_formulas_bit_for_bit(self, rng):
+        # phi(t) = t^2 sin(pi t/2) and its derivatives, one function each
+        # with its own sine and cosine, as the fields were first written
+        def phi(t):
+            return t * t * np.sin(0.5 * np.pi * t)
+
+        def phi1(t):
+            s, c = np.sin(0.5 * np.pi * t), np.cos(0.5 * np.pi * t)
+            return 2.0 * t * s + 0.5 * np.pi * t * t * c
+
+        def phi2(t):
+            s, c = np.sin(0.5 * np.pi * t), np.cos(0.5 * np.pi * t)
+            return (2.0 - 0.25 * np.pi**2 * t * t) * s + 2.0 * np.pi * t * c
+
+        def phi3(t):
+            s, c = np.sin(0.5 * np.pi * t), np.cos(0.5 * np.pi * t)
+            return (3.0 * np.pi - 0.125 * np.pi**3 * t * t) * c - 1.5 * np.pi**2 * t * s
+
+        nu = 1.3
+        pts = rng.uniform(-1.2, 1.2, size=(200_000, 2))
+        x, y = pts[:, 0], pts[:, 1]
+        u = np.column_stack([phi(x) * phi1(y), -phi1(x) * phi(y)])
+        curl = -(phi2(x) * phi(y) + phi(x) * phi2(y))
+        dcdx = -(phi3(x) * phi(y) + phi1(x) * phi2(y))
+        dcdy = -(phi2(x) * phi1(y) + phi(x) * phi3(y))
+        f = nu * np.column_stack([dcdy, -dcdx])
+
+        case = square_case(nu)
+        assert np.array_equal(case.exact_u(pts), u)
+        assert np.array_equal(case.dirichlet_u(pts), u)
+        assert np.array_equal(case.exact_curl_u(pts), curl)
+        assert np.array_equal(case.source_f(pts), f)
+
 
 class TestLshapeCase:
     def test_tangential_data_vanishes_on_legs(self):
