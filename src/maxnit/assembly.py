@@ -319,23 +319,39 @@ def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
     )
 
 
-def _triplets(rows, cols, blocks):
-    """(rows, cols, values) of a batch of dense blocks, each (m, r * c)."""
-    return (
-        np.repeat(rows, cols.shape[1], axis=1),
-        np.tile(cols, (1, rows.shape[1])),
-        blocks.reshape(len(blocks), -1),
-    )
+def _triplets(groups, n_dofs):
+    """(values, (rows, cols)) of the entries of `groups`, filled into one
+    preallocated array each. A group is a list of blocks (rows (m, r), cols
+    (m, c), values (m, r, c)) over the same m elements; its entries run
+    element by element, each element's blocks in turn, row-major."""
+    sizes = [[r.shape[1] * c.shape[1] for r, c, _ in group] for group in groups]
+    total = sum(len(group[0][0]) * sum(size) for group, size in zip(groups, sizes))
+    index = np.int32 if n_dofs <= np.iinfo(np.int32).max else np.int64
+    rows, cols, vals = np.empty(total, index), np.empty(total, index), np.empty(total)
+    start = 0
+    for group, size in zip(groups, sizes):
+        m, width = len(group[0][0]), sum(size)
+        views = [a[start : start + m * width].reshape(m, width) for a in (rows, cols, vals)]
+        at = 0
+        for (r, c, v), k in zip(group, size):
+            # views of the block's columns, split into (m, r, c)
+            vr, vc, vv = (x[:, at : at + k].reshape(len(r), r.shape[1], -1) for x in views)
+            vr[...], vc[...], vv[...] = r[:, :, None], c[:, None, :], v
+            at += k
+        start += m * width
+    return vals, (rows, cols)
 
 
-def _scatter(triplets, n_dofs) -> sp.csr_matrix:
-    rows, cols, vals = (np.concatenate([t[i].ravel() for t in triplets]) for i in range(3))
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-    return (a + a.T) * 0.5  # blocks are symmetric; enforce exact symmetry
+def _scatter(groups, n_dofs) -> sp.csr_matrix:
+    """Sum of the element blocks of `groups` (see `_triplets`), made exactly
+    symmetric."""
+    a = sp.coo_matrix(_triplets(groups, n_dofs), shape=(n_dofs, n_dofs)).tocsr()
+    a = a + a.T  # blocks are symmetric; enforce exact symmetry
+    a.data *= 0.5
+    return a
 
 
-def assemble_global(mesh: Mesh, params: Params, case: ProblemCase) -> LinearSystem:
-    """Full sparse system for the selected formulation."""
+def _assemble_matrix(mesh: Mesh, params: Params) -> sp.csr_matrix:
     dofs = DofMap(mesh.n_vertices)
     area, h_k, grads = mesh.tri_area, mesh.tri_h, mesh.tri_grads
 
@@ -349,22 +365,25 @@ def assemble_global(mesh: Mesh, params: Params, case: ProblemCase) -> LinearSyst
         uu = uu + _batch_div_div(area, h_k, grads, params)
     up = _batch_mixed_grad(area, grads)
 
-    triplets = [
-        _triplets(u_idx, u_idx, uu),
-        _triplets(u_idx, p_idx, up),
-        _triplets(p_idx, u_idx, up.transpose(0, 2, 1)),
+    groups = [
+        [(u_idx, u_idx, uu)],
+        [(u_idx, p_idx, up)],
+        [(p_idx, u_idx, up.transpose(0, 2, 1))],
     ]
     if stabilised:
-        triplets.append(_triplets(p_idx, p_idx, _batch_pressure_laplacian(area, grads, params)))
-
+        groups.append([(p_idx, p_idx, _batch_pressure_laplacian(area, grads, params))])
     if params.formulation != "stabilised-strong":
         # edge-major: every block of one edge before the next edge's
-        edges = [_triplets(*block) for block in _edge_blocks(mesh, params)]
-        triplets.append(tuple(np.concatenate(part, axis=1) for part in zip(*edges)))
+        groups.append(_edge_blocks(mesh, params))
+    return _scatter(groups, dofs.n_dofs)
 
-    matrix = _scatter(triplets, dofs.n_dofs)
+
+def assemble_global(mesh: Mesh, params: Params, case: ProblemCase) -> LinearSystem:
+    """Full sparse system for the selected formulation. The element blocks
+    are freed before the right-hand side is assembled."""
+    matrix = _assemble_matrix(mesh, params)
     rhs = assemble_rhs(mesh, case, params)
-    return LinearSystem(matrix, rhs, dofs)
+    return LinearSystem(matrix, rhs, DofMap(mesh.n_vertices))
 
 
 def _boundary_vertex_info(mesh: Mesh):
@@ -447,7 +466,8 @@ def apply_strong_bc(
         shape=(n_full, int(n_cols.sum())),
     ).tocsr()
     reduced = (transform.T @ system.matrix @ transform).tocsr()
-    reduced = (reduced + reduced.T) * 0.5
+    reduced = reduced + reduced.T
+    reduced.data *= 0.5
     rhs = transform.T @ (system.rhs - system.matrix @ offset)
     return LinearSystem(reduced, rhs, dofs, transform=transform, offset=offset)
 

@@ -243,7 +243,8 @@ def _solve_group(mesh, level, group, configs, cases, ms) -> list:
     with _stage(f"level {level}", ms, group):
         base = assemble_global(mesh, params, cases[group[0]])
     # every right-hand side before the LU exists, so that the source
-    # quadrature's temporaries never coexist with the factors
+    # quadrature's temporaries never coexist with the factors; `factorize`
+    # returns the heap they leave to the OS before SuperLU allocates
     rhs = {group[0]: base.rhs}
     for i in group[1:]:
         with _stage(f"level {level}, {_title(configs[i])}", ms, [i]):
@@ -252,7 +253,9 @@ def _solve_group(mesh, level, group, configs, cases, ms) -> list:
     for system_of in _groups(
         group, lambda i: configs[i].params.corner_strategy if strong else None
     ):
-        lu = None  # the last reduced system's LU is freed before the next exists
+        # the last reduced system's LU is freed, and its memory returned to
+        # the OS, before the next exists
+        lu = None
         for i in system_of:
             cfg = configs[i]
             where = f"level {level}, {_title(cfg)}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -70,6 +71,13 @@ def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
     1-norm condition estimate ||A||_1 * est(||A^-1||_1) is not below
     `_COND_LIMIT`. The estimate only solves with the factors; reading
     `lu.L` or `lu.U` would make SuperLU keep CSC copies of both.
+
+    Memory: an exactly symmetric CSR matrix (every system that assembly
+    builds) is handed to SuperLU as the CSC view of its transpose, which
+    shares the CSR's arrays; any other matrix is copied by `tocsc()`. Right
+    before the factorisation, the heap that the caller has freed (assembly
+    temporaries) is returned to the OS, so that the factors are not
+    allocated on top of it.
     """
     norm1 = spla.norm(matrix, 1)
     ordering = {}
@@ -79,8 +87,12 @@ def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
+    csc = _as_csc(matrix)
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
     try:
-        lu = spla.splu(matrix.tocsc(), **ordering)
+        lu = spla.splu(csc, **ordering)
     except RuntimeError as exc:
         raise SingularSystemError(f"factorisation failed: {exc}") from exc
     cond = norm1 * _inverse_norm1(lu, matrix.shape[0])
@@ -90,6 +102,39 @@ def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
             "check stabilisation and penalty constants"
         )
     return lu
+
+
+def _as_csc(matrix):
+    """`matrix` in CSC form for SuperLU. A canonical CSR matrix that equals
+    its transpose entry for entry is returned as the CSC view of its
+    transpose, which shares its arrays; every other matrix as the
+    `tocsc()` copy that the comparison is made with."""
+    csc = matrix.tocsc()
+    if (
+        matrix.format == "csr"
+        and matrix.has_canonical_format
+        and np.array_equal(csc.indptr, matrix.indptr)
+        and np.array_equal(csc.indices, matrix.indices)
+        and np.array_equal(csc.data, matrix.data)
+    ):
+        return matrix.T
+    return csc
+
+
+@cache
+def _malloc_trim():
+    """glibc's `malloc_trim`, which returns the free memory at the top and in
+    the holes of the heap to the OS; None where the C library has none.
+    Resolved on first use, so that start-up does not import ctypes, and
+    through `CDLL(None)`: `ctypes.util.find_library` would run `ldconfig`."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
 
 
 def _inverse_norm1(lu: spla.SuperLU, n: int) -> float:

@@ -29,14 +29,18 @@ class SingularPointError(ValueError):
 
 def _eval_or_fill(field, points: np.ndarray, fill: float) -> np.ndarray:
     """A vector field at an (m, 2) point batch. If the batch raises
-    SingularPointError, the points are evaluated one at a time and the
-    singular ones get `fill`."""
+    SingularPointError, its halves are evaluated the same way, down to
+    single points; the singular ones get `fill`. A few singular points cost
+    O(log m) calls each."""
     try:
         return np.asarray(field(points), dtype=float)
     except SingularPointError:
         if len(points) == 1:
             return np.full((1, 2), float(fill))
-        return np.concatenate([_eval_or_fill(field, point[None], fill) for point in points])
+        half = len(points) // 2
+        return np.concatenate(
+            [_eval_or_fill(field, points[:half], fill), _eval_or_fill(field, points[half:], fill)]
+        )
 
 
 @dataclass(frozen=True)

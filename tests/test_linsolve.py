@@ -9,7 +9,13 @@ import scipy.sparse.linalg as spla
 
 from maxnit import linsolve
 from maxnit.analysis import l2_errors
-from maxnit.assembly import CORNER_STRATEGIES, Params, apply_strong_bc, assemble_global
+from maxnit.assembly import (
+    CORNER_STRATEGIES,
+    FORMULATIONS,
+    Params,
+    apply_strong_bc,
+    assemble_global,
+)
 from maxnit.harness import StudyConfig, build_case, build_mesh, run_study
 from maxnit.linsolve import (
     ResidualError,
@@ -207,7 +213,7 @@ class _SplaView:
         return getattr(spla, name)
 
     def splu(self, *args, **kwargs):
-        self.calls.append(args)
+        self.calls.append((args, kwargs))
         return _FactorsOnly(spla.splu(*args, **kwargs))
 
 
@@ -222,6 +228,85 @@ def test_no_factor_copies(monkeypatch):
     report = run_study(StudyConfig("square", "uniform", [2, 4]))
     assert len(report.reports) == 2
     assert len(calls) == 4
+
+
+HANDOFF_SYSTEMS = {
+    "weak": lambda: assemble_global(gen_square_crisscross(4), Params(), square_case()),
+    "strong": lambda: reduced_strong_system("lshape-crisscross-8", "free")[2],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HANDOFF_SYSTEMS))
+def test_symmetric_matrix_reaches_superlu_without_a_copy(monkeypatch, kind):
+    calls = []
+    monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
+    system = HANDOFF_SYSTEMS[kind]()
+    lu = factorize(system.matrix, quasi_definite=kind == "strong")
+    [((handed,), options)] = calls
+    assert np.shares_memory(handed.data, system.matrix.data)
+    assert np.shares_memory(handed.indices, system.matrix.indices)
+    copied = spla.splu(system.matrix.tocsc(), **options)
+    assert np.array_equal(lu.solve(system.rhs), copied.solve(system.rhs))
+
+
+@pytest.mark.parametrize("structural", [False, True])
+def test_nonsymmetric_matrix_is_factorised_not_its_transpose(monkeypatch, rng, structural):
+    calls = []
+    monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
+    dense = rng.standard_normal((40, 40)) + 8.0 * np.eye(40)
+    if structural:
+        dense[0, 1:] = 0.0  # the transpose has another sparsity pattern
+    matrix = sp.csr_matrix(dense)
+    x = rng.standard_normal(40)
+    lu = factorize(matrix)
+    [((handed,), _)] = calls
+    assert not np.shares_memory(handed.data, matrix.data)
+    assert np.abs(lu.solve(matrix @ x) - x).max() < 1e-12
+    assert np.abs(lu.solve(matrix.T @ x) - x).max() > 1e-3
+
+
+def test_heap_is_released_right_before_each_factorisation(monkeypatch):
+    events = []
+    monkeypatch.setattr(linsolve, "_malloc_trim", lambda: lambda pad: events.append(pad))
+    monkeypatch.setattr(linsolve, "spla", _SplaView(events))
+    factorize(crisscross_matrix(2, 100.0))
+    factorize(crisscross_matrix(2, 100.0), quasi_definite=True)
+    # malloc_trim(0), then splu, for each factorisation
+    assert [e if e == 0 else "splu" for e in events] == [0, "splu", 0, "splu"]
+
+
+def test_factorize_without_malloc_trim(monkeypatch):
+    monkeypatch.setattr(linsolve, "_malloc_trim", lambda: None)
+    system = assemble_global(gen_square_uniform(3), Params(), square_case())
+    assert solve(system, lu=factorize(system.matrix)).residual < 1e-10
+
+
+@pytest.mark.parametrize(
+    "formulation, include_p_flux",
+    [(f, True) for f in FORMULATIONS] + [("stabilised-nitsche", False)],
+)
+@pytest.mark.parametrize(
+    "case_name, family",
+    [
+        ("square", "uniform"),
+        ("square", "powell-sabin"),
+        ("lshape:1", "crisscross"),
+        ("curved-l:2", "curved-mapped"),
+        ("curved-l:2", "powell-sabin"),
+    ],
+)
+def test_every_system_is_exactly_symmetric(formulation, include_p_flux, case_name, family):
+    # so that `factorize` hands every preset's matrix to SuperLU without a
+    # copy; a fallback to `tocsc()` would raise the peak memory silently
+    mesh, case = build_mesh(case_name, family, 4), build_case(case_name)
+    params = Params(formulation=formulation, include_p_flux=include_p_flux)
+    system = assemble_global(mesh, params, case)
+    matrices = [system.matrix]
+    if formulation == "stabilised-strong":
+        matrices = [apply_strong_bc(system, mesh, case, s).matrix for s in CORNER_STRATEGIES]
+    for a in matrices:
+        assert (a != a.T).nnz == 0
+        assert np.shares_memory(linsolve._as_csc(a).data, a.data)
 
 
 def test_residual_tolerance_enforced(monkeypatch):
