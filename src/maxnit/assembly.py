@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,13 +125,16 @@ class DofMap:
 @dataclass
 class LinearSystem:
     """Sparse symmetric system; strong constraints are held as the affine
-    map full = transform @ reduced + offset."""
+    map full = transform @ reduced + offset. `corner` lists, in ascending
+    order, the unknowns at re-entrant corners that the corner strategy
+    kept (none for a weak formulation or the both-zero strategy)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
     transform: sp.csr_matrix | None = None
     offset: np.ndarray | None = None
+    corner: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
     @property
     def n_unknowns(self) -> int:
@@ -421,6 +424,8 @@ def apply_strong_bc(
     Reduced unknowns are numbered in vertex order: three per interior vertex
     (u_x, u_y, p), one per tangentially constrained vertex (the normal
     component), two for a free corner (u_x, u_y), none for a fixed one.
+    The re-entrant-corner unknowns are recorded as `corner`; removing them
+    leaves the both-zero system.
     """
     if corner_strategy not in CORNER_STRATEGIES:
         raise ValueError(f"unknown corner strategy {corner_strategy!r}")
@@ -469,7 +474,9 @@ def apply_strong_bc(
     reduced = reduced + reduced.T
     reduced.data *= 0.5
     rhs = transform.T @ (system.rhs - system.matrix @ offset)
-    return LinearSystem(reduced, rhs, dofs, transform=transform, offset=offset)
+    vr = vb[reentrant]
+    corner = cols[vr][np.arange(3) < n_cols[vr][:, None]]
+    return LinearSystem(reduced, rhs, dofs, transform=transform, offset=offset, corner=corner)
 
 
 def write_matrix_market(system: LinearSystem, path: str) -> None:

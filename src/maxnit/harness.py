@@ -28,7 +28,14 @@ from .assembly import (
     assemble_global,
     write_matrix_market,
 )
-from .linsolve import ResidualError, SingularSystemError, factorize, solve
+from .linsolve import (
+    BorderedLU,
+    ResidualError,
+    SingularSystemError,
+    core_matrix,
+    factorize,
+    solve,
+)
 from .mesh import (
     Mesh,
     MeshError,
@@ -154,6 +161,8 @@ def build_mesh(case: str, family: str, level: int) -> Mesh:
     domain = case.split(":")[0]
     if (domain, family) not in _MESHES:
         raise ConfigError(f"family {family!r} incompatible with domain {domain!r}")
+    if level < 1 or (domain != "square" and level % 2):
+        raise ConfigError(f"level {level} of {domain!r}: grid levels are positive, and even on an L")
     return _MESHES[domain, family](level)
 
 
@@ -234,10 +243,10 @@ def _matrix_key(params: Params) -> tuple:
 def _solve_group(mesh, level, group, configs, cases, ms) -> list:
     """Solve the configs `group` (indices into `configs` and `cases`), whose
     params are equal up to the corner strategy, on one mesh against one
-    assembled matrix. The members of one reduced system (one corner
-    strategy; every member of a weak formulation) share one factorisation.
-    Returns the solutions in `group` order and charges the stage times to
-    `ms`; the LU and the matrix die with this frame."""
+    assembled matrix. The group shares one factorisation: of the matrix for
+    a weak formulation, of the core for the strong one. Returns the
+    solutions in `group` order and charges the stage times to `ms`; the LU
+    and the matrix die with this frame."""
     params = configs[group[0]].params
     strong = params.formulation == "stabilised-strong"
     with _stage(f"level {level}", ms, group):
@@ -250,12 +259,11 @@ def _solve_group(mesh, level, group, configs, cases, ms) -> list:
         with _stage(f"level {level}, {_title(configs[i])}", ms, [i]):
             rhs[i] = masm.assemble_rhs(mesh, cases[i], params)
     solved = {}
+    lu = None
     for system_of in _groups(
         group, lambda i: configs[i].params.corner_strategy if strong else None
     ):
-        # the last reduced system's LU is freed, and its memory returned to
-        # the OS, before the next exists
-        lu = None
+        solver = None
         for i in system_of:
             cfg = configs[i]
             where = f"level {level}, {_title(cfg)}"
@@ -266,15 +274,26 @@ def _solve_group(mesh, level, group, configs, cases, ms) -> list:
                     # corner strategy only; `base` is left as it was
                     system = apply_strong_bc(system, mesh, cases[i], cfg.params.corner_strategy)
             if lu is None:
+                with _stage(where, ms, group):
+                    # The core: the reduced matrix without its re-entrant
+                    # corner unknowns, which is the both-zero matrix for every
+                    # corner strategy. The reduced strong systems are
+                    # symmetric quasi-definite, and so is every principal
+                    # submatrix. The stabilised-Nitsche ones are too, but
+                    # keep COLAMD: their fine-level err_p sits at the solve's
+                    # rounding and moves by up to 1.8e-8 under another
+                    # ordering, more than the benchmark's 1e-9 reference
+                    # gate (see `factorize`)
+                    core = core_matrix(system.matrix, system.corner)
+                    lu = factorize(core, quasi_definite=strong)
+                    del core
+            if solver is None:
                 with _stage(where, ms, system_of):
-                    # the reduced strong systems are symmetric quasi-definite.
-                    # The stabilised-Nitsche ones are too, but keep COLAMD:
-                    # their fine-level err_p sits at the solve's rounding and
-                    # moves by up to 1.8e-8 under another ordering, more than
-                    # the benchmark's 1e-9 reference gate (see `factorize`)
-                    lu = factorize(system.matrix, quasi_definite=strong)
+                    # each strategy's <= 2 unknowns per re-entrant corner
+                    # border the core; an empty border solves with it as is
+                    solver = BorderedLU(lu, system.matrix, system.corner)
             with _stage(where, ms, [i]):
-                solved[i] = solve(system, lu=lu)
+                solved[i] = solve(system, lu=solver)
             if "matrixmarket" in cfg.emit:
                 write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
     return [solved[i] for i in group]
@@ -390,7 +409,10 @@ def _params_from_dict(raw: dict) -> Params:
     if not isinstance(raw, dict):
         raise ConfigError("params must be a JSON object")
     _check_keys(raw, Params, "params")
-    return Params(**raw)
+    try:
+        return Params(**raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_keys(raw: dict, cls, what: str) -> None:
@@ -494,7 +516,7 @@ def main(argv=None) -> int:
     except MeshError as exc:
         print(f"mesh failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

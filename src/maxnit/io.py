@@ -19,7 +19,10 @@ __all__ = [
     "read_report_csv",
 ]
 
-_CSV_COLUMNS = ("h", "dofs", "err_u", "rate_u", "err_curl", "rate_curl", "err_p", "wall_ms")
+_CSV_COLUMNS = (
+    "h", "dofs", "err_u", "rate_u", "err_curl", "rate_curl", "err_p", "wall_ms",
+    "triple", "data_norm",
+)
 
 
 @dataclass
@@ -86,28 +89,35 @@ def write_mesh_vtk(mesh: Mesh, path: str) -> None:
     export_vtk(FieldSnapshot(mesh, {}), path)
 
 
+def _fmt(value) -> str:
+    return "" if value is None else f"{value:.17g}"
+
+
 def write_report_csv(report, path: str) -> None:
-    """One row per refinement level, 17-significant-digit floats."""
+    """One row per refinement level, 17-significant-digit floats; a blank
+    field is a rate of the first level or a norm that was not computed."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(_CSV_COLUMNS)
         for rep, ru, rc in zip(report.reports, report.rates_u, report.rates_curl):
             writer.writerow(
                 [
-                    f"{rep.h:.17g}",
+                    _fmt(rep.h),
                     rep.dofs,
-                    f"{rep.err_u:.17g}",
-                    "" if ru is None else f"{ru:.17g}",
-                    f"{rep.err_curl:.17g}",
-                    "" if rc is None else f"{rc:.17g}",
-                    f"{rep.err_p:.17g}",
-                    f"{rep.wall_ms:.17g}",
+                    _fmt(rep.err_u),
+                    _fmt(ru),
+                    _fmt(rep.err_curl),
+                    _fmt(rc),
+                    _fmt(rep.err_p),
+                    _fmt(rep.wall_ms),
+                    _fmt(rep.triple),
+                    _fmt(rep.data_norm),
                 ]
             )
 
 
 def read_report_csv(path: str) -> list[dict]:
-    """Rows as dicts with floats (None for blank rates); round-trips exactly."""
+    """Rows as dicts with floats (None for blank fields); round-trips exactly."""
     out = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)

@@ -10,7 +10,15 @@ import scipy.sparse.linalg as spla
 
 from .assembly import LinearSystem
 
-__all__ = ["SolutionFields", "SingularSystemError", "ResidualError", "factorize", "solve"]
+__all__ = [
+    "SolutionFields",
+    "SingularSystemError",
+    "ResidualError",
+    "BorderedLU",
+    "core_matrix",
+    "factorize",
+    "solve",
+]
 
 
 class SingularSystemError(RuntimeError):
@@ -70,7 +78,9 @@ def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
     Raises SingularSystemError when the factorisation breaks down or the
     1-norm condition estimate ||A||_1 * est(||A^-1||_1) is not below
     `_COND_LIMIT`. The estimate only solves with the factors; reading
-    `lu.L` or `lu.U` would make SuperLU keep CSC copies of both.
+    `lu.L` or `lu.U` would make SuperLU keep CSC copies of both. The
+    factorisation also solves with any matrix that borders `matrix` with a
+    few rows and columns, through `BorderedLU`.
 
     Memory: an exactly symmetric CSR matrix (every system that assembly
     builds) is handed to SuperLU as the CSC view of its transpose, which
@@ -95,13 +105,84 @@ def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
         lu = spla.splu(csc, **ordering)
     except RuntimeError as exc:
         raise SingularSystemError(f"factorisation failed: {exc}") from exc
-    cond = norm1 * _inverse_norm1(lu, matrix.shape[0])
+    _check_condition(norm1, lu)
+    return lu
+
+
+def _check_condition(norm1: float, lu) -> None:
+    """Raise SingularSystemError unless norm1 * est(||A^-1||_1), with A the
+    matrix that `lu` solves with, is below `_COND_LIMIT`."""
+    cond = norm1 * _inverse_norm1(lu, lu.shape[0])
     if not cond < _COND_LIMIT:
         raise SingularSystemError(
             f"numerically singular system (1-norm condition estimate {cond:.1e}); "
             "check stabilisation and penalty constants"
         )
-    return lu
+
+
+def core_matrix(matrix, border):
+    """The principal submatrix of `matrix` without the `border` unknowns,
+    the core that `BorderedLU` solves through: `matrix` itself when the
+    border is empty."""
+    if not len(border):
+        return matrix
+    keep = np.delete(np.arange(matrix.shape[0]), border)
+    return matrix[keep][:, keep]
+
+
+class BorderedLU:
+    """Solves with a symmetric matrix through the LU of its core.
+
+    Up to a symmetric permutation the matrix is [[A0, B], [B^T, D]]: the
+    `border` unknowns (a few) hold B and D, the others the core A0, and
+    `core` is a factorisation of A0 such as `factorize` returns. A solve is
+    block elimination (Benzi, Golub & Liesen, Acta Numerica 2005, sec. 5):
+    with W = A0^-1 B and the Schur complement S = D - B^T W, both computed
+    here once,
+
+        x_border = S^-1 (b_border - B^T A0^-1 b_core)
+        x_core = A0^-1 b_core - W x_border.
+
+    A0 is exactly symmetric, so W serves the transposed solve too. With an
+    empty border a solve is the core's own. Raises SingularSystemError when
+    S is singular or not finite, or when the 1-norm condition estimate of
+    the bordered matrix, taken through these solves, is not below
+    `_COND_LIMIT`; an empty border keeps the core's estimate.
+    """
+
+    def __init__(self, core, matrix, border):
+        n = matrix.shape[0]
+        self.shape = matrix.shape
+        self.core = core
+        self.border = np.asarray(border, dtype=np.intp)
+        if core.shape != (n - len(self.border),) * 2:
+            raise ValueError(f"core of shape {core.shape} for a {self.shape} matrix "
+                             f"with {len(self.border)} border unknowns")
+        if not len(self.border):
+            return
+        self.keep = np.delete(np.arange(n), self.border)
+        rows = matrix[self.border]  # [B^T, D], up to the column order
+        self.bt = rows[:, self.keep]
+        self.w = core.solve(self.bt.T.toarray())
+        s = rows[:, self.border].toarray() - self.bt @ self.w
+        if not np.all(np.isfinite(s)):
+            raise SingularSystemError("border Schur complement is not finite")
+        try:
+            self.s_inv = np.linalg.inv(s)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"singular border Schur complement: {exc}") from exc
+        _check_condition(spla.norm(matrix, 1), self)
+
+    def solve(self, rhs, trans="N"):
+        if not len(self.border):
+            return self.core.solve(rhs, trans)
+        y = self.core.solve(rhs[self.keep], trans)
+        s_inv = self.s_inv if trans == "N" else self.s_inv.T
+        x_border = s_inv @ (rhs[self.border] - self.bt @ y)
+        x = np.empty(rhs.shape)
+        x[self.keep] = y - self.w @ x_border
+        x[self.border] = x_border
+        return x
 
 
 def _as_csc(matrix):
@@ -137,10 +218,10 @@ def _malloc_trim():
     return trim
 
 
-def _inverse_norm1(lu: spla.SuperLU, n: int) -> float:
-    """Lower estimate of ||A^-1||_1 from the factors of A: Hager's iteration
-    with Higham's safeguards (LAPACK xLACN2). Deterministic; `inf` when a
-    solve is not finite."""
+def _inverse_norm1(lu, n: int) -> float:
+    """Lower estimate of ||A^-1||_1 from the solves of `lu` with A (SuperLU
+    or `BorderedLU`): Hager's iteration with Higham's safeguards (LAPACK
+    xLACN2). Deterministic; `inf` when a solve is not finite."""
 
     def apply(v, trans="N"):
         y = lu.solve(v, trans=trans)
@@ -175,14 +256,15 @@ def _inverse_norm1(lu: spla.SuperLU, n: int) -> float:
         return np.inf
 
 
-def solve(system: LinearSystem, lu: spla.SuperLU | None = None) -> SolutionFields:
+def solve(system: LinearSystem, lu=None) -> SolutionFields:
     """LU solve plus iterative refinement.
 
-    `lu` is a factorisation of `system.matrix` from `factorize`, shared by
-    systems that differ only in the right-hand side; without it the matrix
-    is factorised here. Raises SingularSystemError when the factorisation
-    breaks down or yields non-finite values, ResidualError when refinement
-    cannot reach `_RESIDUAL_TOL`.
+    `lu` solves with `system.matrix`: a factorisation from `factorize` or a
+    `BorderedLU`, shared by systems that differ only in the right-hand
+    side; without it the matrix is factorised here. Raises
+    SingularSystemError when the factorisation breaks down or yields
+    non-finite values, ResidualError when refinement cannot reach
+    `_RESIDUAL_TOL`.
     """
     a = system.matrix
     b = system.rhs

@@ -256,7 +256,8 @@ class TestRunStudies:
             assert replace(study.reports[0], wall_ms=0.0) == replace(ref, wall_ms=0.0)
 
     def test_corner_strategies_share_one_assembly(self, monkeypatch):
-        # table5-corner at level 8: three strong corner strategies and Nitsche
+        # table5-corner at level 8: three strong corner strategies and Nitsche;
+        # one LU for the strong core, one for Nitsche
         strong = replace(LSHAPE, formulation="stabilised-strong")
         batch = [
             StudyConfig("lshape:1", "crisscross", [8], replace(strong, corner_strategy=s), label=s)
@@ -276,7 +277,7 @@ class TestRunStudies:
         monkeypatch.setattr(harness, "assemble_global", keep)
         strong_bc = counting(monkeypatch, harness, "apply_strong_bc")
         studies = run_studies(batch)
-        assert (len(assembled), len(splu), len(strong_bc)) == (2, 4, 3)
+        assert (len(assembled), len(splu), len(strong_bc)) == (2, 2, 3)
         assert {id(args[0].matrix) for args in strong_bc} == {id(assembled[0][0])}
         for m, before in assembled:
             assert [a.tobytes() for a in (m.data, m.indices, m.indptr)] == before
@@ -292,6 +293,7 @@ class TestRunStudies:
             (assembly, "assemble_rhs", 4), (harness, "apply_strong_bc", 8),
             (harness, "factorize", 16), (harness, "solve", 32), (harness, "l2_errors", 64),
             (harness, "triple_norm", 128), (harness, "boundary_data_norm", 256),
+            (harness, "BorderedLU", 512),
         ]
         for owner, name, cost in costs:
             monkeypatch.setattr(owner, name, ticking(clock, cost, getattr(owner, name)))
@@ -309,17 +311,18 @@ class TestRunStudies:
         ]
         studies = run_studies(batch)
         # README rule: the mesh is shared by all six configs, each assembly
-        # (with its first case's RHS) by three; each strong LU by its reduced
-        # system's configs, the Nitsche LU by three
-        shared = 1 / 6 + (2 + 4) / 3
+        # (with its first case's RHS) and each LU (the strong core, Nitsche)
+        # by three; each bordered solver (border and condition estimate) by
+        # the configs of its reduced system
+        shared = 1 / 6 + (2 + 4 + 16) / 3
         own = 32 + 64 + 128 + 256  # solve and norms
         expected = {
-            "bz1": shared + 8 + 16 / 2 + own,
-            "bz2": shared + 4 + 8 + 16 / 2 + own,
-            "free4": shared + 4 + 8 + 16 + own,
-            "nitsche1": shared + 16 / 3 + own,
-            "nitsche2": shared + 4 + 16 / 3 + own,
-            "nitsche4": shared + 4 + 16 / 3 + own,
+            "bz1": shared + 8 + 512 / 2 + own,
+            "bz2": shared + 4 + 8 + 512 / 2 + own,
+            "free4": shared + 4 + 8 + 512 + own,
+            "nitsche1": shared + 512 / 3 + own,
+            "nitsche2": shared + 4 + 512 / 3 + own,
+            "nitsche4": shared + 4 + 512 / 3 + own,
         }
         wall = {s.config.label: s.reports[0].wall_ms for s in studies}
         assert wall == pytest.approx({k: 1e3 * v for k, v in expected.items()}, rel=1e-12)
@@ -417,9 +420,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith("I/O error")
         assert len(meshes) == 0
 
-    def test_mesh_command_bad_level(self):
-        assert main(["mesh", "--family", "crisscross", "--level", "3",
-                     "--domain", "lshape", "--out", "/tmp/_unused.txt"]) == 2
+    def test_mesh_command_bad_level(self, tmp_path, capsys):
+        out = str(tmp_path / "m.txt")
+        for level, domain in (("3", "lshape"), ("0", "square"), ("-2", "curved-l")):
+            assert main(["mesh", "--family", "powell-sabin", "--level", level,
+                         "--domain", domain, "--out", out]) == 2
+            assert capsys.readouterr().err.startswith("configuration error")
+
+    def test_numerical_value_error_is_not_a_config_error(self, monkeypatch, tmp_path, capsys):
+        # exit 2 is for configurations; a ValueError from the numerics is a bug
+        def broken(*args, **kwargs):
+            raise ValueError("factorisation of shape (3, 3) for a (4, 4) system")
+
+        monkeypatch.setattr(harness, "solve", broken)
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"case": "square", "family": "uniform", "levels": [2]}))
+        with pytest.raises(ValueError, match="for a"):
+            main(["run", "--config", str(path)])
+        assert "configuration error" not in capsys.readouterr().err
 
     def test_config_file_run(self, tmp_path, capsys):
         cfg = {
@@ -454,6 +472,8 @@ class TestCli:
             {"params": {"L0": float("nan")}},
             {"params": {"c_u": float("inf")}},
             {"params": {"include_p_flux": "no"}},
+            {"params": {"corner_strategy": "mystery"}},
+            {"params": {"nu": -1.0}},
             {"params": [1.0]},
             {"emit": "csv"},
             {"emit": [1]},

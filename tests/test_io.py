@@ -116,6 +116,12 @@ def test_report_csv_round_trip(tmp_path):
         assert row["err_p"] == rep.err_p
         assert row["dofs"] == rep.dofs
         assert row["rate_u"] == (None if ru is None else ru)
+        assert row["triple"] == rep.triple > 0.0
+        assert row["data_norm"] == rep.data_norm > 0.0
+    # a norm that was not computed is a blank field
+    report.reports = [replace(rep, triple=None) for rep in report.reports]
+    write_report_csv(report, str(path))
+    assert [row["triple"] for row in read_report_csv(str(path))] == [None, None]
 
 
 def test_empty_report_writes_header_only(tmp_path):
@@ -124,7 +130,7 @@ def test_empty_report_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_report_csv(report, str(path))
     lines = path.read_text().strip().splitlines()
-    assert lines == ["h,dofs,err_u,rate_u,err_curl,rate_curl,err_p,wall_ms"]
+    assert lines == ["h,dofs,err_u,rate_u,err_curl,rate_curl,err_p,wall_ms,triple,data_norm"]
 
 
 def test_reference_preset_row_count(tmp_path):

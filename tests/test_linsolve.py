@@ -16,11 +16,13 @@ from maxnit.assembly import (
     apply_strong_bc,
     assemble_global,
 )
-from maxnit.harness import StudyConfig, build_case, build_mesh, run_study
+from maxnit.harness import _MESHES, StudyConfig, build_case, build_mesh, run_study
 from maxnit.linsolve import (
+    BorderedLU,
     ResidualError,
     SingularSystemError,
     _inverse_norm1,
+    core_matrix,
     factorize,
     solve,
 )
@@ -119,8 +121,12 @@ def test_factorize_accepts_regular_systems(n, formulation, N_p):
 
 STRONG_SYSTEMS = {
     "lshape-crisscross-8": ("lshape:1", "crisscross", 8, Params(L0=0.5, c_u=1.0)),
+    "lshape-powell-sabin-4": ("lshape:1", "powell-sabin", 4, Params(L0=0.5, c_u=1.0)),
+    "curved-l-powell-sabin-4": ("curved-l:1", "powell-sabin", 4, Params(L0=0.5, c_u=0.1)),
     "square-powell-sabin-4": ("square", "powell-sabin", 4, Params(L0=2.0, c_u=1.0)),
 }
+# the systems with a re-entrant corner
+CORNER_SYSTEMS = sorted(set(STRONG_SYSTEMS) - {"square-powell-sabin-4"})
 
 
 def reduced_strong_system(name, corner_strategy):
@@ -157,6 +163,111 @@ def test_quasi_definite_ordering_changes_errors_by_rounding_only(name, corner_st
     )
     for field in ("err_u", "err_curl", "err_p"):
         assert getattr(symmetric, field) == pytest.approx(getattr(default, field), rel=1e-12)
+
+
+def bordered(system):
+    """The solver of `system` through the LU of its core."""
+    core = factorize(core_matrix(system.matrix, system.corner), quasi_definite=True)
+    return BorderedLU(core, system.matrix, system.corner)
+
+
+@pytest.mark.parametrize("corner_strategy", CORNER_STRATEGIES)
+@pytest.mark.parametrize("name", CORNER_SYSTEMS)
+def test_bordered_solve_equals_own_factorisation(name, corner_strategy):
+    _, _, system = reduced_strong_system(name, corner_strategy)
+    kept = {"both-zero": 0, "bisector-normal": 1, "free": 2}[corner_strategy]
+    assert len(system.corner) == kept
+    own = factorize(system.matrix, quasi_definite=True)
+    solver = bordered(system)
+    assert solver.shape == system.matrix.shape
+    b = system.rhs
+    ref = own.solve(b)
+    assert np.abs(solver.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+    refined, direct = solve(system, lu=solver), solve(system, lu=own)
+    assert refined.residual <= 1e-12
+    diff = np.abs(refined.coeffs - direct.coeffs).max()
+    assert diff <= 1e-12 * np.abs(direct.coeffs).max()
+
+
+@pytest.mark.parametrize("domain, family", [k for k in _MESHES if k[0] != "square"])
+def test_core_of_every_strategy_is_the_both_zero_matrix(domain, family):
+    case_name = f"{domain}:1"
+    mesh, case = build_mesh(case_name, family, 4), build_case(case_name)
+    full = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
+    both_zero = apply_strong_bc(full, mesh, case, "both-zero").matrix
+    for strategy in CORNER_STRATEGIES:
+        system = apply_strong_bc(full, mesh, case, strategy)
+        core = core_matrix(system.matrix, system.corner)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(core, part), getattr(both_zero, part))
+
+
+def with_border_block(system, block):
+    """`system.matrix` with `block` added to its corner-by-corner block."""
+    c = system.corner
+    rows, cols = np.repeat(c, len(c)), np.tile(c, len(c))
+    delta = sp.csr_matrix((block.ravel(), (rows, cols)), shape=system.matrix.shape)
+    return (system.matrix + delta).tocsr()
+
+
+@pytest.mark.parametrize("corner_strategy", ["free", "bisector-normal"])
+def test_singular_or_non_finite_schur_complement_is_rejected(corner_strategy):
+    _, _, system = reduced_strong_system("lshape-crisscross-8", corner_strategy)
+    c = system.corner
+    keep = np.setdiff1d(np.arange(system.n_unknowns), c)
+    a = system.matrix.toarray()
+    core = factorize(core_matrix(system.matrix, c), quasi_definite=True)
+    schur = a[np.ix_(c, c)] - a[np.ix_(c, keep)] @ core.solve(a[np.ix_(keep, c)])
+    schur = 0.5 * (schur + schur.T)
+    # S becomes zero, or for two border unknowns the rank-one matrix of ones
+    scale = np.abs(schur).max()
+    singular = -schur + (scale * np.ones((2, 2)) if len(c) == 2 else 0.0)
+    for block in (singular, np.full((len(c), len(c)), np.nan)):
+        with pytest.raises(SingularSystemError):
+            BorderedLU(core, with_border_block(system, block), c)
+
+
+def test_shape_mismatch_is_rejected():
+    _, _, system = reduced_strong_system("lshape-crisscross-8", "free")
+    own = factorize(system.matrix, quasi_definite=True)
+    with pytest.raises(ValueError, match="border unknowns"):
+        BorderedLU(own, system.matrix, system.corner)
+
+
+def small_bordered_systems(rng):
+    """(matrix, border, core LU) triples small enough for a dense inverse."""
+    for level in (2, 4):
+        mesh, case = build_mesh("lshape:1", "crisscross", level), build_case("lshape:1")
+        full = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
+        for strategy in ("free", "bisector-normal"):
+            system = apply_strong_bc(full, mesh, case, strategy)
+            core = factorize(core_matrix(system.matrix, system.corner), quasi_definite=True)
+            yield system.matrix, system.corner, core
+    dense = rng.standard_normal((40, 40))
+    matrix = sp.csr_matrix(dense + dense.T + 16.0 * np.eye(40))
+    border = np.array([3, 17, 39])
+    yield matrix, border, factorize(core_matrix(matrix, border))
+
+
+def test_inverse_norm1_through_the_border_is_a_close_lower_bound(rng):
+    for matrix, border, core in small_bordered_systems(rng):
+        exact = np.linalg.cond(matrix.toarray(), 1) / spla.norm(matrix, 1)
+        est = _inverse_norm1(BorderedLU(core, matrix, border), matrix.shape[0])
+        assert exact / 10.0 <= est <= exact * (1.0 + 1e-10)
+
+
+def test_bordered_solve_takes_transposes_and_blocks(rng):
+    for matrix, border, core in small_bordered_systems(rng):
+        solver = BorderedLU(core, matrix, border)
+        dense = matrix.toarray()
+        rhs = rng.standard_normal((matrix.shape[0], 2))
+        for trans, a in (("N", dense), ("T", dense.T)):
+            ref = np.linalg.solve(a, rhs)
+            x = solver.solve(rhs, trans=trans)
+            assert x.shape == rhs.shape
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+            column = solver.solve(rhs[:, 1], trans=trans)
+            assert np.abs(column - x[:, 1]).max() <= 1e-14 * np.abs(x).max()
 
 
 def small_matrices(rng):

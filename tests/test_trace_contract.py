@@ -2,10 +2,12 @@
 
 `perfbench/tracing.py` wraps names in maxnit (its `_WRAPPED`, the case
 callables and SuperLU's `splu`) and reports a metric as missing when a
-wrapper it depends on is absent or goes uncalled. The two studies below are
-small versions of the benchmark's weak-formulation workloads, one with f ≡ 0
-and one with f ≠ 0. A change that moves a wrapped name or stops calling it on
-such a study fails here, before a benchmark run reports the metric missing.
+wrapper it depends on is absent or goes uncalled. The studies below are
+small versions of the benchmark's workloads: two weak-formulation studies,
+one with f ≡ 0 and one with f ≠ 0, and a table5-shaped batch (three strong
+corner strategies, which share one LU, plus Nitsche). A change that moves a
+wrapped name or stops calling it on such a study fails here, before a
+benchmark run reports the metric missing.
 """
 
 import importlib
@@ -16,17 +18,31 @@ from pathlib import Path
 
 import pytest
 
-from maxnit.assembly import Params
+from maxnit.assembly import CORNER_STRATEGIES, Params
 from maxnit.harness import StudyConfig, run_studies
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
+LSHAPE = Params(nu=1.0, L0=0.5, c_u=1.0)
+STRONG = replace(LSHAPE, formulation="stabilised-strong")
+NO_STRONG_BC = ("maxnit.harness.apply_strong_bc",)
+
+# name -> (batch, wrappers the batch never calls)
 STUDIES = {
-    "lshape-crisscross": StudyConfig(
-        "lshape:1", "crisscross", [4, 8], Params(nu=1.0, L0=0.5, c_u=1.0)
+    "lshape-crisscross": ([StudyConfig("lshape:1", "crisscross", [4, 8], LSHAPE)], NO_STRONG_BC),
+    "square-powell-sabin": (
+        [StudyConfig("square", "powell-sabin", [2, 4], Params(nu=1.0, L0=2.0, c_u=1.0))],
+        NO_STRONG_BC,
     ),
-    "square-powell-sabin": StudyConfig(
-        "square", "powell-sabin", [2, 4], Params(nu=1.0, L0=2.0, c_u=1.0)
+    "lshape-corner": (
+        [
+            StudyConfig(
+                "lshape:1", "crisscross", [8], replace(STRONG, corner_strategy=s), label=s
+            )
+            for s in CORNER_STRATEGIES
+        ]
+        + [StudyConfig("lshape:1", "crisscross", [8], LSHAPE, label="nitsche")],
+        (),
     ),
 }
 
@@ -52,11 +68,12 @@ def test_traced_study_reports_every_metric(monkeypatch, tmp_path, name):
 
     tracer = tracing.Tracer(run_id=name)
     tracer.attach()
-    config = replace(STUDIES[name], out_dir=str(tmp_path), emit=("csv",))
-    tracer.call("harness.study", run_studies, [config])
+    batch, idle = STUDIES[name]
+    configs = [replace(c, out_dir=str(tmp_path), emit=("csv",)) for c in batch]
+    tracer.call("harness.study", run_studies, configs)
 
-    metrics = tracing.layer_metrics(
-        tracer.spans, tracer.wrappers, idle=("maxnit.harness.apply_strong_bc",)
-    )
+    metrics = tracing.layer_metrics(tracer.spans, tracer.wrappers, idle=idle)
     assert set(metrics) == set(tracing.REQUIRES)
     assert [metric for metric, value in metrics.items() if value is None] == []
+    if name == "lshape-corner":  # one LU for the strong core, one for Nitsche
+        assert (metrics["linsolve.factorizations"], metrics["assembly.strong_bc_calls"]) == (2, 3)
