@@ -168,14 +168,22 @@ def triple_norm(mesh: Mesh, sol, params: Params) -> float:
 
 def boundary_data_norm(mesh: Mesh, case: ProblemCase, params: Params) -> float:
     """||f||_L2 + sqrt(nu/h) ||t(ubar)||_L2(boundary), the data functional
-    scale against which the solution's triple norm is compared."""
-    rule = triangle_rule(6)
-    coords = mesh.vertices[mesh.triangles]
-    pts = _map_rule_points(rule, coords)
-    f = case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
-    f_norm = np.sqrt(
-        np.einsum("m,q,mq->", 2.0 * mesh.tri_area, rule.weights, (f**2).sum(axis=2))
-    )
+    scale against which the solution's triple norm is compared.
+
+    A `zero_source` case has ||f|| = 0 without quadrature; its flag is
+    checked at the mesh vertices, and a nonzero `source_f` there raises
+    ValueError."""
+    if case.zero_source:
+        if np.any(case.source_f(mesh.vertices)):
+            raise ValueError("case flagged zero_source has a nonzero source_f")
+        f_norm = 0.0
+    else:
+        rule = triangle_rule(6)
+        pts = _map_rule_points(rule, mesh.vertices[mesh.triangles])
+        f = case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
+        f_norm = np.sqrt(
+            np.einsum("m,q,mq->", 2.0 * mesh.tri_area, rule.weights, (f**2).sum(axis=2))
+        )
 
     _, weights, tu = _edge_trace(mesh, case)
     t_norm = np.sqrt((mesh.edge_length[:, None] * weights * tu**2).sum())

@@ -289,17 +289,14 @@ def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
         coords = mesh.vertices[mesh.triangles]
         area = mesh.tri_area
         contrib = np.empty((mesh.n_triangles, 3, 2))
-        nonzero = False
         for s in range(0, mesh.n_triangles, _BLOCK):
             block = slice(s, s + _BLOCK)
             pts = _map_rule_points(rule, coords[block])
             fvals = case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
-            nonzero = nonzero or bool(np.any(fvals))
             contrib[block] = 2.0 * area[block, None, None] * np.einsum("qi,mqd->mid", wlam, fvals)
-        if nonzero:
-            # per vertex slot i: the u_x entries of all triangles, then the u_y ones
-            slots = 3 * mesh.triangles.T[:, None, :] + np.arange(2)[:, None]  # (3, 2, m)
-            parts.append((slots, contrib.transpose(1, 2, 0)))
+        # per vertex slot i: the u_x entries of all triangles, then the u_y ones
+        slots = 3 * mesh.triangles.T[:, None, :] + np.arange(2)[:, None]  # (3, 2, m)
+        parts.append((slots, contrib.transpose(1, 2, 0)))
 
     if params.formulation != "stabilised-strong":
         t, ew, tu = _edge_trace(mesh, case)

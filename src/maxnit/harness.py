@@ -175,22 +175,22 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
 
     Configs that meet at one (domain, family, level) share one mesh; those
     that also have equal `Params` apart from `corner_strategy` share one
-    assembled matrix, and those that also share the reduced system (equal
-    corner strategy, or any weak formulation) share one LU factorisation.
-    Each case still gets its own right-hand side, strong-BC elimination,
-    solve (refinement and residual gate included) and error norms. One
-    factorisation is alive at a time: a group's LU and matrix are freed
-    before its error norms run.
+    assembled matrix and one LU factorisation (of the matrix for a weak
+    formulation, of the reduced matrix's both-zero core for the strong one).
+    Each config still gets its own right-hand side, strong-BC elimination,
+    bordered solver (border and condition estimate), solve (refinement and
+    residual gate included) and error norms. One factorisation is alive at a
+    time: a group's LU and matrix are freed before its error norms run.
 
-    A row's `wall_ms` is its own time (right-hand side, strong-BC
-    elimination, solve, error norms) plus an equal share of each shared step
-    it took part in: the mesh build, the matrix assembly (which includes the
-    first case's right-hand side) and the factorisation. Reports come
-    back in config order. Every `out_dir` is created, parents included,
-    before the first mesh is built. An exception keeps its type and
-    attributes; its message gains the level, and the study's title when a
-    per-case stage raised it. Every config is validated again first: a
-    frozen config's `levels` list can still be edited in place.
+    A row's `wall_ms` is its own time (the stages just listed) plus an equal
+    share of each shared step it took part in: the mesh build, the matrix
+    assembly (which includes the first config's right-hand side) and the
+    factorisation. Reports come back in config order. Every `out_dir` is
+    created, parents included, before the first mesh is built. An exception
+    keeps its type and attributes; its message gains the level, and the
+    study's title when a per-config stage raised it. Every config is
+    validated again first: a frozen config's `levels` list can still be
+    edited in place.
     """
     for cfg in configs:
         replace(cfg)  # re-runs StudyConfig.__post_init__
@@ -216,8 +216,8 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
                     rep.wall_ms = ms[i]
                     rows[i].append(rep)
                     if "vtk" in cfg.emit:
-                        snap = mio.snapshot_from_solution(mesh, sol, case)
-                        mio.export_vtk(snap, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.vtk")
+                        path = f"{cfg.out_dir}/{_slug(cfg)}_L{level}.vtk"
+                        mio.export_vtk(mesh, path, mio.nodal_fields(mesh, sol, case))
 
     studies = []
     for cfg, reports in zip(configs, rows):
@@ -242,61 +242,37 @@ def _matrix_key(params: Params) -> tuple:
 
 def _solve_group(mesh, level, group, configs, cases, ms) -> list:
     """Solve the configs `group` (indices into `configs` and `cases`), whose
-    params are equal up to the corner strategy, on one mesh against one
-    assembled matrix. The group shares one factorisation: of the matrix for
-    a weak formulation, of the core for the strong one. Returns the
-    solutions in `group` order and charges the stage times to `ms`; the LU
-    and the matrix die with this frame."""
+    params are equal up to the corner strategy, in one pass over one
+    assembled matrix and one LU: of the matrix for a weak formulation, of
+    the core for the strong one, made when the first config gets there.
+    Returns the solutions in `group` order and charges the stage times to
+    `ms`; the LU and the matrix die with this frame."""
     params = configs[group[0]].params
     strong = params.formulation == "stabilised-strong"
     with _stage(f"level {level}", ms, group):
         base = assemble_global(mesh, params, cases[group[0]])
-    # every right-hand side before the LU exists, so that the source
-    # quadrature's temporaries never coexist with the factors; `factorize`
-    # returns the heap they leave to the OS before SuperLU allocates
-    rhs = {group[0]: base.rhs}
-    for i in group[1:]:
-        with _stage(f"level {level}, {_title(configs[i])}", ms, [i]):
-            rhs[i] = masm.assemble_rhs(mesh, cases[i], params)
-    solved = {}
-    lu = None
-    for system_of in _groups(
-        group, lambda i: configs[i].params.corner_strategy if strong else None
-    ):
-        solver = None
-        for i in system_of:
-            cfg = configs[i]
-            where = f"level {level}, {_title(cfg)}"
-            with _stage(where, ms, [i]):
-                system = replace(base, rhs=rhs[i])
-                if strong:
-                    # the reduced matrix depends on the mesh, params and
-                    # corner strategy only; `base` is left as it was
-                    system = apply_strong_bc(system, mesh, cases[i], cfg.params.corner_strategy)
-            if lu is None:
-                with _stage(where, ms, group):
-                    # The core: the reduced matrix without its re-entrant
-                    # corner unknowns, which is the both-zero matrix for every
-                    # corner strategy. The reduced strong systems are
-                    # symmetric quasi-definite, and so is every principal
-                    # submatrix. The stabilised-Nitsche ones are too, but
-                    # keep COLAMD: their fine-level err_p sits at the solve's
-                    # rounding and moves by up to 1.8e-8 under another
-                    # ordering, more than the benchmark's 1e-9 reference
-                    # gate (see `factorize`)
-                    core = core_matrix(system.matrix, system.corner)
-                    lu = factorize(core, quasi_definite=strong)
-                    del core
-            if solver is None:
-                with _stage(where, ms, system_of):
-                    # each strategy's <= 2 unknowns per re-entrant corner
-                    # border the core; an empty border solves with it as is
-                    solver = BorderedLU(lu, system.matrix, system.corner)
-            with _stage(where, ms, [i]):
-                solved[i] = solve(system, lu=solver)
-            if "matrixmarket" in cfg.emit:
-                write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
-    return [solved[i] for i in group]
+    lu, solutions = None, []
+    for i in group:
+        cfg, where = configs[i], f"level {level}, {_title(configs[i])}"
+        with _stage(where, ms, [i]):
+            system = base
+            if i != group[0]:
+                system = replace(base, rhs=masm.assemble_rhs(mesh, cases[i], params))
+            if strong:  # leaves `base` as it was
+                system = apply_strong_bc(system, mesh, cases[i], cfg.params.corner_strategy)
+        if lu is None:
+            with _stage(where, ms, group):
+                # The core, the reduced matrix without its re-entrant corner
+                # unknowns, is the both-zero matrix for every strategy. The
+                # Nitsche systems keep COLAMD: their fine-level err_p sits at
+                # the solve's rounding and moves with the ordering
+                lu = factorize(core_matrix(system.matrix, system.corner), quasi_definite=strong)
+        with _stage(where, ms, [i]):
+            # an empty border (weak, both-zero) solves with the LU as it is
+            solutions.append(solve(system, lu=BorderedLU(lu, system.matrix, system.corner)))
+        if "matrixmarket" in cfg.emit:
+            write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
+    return solutions
 
 
 def _groups(items, key) -> list[list]:
@@ -468,7 +444,7 @@ def _cmd_mesh(args) -> int:
         raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
     mesh = build_mesh(args.domain, args.family, args.level)
     if args.out.endswith(".vtk"):
-        mio.write_mesh_vtk(mesh, args.out)
+        mio.export_vtk(mesh, args.out)
     else:
         save_txt(mesh, args.out)
     print(f"wrote {args.out}: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles")

@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import _coeffs
 from .mesh import Mesh
 from .problems import _eval_or_fill
 
 __all__ = [
-    "FieldSnapshot",
-    "snapshot_from_solution",
+    "nodal_fields",
     "export_vtk",
-    "write_mesh_vtk",
     "write_report_csv",
     "read_report_csv",
 ]
@@ -25,25 +23,12 @@ _CSV_COLUMNS = (
 )
 
 
-@dataclass
-class FieldSnapshot:
-    """Named nodal scalar arrays attached to a mesh."""
-
-    mesh: Mesh
-    fields: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, arr in self.fields.items():
-            if len(arr) != self.mesh.n_vertices:
-                raise ValueError(f"field {name!r} length != number of vertices")
-
-
-def snapshot_from_solution(mesh: Mesh, sol, case) -> FieldSnapshot:
-    """Computed components, p, and the exact counterparts (six arrays)."""
-    coeffs = sol.coeffs if hasattr(sol, "coeffs") else np.asarray(sol)
-    nodal = coeffs.reshape(-1, 3)
+def nodal_fields(mesh: Mesh, sol, case) -> dict:
+    """The computed u_x, u_y and p of a solution (a `SolutionFields` or a
+    coefficient vector) and their exact counterparts, as nodal arrays."""
+    nodal = _coeffs(sol).reshape(-1, 3)
     u_ex = _eval_or_fill(case.exact_u, mesh.vertices, np.nan)  # NaN at a singular corner
-    fields = {
+    return {
         "u_x": nodal[:, 0].copy(),
         "u_y": nodal[:, 1].copy(),
         "p": nodal[:, 2].copy(),
@@ -51,42 +36,31 @@ def snapshot_from_solution(mesh: Mesh, sol, case) -> FieldSnapshot:
         "u_y_exact": u_ex[:, 1],
         "p_exact": case.exact_p(mesh.vertices),
     }
-    return FieldSnapshot(mesh, fields)
 
 
-def _write_vtk_mesh_part(f, mesh: Mesh, title: str) -> None:
-    f.write("# vtk DataFile Version 3.0\n")
-    f.write(f"{title}\n")
-    f.write("ASCII\n")
-    f.write("DATASET UNSTRUCTURED_GRID\n")
-    f.write(f"POINTS {mesh.n_vertices} double\n")
-    for x, y in mesh.vertices:
-        f.write(f"{x:.17g} {y:.17g} 0\n")
+def export_vtk(mesh: Mesh, path: str, fields: dict | None = None) -> None:
+    """Legacy ASCII unstructured-grid file of `mesh`, with one scalar array
+    per entry of `fields` (name -> one value per vertex)."""
+    fields = fields or {}
+    for name, arr in fields.items():
+        if len(arr) != mesh.n_vertices:
+            raise ValueError(f"field {name!r} length != number of vertices")
     m = mesh.n_triangles
-    f.write(f"CELLS {m} {4 * m}\n")
-    for a, b, c in mesh.triangles:
-        f.write(f"3 {a} {b} {c}\n")
-    f.write(f"CELL_TYPES {m}\n")
-    for _ in range(m):
-        f.write("5\n")
-
-
-def export_vtk(snapshot: FieldSnapshot, path: str) -> None:
-    """Legacy ASCII unstructured-grid file with one scalar array per field."""
-    mesh = snapshot.mesh
     with open(path, "w") as f:
-        _write_vtk_mesh_part(f, mesh, "maxnit field snapshot")
-        if snapshot.fields:
+        f.write(
+            "# vtk DataFile Version 3.0\nmaxnit field snapshot\nASCII\n"
+            f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_vertices} double\n"
+        )
+        # lists of Python floats format faster than numpy scalars, same digits
+        f.write("".join(f"{x:.17g} {y:.17g} 0\n" for x, y in mesh.vertices.tolist()))
+        f.write(f"CELLS {m} {4 * m}\n")
+        f.write("".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()))
+        f.write(f"CELL_TYPES {m}\n" + "5\n" * m)
+        if fields:
             f.write(f"POINT_DATA {mesh.n_vertices}\n")
-            for name, arr in snapshot.fields.items():
-                f.write(f"SCALARS {name} double 1\n")
-                f.write("LOOKUP_TABLE default\n")
-                for v in arr:
-                    f.write(f"{v:.17g}\n")
-
-
-def write_mesh_vtk(mesh: Mesh, path: str) -> None:
-    export_vtk(FieldSnapshot(mesh, {}), path)
+            for name, arr in fields.items():
+                f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                f.write("".join(f"{v:.17g}\n" for v in np.asarray(arr, float).tolist()))
 
 
 def _fmt(value) -> str:

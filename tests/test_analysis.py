@@ -173,3 +173,20 @@ def test_boundary_data_norm_scales_with_h():
     # the trace term grows like h^(-1/2)
     assert fine > coarse
     assert np.isfinite(coarse) and coarse > 0.0
+
+
+def test_zero_source_data_norm_is_the_trace_term_alone():
+    mesh = gen_lshape(4)
+    params = Params(nu=1.3, L0=0.5, c_u=1.0)
+    case = lshape_case(2)
+    # the quadrature of the unflagged case sums squares of exact zeros
+    assert boundary_data_norm(mesh, case, params) == boundary_data_norm(
+        mesh, replace(case, zero_source=False), params
+    )
+
+
+def test_zero_source_flag_with_a_nonzero_source_raises():
+    mesh = gen_square_uniform(4)
+    case = replace(square_case(), zero_source=True)
+    with pytest.raises(ValueError, match="zero_source"):
+        boundary_data_norm(mesh, case, Params())

@@ -1,0 +1,52 @@
+"""tools/compare_presets.py: the field-by-field comparison of two CSV sets."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_presets.py"
+HEADER = "h,err_u,wall_ms,triple\n"
+
+
+def load_tool(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("compare_presets", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write(directory, name, rows):
+    directory.mkdir(exist_ok=True)
+    (directory / name).write_text(HEADER + "".join(row + "\n" for row in rows))
+
+
+def test_identical_apart_from_wall_ms(monkeypatch, tmp_path, capsys):
+    tool = load_tool(monkeypatch)
+    write(tmp_path / "a", "s.csv", ["0.5,1e-3,12.5,", "0.25,2.5e-4,40.1,3"])
+    write(tmp_path / "b", "s.csv", ["0.5,1e-3,13.0,", "0.25,2.5e-4,38.7,3"])
+    assert tool.compare(tmp_path / "a", tmp_path / "b") == (6, 0.0)
+    assert capsys.readouterr().out.splitlines() == [
+        "1 CSVs, 6 fields compared, largest relative difference 0.00e+00"
+    ]
+
+
+def test_reports_each_difference_and_its_size(monkeypatch, tmp_path, capsys):
+    tool = load_tool(monkeypatch)
+    write(tmp_path / "a", "s.csv", ["0.5,1.0000000000e-3,1,", "0.25,2e-4,1,3"])
+    write(tmp_path / "b", "s.csv", ["0.5,1.0000000001e-3,1,", "0.25,2e-4,1,"])
+    write(tmp_path / "a", "gone.csv", [])
+    fields, worst = tool.compare(tmp_path / "a", tmp_path / "b")
+    out = capsys.readouterr().out
+    assert fields == 6 and math.isinf(worst)
+    assert "s.csv row 0 err_u" in out and "(rel 1.00e-10)" in out
+    assert "s.csv row 1 triple: 3 ->  (rel inf)" in out
+    assert "gone.csv: only in parent" in out
+
+
+def test_the_gate_is_relative_1e_9(monkeypatch, tmp_path):
+    tool = load_tool(monkeypatch)
+    write(tmp_path / "a", "s.csv", ["1,1.0,0,"])
+    write(tmp_path / "b", "s.csv", ["1,1.000000002,0,"])
+    assert tool.compare(tmp_path / "a", tmp_path / "b")[1] > tool.REL_TOL == 1e-9

@@ -284,6 +284,32 @@ class TestRunStudies:
         for study, ref in zip(studies, alone):
             assert replace(study.reports[0], wall_ms=0.0) == replace(ref, wall_ms=0.0)
 
+    def test_lone_bordered_study_matches_direct_composition(self, monkeypatch):
+        # a `free` study alone: the group's first system has a border, so the
+        # LU is of a cut core, not of the reduced matrix itself
+        params = replace(LSHAPE, formulation="stabilised-strong", corner_strategy="free")
+        cfg = StudyConfig("lshape:1", "crisscross", [8], params)
+        case = build_case(cfg.case, params.nu)
+        mesh = build_mesh(cfg.case, cfg.family, 8)
+        system = assembly.apply_strong_bc(assemble_global(mesh, params, case), mesh, case, "free")
+        assert len(system.corner) == 2
+        sol = linsolve.solve(system, lu=linsolve.factorize(system.matrix, quasi_definite=True))
+        direct = l2_errors(mesh, sol, case)
+        direct.triple = triple_norm(mesh, sol, params)
+        direct.data_norm = boundary_data_norm(mesh, case, params)
+        shapes = []
+        factorize = harness.factorize
+
+        def keep_shape(matrix, **kwargs):
+            shapes.append(matrix.shape)
+            return factorize(matrix, **kwargs)
+
+        monkeypatch.setattr(harness, "factorize", keep_shape)
+        (rep,) = run_study(cfg).reports
+        assert shapes == [(system.matrix.shape[0] - 2,) * 2]
+        for name in ("err_u", "err_curl", "err_p", "triple", "data_norm"):
+            assert getattr(rep, name) == pytest.approx(getattr(direct, name), rel=1e-12, abs=0.0)
+
     def test_wall_ms_follows_the_sharing_rule(self, monkeypatch):
         # a clock that only the stages advance, each by its own power of two
         clock = SimpleNamespace(s=0.0)
@@ -312,17 +338,17 @@ class TestRunStudies:
         studies = run_studies(batch)
         # README rule: the mesh is shared by all six configs, each assembly
         # (with its first case's RHS) and each LU (the strong core, Nitsche)
-        # by three; each bordered solver (border and condition estimate) by
-        # the configs of its reduced system
+        # by three; each config has its own bordered solver (border and
+        # condition estimate), solve and norms
         shared = 1 / 6 + (2 + 4 + 16) / 3
-        own = 32 + 64 + 128 + 256  # solve and norms
+        own = 512 + 32 + 64 + 128 + 256
         expected = {
-            "bz1": shared + 8 + 512 / 2 + own,
-            "bz2": shared + 4 + 8 + 512 / 2 + own,
-            "free4": shared + 4 + 8 + 512 + own,
-            "nitsche1": shared + 512 / 3 + own,
-            "nitsche2": shared + 4 + 512 / 3 + own,
-            "nitsche4": shared + 4 + 512 / 3 + own,
+            "bz1": shared + 8 + own,
+            "bz2": shared + 4 + 8 + own,
+            "free4": shared + 4 + 8 + own,
+            "nitsche1": shared + own,
+            "nitsche2": shared + 4 + own,
+            "nitsche4": shared + 4 + own,
         }
         wall = {s.config.label: s.reports[0].wall_ms for s in studies}
         assert wall == pytest.approx({k: 1e3 * v for k, v in expected.items()}, rel=1e-12)

@@ -5,14 +5,7 @@ import pytest
 
 from maxnit.assembly import Params, assemble_global
 from maxnit.harness import StudyReport, StudyConfig, default_configs, run_study
-from maxnit.io import (
-    FieldSnapshot,
-    export_vtk,
-    read_report_csv,
-    snapshot_from_solution,
-    write_mesh_vtk,
-    write_report_csv,
-)
+from maxnit.io import export_vtk, nodal_fields, read_report_csv, write_report_csv
 from maxnit.linsolve import solve
 from maxnit.mesh import gen_lshape, gen_square_uniform
 from maxnit.problems import lshape_case, square_case
@@ -44,9 +37,8 @@ LOOKUP_TABLE default
 
 def test_vtk_golden_file(tmp_path):
     mesh = gen_square_uniform(1)
-    snap = FieldSnapshot(mesh, {"ones": np.ones(4)})
     path = tmp_path / "golden.vtk"
-    export_vtk(snap, str(path))
+    export_vtk(mesh, str(path), {"ones": np.ones(4)})
     assert path.read_text() == GOLDEN_VTK
 
 
@@ -54,18 +46,18 @@ def test_snapshot_contains_six_arrays():
     mesh = gen_square_uniform(4)
     case = square_case()
     sol = solve(assemble_global(mesh, Params(L0=0.1, c_u=0.1), case))
-    snap = snapshot_from_solution(mesh, sol, case)
-    assert set(snap.fields) == {"u_x", "u_y", "p", "u_x_exact", "u_y_exact", "p_exact"}
-    assert all(len(a) == mesh.n_vertices for a in snap.fields.values())
+    fields = nodal_fields(mesh, sol, case)
+    assert set(fields) == {"u_x", "u_y", "p", "u_x_exact", "u_y_exact", "p_exact"}
+    assert all(len(a) == mesh.n_vertices for a in fields.values())
 
 
 def test_snapshot_singular_corner_is_nan():
     mesh = gen_lshape(4)
-    snap = snapshot_from_solution(mesh, np.zeros(3 * mesh.n_vertices), lshape_case(1))
+    fields = nodal_fields(mesh, np.zeros(3 * mesh.n_vertices), lshape_case(1))
     corner = np.hypot(*mesh.vertices.T) < 1e-14
     assert corner.sum() == 1
-    assert np.isnan(snap.fields["u_x_exact"][corner]).all()
-    assert np.isfinite(snap.fields["u_x_exact"][~corner]).all()
+    assert np.isnan(fields["u_x_exact"][corner]).all()
+    assert np.isfinite(fields["u_x_exact"][~corner]).all()
 
 
 def test_snapshot_propagates_other_field_errors():
@@ -75,19 +67,21 @@ def test_snapshot_propagates_other_field_errors():
     mesh = gen_square_uniform(2)
     case = replace(square_case(), exact_u=broken)
     with pytest.raises(TypeError, match="bad field"):
-        snapshot_from_solution(mesh, np.zeros(3 * mesh.n_vertices), case)
+        nodal_fields(mesh, np.zeros(3 * mesh.n_vertices), case)
 
 
-def test_snapshot_length_validation():
+def test_snapshot_length_validation(tmp_path):
     mesh = gen_square_uniform(1)
+    path = tmp_path / "bad.vtk"
     with pytest.raises(ValueError):
-        FieldSnapshot(mesh, {"bad": np.ones(3)})
+        export_vtk(mesh, str(path), {"bad": np.ones(3)})
+    assert not path.exists()
 
 
 def test_vtk_structure_is_consistent(tmp_path):
     mesh = gen_square_uniform(3)
     path = tmp_path / "mesh.vtk"
-    write_mesh_vtk(mesh, str(path))
+    export_vtk(mesh, str(path))
     lines = path.read_text().splitlines()
     n_pts = int(next(l for l in lines if l.startswith("POINTS")).split()[1])
     assert n_pts == mesh.n_vertices
