@@ -21,7 +21,6 @@ from .quadrature import subdivide_triangle_rule, triangle_rule
 
 __all__ = [
     "ErrorReport",
-    "nodal_interpolant",
     "l2_errors",
     "triple_norm",
     "boundary_data_norm",
@@ -56,15 +55,6 @@ def _coeffs(sol) -> np.ndarray:
 def _udofs(nodal: np.ndarray) -> np.ndarray:
     """Interleaved (u_x, u_y) element vectors from nodal (..., 3, [ux, uy, p])."""
     return nodal[..., :2].reshape(nodal.shape[:-2] + (6,))
-
-
-def nodal_interpolant(mesh: Mesh, case: ProblemCase) -> np.ndarray:
-    """Coefficients of the vertex interpolant of the exact solution."""
-    u = case.exact_u(mesh.vertices)
-    out = np.zeros(3 * mesh.n_vertices)
-    out[0::3] = u[:, 0]
-    out[1::3] = u[:, 1]
-    return out
 
 
 def _rule_parts(mesh: Mesh, case: ProblemCase, degree: int, subdivide: int | None):

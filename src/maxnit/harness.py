@@ -29,11 +29,9 @@ from .assembly import (
     write_matrix_market,
 )
 from .linsolve import (
-    BorderedLU,
     ResidualError,
     SingularSystemError,
-    core_matrix,
-    factorize,
+    factorize_system,
     solve,
 )
 from .mesh import (
@@ -141,14 +139,6 @@ class StudyReport:
     rates_u: list  # None for the first level
     rates_curl: list
 
-    @property
-    def final_rate_u(self):
-        return self.rates_u[-1] if len(self.reports) > 1 else None
-
-    @property
-    def final_rate_curl(self):
-        return self.rates_curl[-1] if len(self.reports) > 1 else None
-
 
 def build_case(name: str, nu: float = 1.0) -> ProblemCase:
     if name not in _CASES:
@@ -196,7 +186,7 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
         replace(cfg)  # re-runs StudyConfig.__post_init__
     cases = [build_case(c.case, c.params.nu) for c in configs]
     # an unwritable output directory fails here, not after the studies ran
-    for out_dir in sorted({c.out_dir for c in configs} - {None}):
+    for out_dir in dict.fromkeys(os.fspath(c.out_dir) for c in configs if c.out_dir is not None):
         os.makedirs(out_dir, exist_ok=True)
     rows: list[list[ErrorReport]] = [[] for _ in configs]
     for level in sorted({lv for c in configs for lv in c.levels}):
@@ -243,12 +233,10 @@ def _matrix_key(params: Params) -> tuple:
 def _solve_group(mesh, level, group, configs, cases, ms) -> list:
     """Solve the configs `group` (indices into `configs` and `cases`), whose
     params are equal up to the corner strategy, in one pass over one
-    assembled matrix and one LU: of the matrix for a weak formulation, of
-    the core for the strong one, made when the first config gets there.
-    Returns the solutions in `group` order and charges the stage times to
-    `ms`; the LU and the matrix die with this frame."""
+    assembled matrix and one LU (`factorize_system`'s), made when the first
+    config gets there. Returns the solutions in `group` order and charges
+    the stage times to `ms`; the LU and the matrix die with this frame."""
     params = configs[group[0]].params
-    strong = params.formulation == "stabilised-strong"
     with _stage(f"level {level}", ms, group):
         base = assemble_global(mesh, params, cases[group[0]])
     lu, solutions = None, []
@@ -258,18 +246,13 @@ def _solve_group(mesh, level, group, configs, cases, ms) -> list:
             system = base
             if i != group[0]:
                 system = replace(base, rhs=masm.assemble_rhs(mesh, cases[i], params))
-            if strong:  # leaves `base` as it was
+            if params.formulation == "stabilised-strong":  # leaves `base` as it was
                 system = apply_strong_bc(system, mesh, cases[i], cfg.params.corner_strategy)
         if lu is None:
             with _stage(where, ms, group):
-                # The core, the reduced matrix without its re-entrant corner
-                # unknowns, is the both-zero matrix for every strategy. The
-                # Nitsche systems keep COLAMD: their fine-level err_p sits at
-                # the solve's rounding and moves with the ordering
-                lu = factorize(core_matrix(system.matrix, system.corner), quasi_definite=strong)
+                lu = factorize_system(system)
         with _stage(where, ms, [i]):
-            # an empty border (weak, both-zero) solves with the LU as it is
-            solutions.append(solve(system, lu=BorderedLU(lu, system.matrix, system.corner)))
+            solutions.append(solve(system, lu=lu))
         if "matrixmarket" in cfg.emit:
             write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
     return solutions

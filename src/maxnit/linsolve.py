@@ -17,6 +17,7 @@ __all__ = [
     "BorderedLU",
     "core_matrix",
     "factorize",
+    "factorize_system",
     "solve",
 ]
 
@@ -67,13 +68,8 @@ def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
     permutation (the stabilised-strong reduced systems). Every symmetric
     ordering of such a matrix factors stably without pivoting (Vanderbei,
     SIAM J. Optim. 1995), so the factorisation then takes the minimum degree
-    ordering of A^T + A on the diagonal, with 2.3-3.3x less fill. The
-    stabilised-Nitsche systems are quasi-definite too, but their fine-level
-    pressure errors sit at the solve's rounding level and move by up to
-    1.8e-8 relative under another ordering; they keep the default until the
-    reported numbers stop depending on the factorisation. The
-    Galerkin-Nitsche pressure block is zero inside the domain: not
-    quasi-definite.
+    ordering of A^T + A on the diagonal, with 2.3-3.3x less fill.
+    `factorize_system` decides which systems take it.
 
     Raises SingularSystemError when the factorisation breaks down or the
     1-norm condition estimate ||A||_1 * est(||A^-1||_1) is not below
@@ -128,6 +124,28 @@ def core_matrix(matrix, border):
         return matrix
     keep = np.delete(np.arange(matrix.shape[0]), border)
     return matrix[keep][:, keep]
+
+
+def factorize_system(system: LinearSystem) -> spla.SuperLU:
+    """The LU that `solve` borders: of `system`'s core,
+    `core_matrix(system.matrix, system.corner)`, which is the matrix itself
+    for a weak system and the both-zero matrix for every corner strategy,
+    so the strategies of one matrix can share it.
+
+    A strong reduction (`system.transform` set) takes `factorize`'s
+    quasi-definite symmetric ordering. Its precondition holds for the
+    stabilised-strong reductions (`test_reduced_strong_system_is_quasi_definite`).
+    A Galerkin-Nitsche matrix reduced strongly is not quasi-definite, its
+    pressure block being zero inside the domain; where the diagonal pivots
+    break down on it, the condition check raises SingularSystemError. Every
+    other system takes COLAMD with partial pivoting. The stabilised-Nitsche
+    systems are quasi-definite too, but their fine-level pressure errors sit
+    at the solve's rounding level and move by up to 1.8e-8 relative under
+    another ordering; they keep COLAMD until the reported numbers stop
+    depending on the factorisation.
+    """
+    core = core_matrix(system.matrix, system.corner)
+    return factorize(core, quasi_definite=system.transform is not None)
 
 
 class BorderedLU:
@@ -257,21 +275,22 @@ def _inverse_norm1(lu, n: int) -> float:
 
 
 def solve(system: LinearSystem, lu=None) -> SolutionFields:
-    """LU solve plus iterative refinement.
+    """LU solve plus iterative refinement, through
+    `BorderedLU(lu, system.matrix, system.corner)`.
 
-    `lu` solves with `system.matrix`: a factorisation from `factorize` or a
-    `BorderedLU`, shared by systems that differ only in the right-hand
-    side; without it the matrix is factorised here. Raises
-    SingularSystemError when the factorisation breaks down or yields
-    non-finite values, ResidualError when refinement cannot reach
-    `_RESIDUAL_TOL`.
+    `lu` is the LU of the system's core as `factorize_system` returns it:
+    its own, or that of a system with the same matrix up to the right-hand
+    side or the corner strategy (the configs of one study group share it).
+    Without it the core is factorised here. Raises ValueError when `lu` is
+    not of the core's shape, SingularSystemError when the factorisation or
+    the border breaks down or yields non-finite values, ResidualError when
+    refinement cannot reach `_RESIDUAL_TOL`.
     """
     a = system.matrix
     b = system.rhs
     if lu is None:
-        lu = factorize(a)
-    elif lu.shape != a.shape:
-        raise ValueError(f"factorisation of shape {lu.shape} for a {a.shape} system")
+        lu = factorize_system(system)
+    lu = BorderedLU(lu, a, system.corner)
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorisation produced non-finite values")

@@ -23,7 +23,6 @@ __all__ = [
     "gen_lshape_uniform",
     "powell_sabin_refine",
     "map_to_curved_l",
-    "mesh_stats",
     "validate_mesh",
     "save_txt",
 ]
@@ -360,27 +359,6 @@ def map_to_curved_l(m: Mesh) -> Mesh:
     # same triangles, so the same boundary edges in the same order as `m`
     tags = np.where(on_arc, "arc", m.edge_tag)
     return _build(verts, m.triangles, "curved-l", tag_edges=lambda _: tags)
-
-
-def mesh_stats(m: Mesh) -> dict:
-    """Basic size and quality report; min_angle is in degrees."""
-    p = m.vertices[m.triangles]
-    angles = []
-    for i in range(3):
-        u = p[:, (i + 1) % 3] - p[:, i]
-        v = p[:, (i + 2) % 3] - p[:, i]
-        cosang = (u * v).sum(axis=1) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        )
-        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-    return {
-        "h": m.h,
-        "n_vertices": m.n_vertices,
-        "n_triangles": m.n_triangles,
-        "n_boundary_edges": m.n_boundary_edges,
-        "min_area": float(m.tri_area.min()),
-        "min_angle": float(np.min(angles)),
-    }
 
 
 def validate_mesh(m: Mesh) -> None:

@@ -179,3 +179,37 @@ def random_ccw_triangle(rng, min_area=0.05):
             a = -a
         if a > min_area:
             return coords
+
+
+# --- mesh and field helpers -----------------------------------------------
+
+
+def mesh_stats(m) -> dict:
+    """Basic size and quality report; min_angle is in degrees."""
+    p = m.vertices[m.triangles]
+    angles = []
+    for i in range(3):
+        u = p[:, (i + 1) % 3] - p[:, i]
+        v = p[:, (i + 2) % 3] - p[:, i]
+        cosang = (u * v).sum(axis=1) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        )
+        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    return {
+        "h": m.h,
+        "n_vertices": m.n_vertices,
+        "n_triangles": m.n_triangles,
+        "n_boundary_edges": m.n_boundary_edges,
+        "min_area": float(m.tri_area.min()),
+        "min_angle": float(np.min(angles)),
+    }
+
+
+def nodal_interpolant(mesh, case) -> np.ndarray:
+    """Interleaved (u_x, u_y, p) coefficients of the vertex interpolant of
+    the exact solution, with p = 0."""
+    u = case.exact_u(mesh.vertices)
+    out = np.zeros(3 * mesh.n_vertices)
+    out[0::3] = u[:, 0]
+    out[1::3] = u[:, 1]
+    return out

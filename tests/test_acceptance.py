@@ -261,8 +261,8 @@ def test_c05_lshape_crisscross_rates(study_t3):
     ref_c = {1: 1.26, 2: 1.99, 4: 3.00}
     failures = []
     for n, report in studies.items():
-        ru = report.final_rate_u
-        rc = report.final_rate_curl
+        ru = report.rates_u[-1]
+        rc = report.rates_curl[-1]
         _check(failures, abs(ru - ref_u[n]) <= tol_u, f"n={n}: rate_u {ru:.3f} vs {ref_u[n]}")
         _check(failures, abs(rc - ref_c[n]) <= tol_c, f"n={n}: rate_curl {rc:.3f} vs {ref_c[n]}")
     # the n=1 sequence reproduces the full documented rate history
@@ -272,7 +272,7 @@ def test_c05_lshape_crisscross_rates(study_t3):
         errs = [r.err_u for r in report.reports]
         _check(failures, errs == sorted(errs, reverse=True), f"n={n}: err_u not decreasing")
     _check(failures, elapsed < 300.0, f"runtime {elapsed:.0f}s over 5min budget")
-    rates = ", ".join(f"n={n}:{s.final_rate_u:.2f}/{s.final_rate_curl:.2f}" for n, s in studies.items())
+    rates = ", ".join(f"n={n}:{s.rates_u[-1]:.2f}/{s.rates_curl[-1]:.2f}" for n, s in studies.items())
     _report("C5 lshape-rates", failures, f"({PROFILE} profile, {rates})")
 
 
@@ -321,9 +321,9 @@ def test_c07_curved_domain_rates(study_t6_final_pair):
     ref = {1: 0.69, 2: 1.40, 4: 2.06}
     failures = []
     for n, report in study_t6_final_pair.items():
-        rate = report.final_rate_u
+        rate = report.rates_u[-1]
         _check(failures, abs(rate - ref[n]) <= 0.25, f"n={n}: rate_u {rate:.3f} vs {ref[n]}")
-    rates = ", ".join(f"n={n}:{s.final_rate_u:.2f}" for n, s in study_t6_final_pair.items())
+    rates = ", ".join(f"n={n}:{s.rates_u[-1]:.2f}" for n, s in study_t6_final_pair.items())
     _report("C7 curved-rates", failures, f"({rates})")
 
 

@@ -8,7 +8,6 @@ from maxnit.analysis import (
     boundary_data_norm,
     convergence_rate,
     l2_errors,
-    nodal_interpolant,
     triple_norm,
 )
 from maxnit.assembly import Params, assemble_global
@@ -21,6 +20,8 @@ from maxnit.mesh import (
     powell_sabin_refine,
 )
 from maxnit.problems import ProblemCase, _vectorised, lshape_case, square_case
+
+from conftest import nodal_interpolant
 
 
 def linear_case():

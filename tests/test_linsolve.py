@@ -16,7 +16,7 @@ from maxnit.assembly import (
     apply_strong_bc,
     assemble_global,
 )
-from maxnit.harness import _MESHES, StudyConfig, build_case, build_mesh, run_study
+from maxnit.harness import _MESHES, StudyConfig, build_case, build_mesh, run_studies, run_study
 from maxnit.linsolve import (
     BorderedLU,
     ResidualError,
@@ -24,6 +24,7 @@ from maxnit.linsolve import (
     _inverse_norm1,
     core_matrix,
     factorize,
+    factorize_system,
     solve,
 )
 from maxnit.mesh import gen_square_crisscross, gen_square_uniform
@@ -153,22 +154,25 @@ def test_reduced_strong_system_is_quasi_definite(name, corner_strategy):
     np.linalg.cholesky(-a[p_cols][:, p_cols].toarray())
 
 
+def unbordered(system):
+    """`system` without its border: `solve` takes an LU of the whole matrix."""
+    return replace(system, corner=np.zeros(0, dtype=np.intp))
+
+
 @pytest.mark.parametrize("corner_strategy", CORNER_STRATEGIES)
 @pytest.mark.parametrize("name", sorted(STRONG_SYSTEMS))
 def test_quasi_definite_ordering_changes_errors_by_rounding_only(name, corner_strategy):
+    # the symmetric-ordered, bordered solve against COLAMD on the whole matrix
     mesh, case, system = reduced_strong_system(name, corner_strategy)
-    default, symmetric = (
-        l2_errors(mesh, solve(system, lu=factorize(system.matrix, quasi_definite=q)), case)
-        for q in (False, True)
-    )
+    default = l2_errors(mesh, solve(unbordered(system), lu=factorize(system.matrix)), case)
+    symmetric = l2_errors(mesh, solve(system), case)
     for field in ("err_u", "err_curl", "err_p"):
         assert getattr(symmetric, field) == pytest.approx(getattr(default, field), rel=1e-12)
 
 
 def bordered(system):
     """The solver of `system` through the LU of its core."""
-    core = factorize(core_matrix(system.matrix, system.corner), quasi_definite=True)
-    return BorderedLU(core, system.matrix, system.corner)
+    return BorderedLU(factorize_system(system), system.matrix, system.corner)
 
 
 @pytest.mark.parametrize("corner_strategy", CORNER_STRATEGIES)
@@ -183,7 +187,7 @@ def test_bordered_solve_equals_own_factorisation(name, corner_strategy):
     b = system.rhs
     ref = own.solve(b)
     assert np.abs(solver.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
-    refined, direct = solve(system, lu=solver), solve(system, lu=own)
+    refined, direct = solve(system), solve(unbordered(system), lu=own)
     assert refined.residual <= 1e-12
     diff = np.abs(refined.coeffs - direct.coeffs).max()
     assert diff <= 1e-12 * np.abs(direct.coeffs).max()
@@ -232,6 +236,40 @@ def test_shape_mismatch_is_rejected():
     own = factorize(system.matrix, quasi_definite=True)
     with pytest.raises(ValueError, match="border unknowns"):
         BorderedLU(own, system.matrix, system.corner)
+
+
+def test_lone_solve_takes_the_study_path(monkeypatch):
+    # `solve(system)` factors and borders a strong system as `run_studies`
+    # does for a group of corner strategies: same errors, bit for bit
+    case_name, family, level, params = STRONG_SYSTEMS["lshape-crisscross-8"]
+    params = replace(params, formulation="stabilised-strong")
+    configs = [
+        StudyConfig(case_name, family, [level], replace(params, corner_strategy=s))
+        for s in CORNER_STRATEGIES
+    ]
+    studies = run_studies(configs)
+    calls = []
+    monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
+    for strategy, study in zip(CORNER_STRATEGIES, studies):
+        mesh, case, system = reduced_strong_system("lshape-crisscross-8", strategy)
+        lone = l2_errors(mesh, solve(system), case)
+        [((handed,), options)] = calls
+        calls.clear()
+        assert options["permc_spec"] == "MMD_AT_PLUS_A"
+        assert handed.shape == (system.matrix.shape[0] - len(system.corner),) * 2
+        for field in ("h", "dofs", "err_u", "err_curl", "err_p"):
+            assert getattr(lone, field) == getattr(study.reports[0], field)
+
+
+@pytest.mark.parametrize("name", ["lshape-crisscross-8", "lshape-powell-sabin-4"])
+def test_galerkin_system_reduced_strongly_is_rejected(name):
+    # not quasi-definite (zero pressure block inside the domain), so the
+    # diagonal pivots of the symmetric ordering break down
+    case_name, family, level, params = STRONG_SYSTEMS[name]
+    mesh, case = build_mesh(case_name, family, level), build_case(case_name)
+    full = assemble_global(mesh, replace(params, formulation="galerkin-nitsche"), case)
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        solve(apply_strong_bc(full, mesh, case, "both-zero"))
 
 
 def small_bordered_systems(rng):
@@ -358,6 +396,16 @@ def test_symmetric_matrix_reaches_superlu_without_a_copy(monkeypatch, kind):
     assert np.shares_memory(handed.indices, system.matrix.indices)
     copied = spla.splu(system.matrix.tocsc(), **options)
     assert np.array_equal(lu.solve(system.rhs), copied.solve(system.rhs))
+
+
+def test_weak_system_is_factorised_whole_by_colamd(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
+    system = HANDOFF_SYSTEMS["weak"]()
+    factorize_system(system)
+    [((handed,), options)] = calls
+    assert options == {}
+    assert handed.shape == system.matrix.shape
 
 
 @pytest.mark.parametrize("structural", [False, True])

@@ -14,11 +14,12 @@ from maxnit.mesh import (
     gen_square_crisscross,
     gen_square_uniform,
     map_to_curved_l,
-    mesh_stats,
     powell_sabin_refine,
     save_txt,
     validate_mesh,
 )
+
+from conftest import mesh_stats
 
 
 def test_square_uniform_smallest():
