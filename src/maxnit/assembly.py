@@ -131,7 +131,6 @@ class LinearSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    dofmap: DofMap
     transform: sp.csr_matrix | None = None
     offset: np.ndarray | None = None
     corner: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
@@ -342,13 +341,19 @@ def _triplets(groups, n_dofs):
     return vals, (rows, cols)
 
 
+def _symmetrise(a) -> sp.csr_matrix:
+    """(a + a^T) / 2 in CSR form, exactly symmetric; `a` is a sparse matrix
+    that is symmetric up to rounding."""
+    a = a.tocsr()
+    a = a + a.T
+    a.data *= 0.5
+    return a
+
+
 def _scatter(groups, n_dofs) -> sp.csr_matrix:
     """Sum of the element blocks of `groups` (see `_triplets`), made exactly
     symmetric."""
-    a = sp.coo_matrix(_triplets(groups, n_dofs), shape=(n_dofs, n_dofs)).tocsr()
-    a = a + a.T  # blocks are symmetric; enforce exact symmetry
-    a.data *= 0.5
-    return a
+    return _symmetrise(sp.coo_matrix(_triplets(groups, n_dofs), shape=(n_dofs, n_dofs)))
 
 
 def _assemble_matrix(mesh: Mesh, params: Params) -> sp.csr_matrix:
@@ -383,7 +388,7 @@ def assemble_global(mesh: Mesh, params: Params, case: ProblemCase) -> LinearSyst
     are freed before the right-hand side is assembled."""
     matrix = _assemble_matrix(mesh, params)
     rhs = assemble_rhs(mesh, case, params)
-    return LinearSystem(matrix, rhs, DofMap(mesh.n_vertices))
+    return LinearSystem(matrix, rhs)
 
 
 def _boundary_vertex_info(mesh: Mesh):
@@ -426,8 +431,7 @@ def apply_strong_bc(
     """
     if corner_strategy not in CORNER_STRATEGIES:
         raise ValueError(f"unknown corner strategy {corner_strategy!r}")
-    dofs = system.dofmap
-    n_full = dofs.n_dofs
+    n_full = system.matrix.shape[0]
     vb, e_in, e_out = _boundary_vertex_info(mesh)
     n_a, n_b = mesh.edge_normal[e_in], mesh.edge_normal[e_out]
     turn = n_a[:, 0] * n_b[:, 1] - n_a[:, 1] * n_b[:, 0]  # sign of the CCW boundary turn
@@ -467,13 +471,11 @@ def apply_strong_bc(
         (vals[mapped], (np.flatnonzero(mapped), cols[mapped])),
         shape=(n_full, int(n_cols.sum())),
     ).tocsr()
-    reduced = (transform.T @ system.matrix @ transform).tocsr()
-    reduced = reduced + reduced.T
-    reduced.data *= 0.5
+    reduced = _symmetrise(transform.T @ system.matrix @ transform)
     rhs = transform.T @ (system.rhs - system.matrix @ offset)
     vr = vb[reentrant]
     corner = cols[vr][np.arange(3) < n_cols[vr][:, None]]
-    return LinearSystem(reduced, rhs, dofs, transform=transform, offset=offset, corner=corner)
+    return LinearSystem(reduced, rhs, transform=transform, offset=offset, corner=corner)
 
 
 def write_matrix_market(system: LinearSystem, path: str) -> None:

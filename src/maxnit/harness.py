@@ -108,6 +108,8 @@ class StudyConfig:
                 raise ConfigError(f"{name} must be a string")
         if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
             raise ConfigError("out_dir must be a path")
+        if any(sep and sep in self.label for sep in ("/", os.sep, os.altsep)):
+            raise ConfigError(f"label {self.label!r} holds a path separator")
         if self.case not in _CASES:
             raise ConfigError(f"unknown case {self.case!r}")
         if self.family not in _FAMILIES:
@@ -180,10 +182,18 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
     keeps its type and attributes; its message gains the level, and the
     study's title when a per-config stage raised it. Every config is
     validated again first: a frozen config's `levels` list can still be
-    edited in place.
+    edited in place. Two configs that write files to the same directory
+    under the same name raise ConfigError before any work.
     """
+    writers: dict = {}
     for cfg in configs:
         replace(cfg)  # re-runs StudyConfig.__post_init__
+        if set(cfg.emit) - {"markdown"}:
+            key = (os.path.abspath(cfg.out_dir), _slug(cfg))
+            if key in writers:
+                raise ConfigError(f"studies {_title(writers[key])!r} and {_title(cfg)!r} "
+                                  f"both write {key[1]!r} files to {key[0]}")
+            writers[key] = cfg
     cases = [build_case(c.case, c.params.nu) for c in configs]
     # an unwritable output directory fails here, not after the studies ran
     for out_dir in dict.fromkeys(os.fspath(c.out_dir) for c in configs if c.out_dir is not None):
@@ -409,8 +419,7 @@ def _cmd_run(args) -> int:
     if args.preset:
         presets = default_configs()
         if args.preset not in presets:
-            print(f"unknown preset {args.preset!r}; see `maxnit presets`", file=sys.stderr)
-            return 2
+            raise ConfigError(f"unknown preset {args.preset!r}; see `maxnit presets`")
         configs = [replace(cfg, **overrides) for cfg in presets[args.preset]]
     else:
         configs = [_config_from_json(args.config, overrides)]

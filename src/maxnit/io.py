@@ -68,26 +68,15 @@ def _fmt(value) -> str:
 
 
 def write_report_csv(report, path: str) -> None:
-    """One row per refinement level, 17-significant-digit floats; a blank
+    """One row per refinement level, the fields of `_CSV_COLUMNS` in order,
+    every number to 17 significant digits (the dofs count exactly); a blank
     field is a rate of the first level or a norm that was not computed."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(_CSV_COLUMNS)
         for rep, ru, rc in zip(report.reports, report.rates_u, report.rates_curl):
-            writer.writerow(
-                [
-                    _fmt(rep.h),
-                    rep.dofs,
-                    _fmt(rep.err_u),
-                    _fmt(ru),
-                    _fmt(rep.err_curl),
-                    _fmt(rc),
-                    _fmt(rep.err_p),
-                    _fmt(rep.wall_ms),
-                    _fmt(rep.triple),
-                    _fmt(rep.data_norm),
-                ]
-            )
+            row = {**vars(rep), "rate_u": ru, "rate_curl": rc}
+            writer.writerow([_fmt(row[key]) for key in _CSV_COLUMNS])
 
 
 def read_report_csv(path: str) -> list[dict]:

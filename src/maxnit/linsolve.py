@@ -132,20 +132,19 @@ def factorize_system(system: LinearSystem) -> spla.SuperLU:
     for a weak system and the both-zero matrix for every corner strategy,
     so the strategies of one matrix can share it.
 
-    A strong reduction (`system.transform` set) takes `factorize`'s
-    quasi-definite symmetric ordering. Its precondition holds for the
-    stabilised-strong reductions (`test_reduced_strong_system_is_quasi_definite`).
-    A Galerkin-Nitsche matrix reduced strongly is not quasi-definite, its
-    pressure block being zero inside the domain; where the diagonal pivots
-    break down on it, the condition check raises SingularSystemError. Every
-    other system takes COLAMD with partial pivoting. The stabilised-Nitsche
-    systems are quasi-definite too, but their fine-level pressure errors sit
-    at the solve's rounding level and move by up to 1.8e-8 relative under
-    another ordering; they keep COLAMD until the reported numbers stop
-    depending on the factorisation.
+    A strong reduction (`system.transform` set) whose core has no zero on
+    its diagonal takes `factorize`'s quasi-definite symmetric ordering: the
+    stabilised-strong reductions, whose pressure Laplacian makes them
+    quasi-definite (`test_reduced_strong_system_is_quasi_definite`). A
+    Galerkin-Nitsche matrix reduced strongly has a zero pressure block
+    inside the domain and, like every other system, takes COLAMD with
+    partial pivoting. The stabilised-Nitsche systems are quasi-definite too,
+    but their fine-level pressure errors sit at the solve's rounding level
+    and move by up to 1.8e-8 relative under another ordering; they keep
+    COLAMD until the reported numbers stop depending on the factorisation.
     """
     core = core_matrix(system.matrix, system.corner)
-    return factorize(core, quasi_definite=system.transform is not None)
+    return factorize(core, quasi_definite=system.transform is not None and core.diagonal().all())
 
 
 class BorderedLU:
@@ -297,15 +296,15 @@ def solve(system: LinearSystem, lu=None) -> SolutionFields:
 
     scale = np.linalg.norm(b)
     ref = scale if scale > 0.0 else 1.0
-    res = np.linalg.norm(b - a @ x) / ref
-    for _ in range(_MAX_REFINE):
-        if res <= _REFINE_TOL:
+    for step in range(_MAX_REFINE + 1):
+        r = b - a @ x
+        res = np.linalg.norm(r) / ref
+        if res <= _REFINE_TOL or step == _MAX_REFINE:
             break
-        dx = lu.solve(b - a @ x)
+        dx = lu.solve(r)
         if not np.all(np.isfinite(dx)):
             break
         x = x + dx
-        res = np.linalg.norm(b - a @ x) / ref
     if res > _RESIDUAL_TOL:
         raise ResidualError(f"relative residual {res:.3e} above {_RESIDUAL_TOL:.1e}")
 

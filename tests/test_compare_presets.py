@@ -17,9 +17,9 @@ def load_tool(monkeypatch):
     return module
 
 
-def write(directory, name, rows):
+def write(directory, name, rows, header=HEADER):
     directory.mkdir(exist_ok=True)
-    (directory / name).write_text(HEADER + "".join(row + "\n" for row in rows))
+    (directory / name).write_text(header + "".join(row + "\n" for row in rows))
 
 
 def test_identical_apart_from_wall_ms(monkeypatch, tmp_path, capsys):
@@ -50,3 +50,14 @@ def test_the_gate_is_relative_1e_9(monkeypatch, tmp_path):
     write(tmp_path / "a", "s.csv", ["1,1.0,0,"])
     write(tmp_path / "b", "s.csv", ["1,1.000000002,0,"])
     assert tool.compare(tmp_path / "a", tmp_path / "b")[1] > tool.REL_TOL == 1e-9
+
+
+def test_column_order_counts_with_or_without_rows(monkeypatch, tmp_path, capsys):
+    tool = load_tool(monkeypatch)
+    write(tmp_path / "a", "s.csv", ["0.5,1e-3,12.5,"])
+    write(tmp_path / "b", "s.csv", ["0.5,12.5,1e-3,"], header="h,wall_ms,err_u,triple\n")
+    write(tmp_path / "a", "empty.csv", [])
+    write(tmp_path / "b", "empty.csv", [], header="h,err_u,triple,wall_ms\n")
+    assert tool.compare(tmp_path / "a", tmp_path / "b") == (0, math.inf)
+    out = capsys.readouterr().out
+    assert "s.csv: rows or columns differ" in out and "empty.csv: rows or columns differ" in out

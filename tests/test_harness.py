@@ -368,6 +368,25 @@ class TestRunStudies:
         for k, d in enumerate(dirs):
             assert (tmp_path / d / f"s{k}.csv").is_file()
 
+    def test_outputs_of_one_name_in_one_directory_rejected_before_any_mesh(
+        self, monkeypatch, tmp_path
+    ):
+        # the second study would overwrite the first one's square_uniform.csv
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        out = tmp_path / "od"
+        batch = [
+            StudyConfig("square", "uniform", [2, 4], Params(L0=l0), out_dir=d, emit=("csv",))
+            for l0, d in ((0.5, str(out)), (2.0, f"{out}/./"))
+        ]
+        with pytest.raises(ConfigError, match="square_uniform"):
+            run_studies(batch)
+        assert meshes == []
+        assert not out.exists()
+        # with distinct labels, or with only one of them writing files, both run
+        run_studies([batch[0], replace(batch[1], label="other")])
+        run_studies([batch[0], replace(batch[1], emit=("markdown",))])
+        assert sorted(p.name for p in out.iterdir()) == ["other.csv", "square_uniform.csv"]
+
 
 class TestEmitTable:
     def test_markdown_shape(self):
@@ -437,8 +456,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "table1-uniform" in out
 
-    def test_unknown_preset_is_config_error(self):
+    def test_unknown_preset_is_config_error(self, capsys):
         assert main(["run", "--preset", "bogus"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: unknown preset")
 
     def test_mesh_command(self, tmp_path):
         out = tmp_path / "m.txt"
@@ -515,6 +535,7 @@ class TestCli:
             {"case": 5},
             {"label": ["x"]},
             {"out_dir": 5},
+            {"label": "run/1", "emit": ["csv"]},
             {"case": "lshape:1", "family": "crisscross", "levels": [2, 3]},
             {"case": "lshape:2", "family": "powell-sabin", "levels": [1, 2]},
             {"case": "curved-l:4", "family": "curved-mapped", "levels": [4, 5]},

@@ -130,11 +130,10 @@ STRONG_SYSTEMS = {
 CORNER_SYSTEMS = sorted(set(STRONG_SYSTEMS) - {"square-powell-sabin-4"})
 
 
-def reduced_strong_system(name, corner_strategy):
+def reduced_strong_system(name, corner_strategy, formulation="stabilised-strong"):
     case_name, family, level, params = STRONG_SYSTEMS[name]
     mesh, case = build_mesh(case_name, family, level), build_case(case_name)
-    params = replace(params, formulation="stabilised-strong")
-    full = assemble_global(mesh, params, case)
+    full = assemble_global(mesh, replace(params, formulation=formulation), case)
     return mesh, case, apply_strong_bc(full, mesh, case, corner_strategy)
 
 
@@ -261,15 +260,42 @@ def test_lone_solve_takes_the_study_path(monkeypatch):
             assert getattr(lone, field) == getattr(study.reports[0], field)
 
 
-@pytest.mark.parametrize("name", ["lshape-crisscross-8", "lshape-powell-sabin-4"])
+@pytest.mark.parametrize("domain, family", [k for k in _MESHES if k[0] != "square"])
+def test_stabilised_strong_core_takes_the_symmetric_ordering(monkeypatch, domain, family):
+    calls = []
+    monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
+    case_name = f"{domain}:1"
+    mesh, case = build_mesh(case_name, family, 4), build_case(case_name)
+    full = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
+    for strategy in CORNER_STRATEGIES:
+        factorize_system(apply_strong_bc(full, mesh, case, strategy))
+        [(_, options)] = calls
+        calls.clear()
+        assert options["permc_spec"] == "MMD_AT_PLUS_A"
+
+
+@pytest.mark.parametrize("corner_strategy", CORNER_STRATEGIES)
+def test_galerkin_system_reduced_strongly_is_solved(monkeypatch, corner_strategy):
+    # a zero pressure block inside the domain: the core is not quasi-definite
+    # and takes COLAMD with partial pivoting
+    name = "lshape-powell-sabin-4"
+    _, _, system = reduced_strong_system(name, corner_strategy, "galerkin-nitsche")
+    calls = []
+    monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
+    sol = solve(system)
+    [(_, options)] = calls
+    assert options == {}
+    assert sol.residual <= 1e-10
+    ref = solve(system, lu=factorize(core_matrix(system.matrix, system.corner)))
+    assert np.array_equal(sol.coeffs, ref.coeffs)
+
+
+@pytest.mark.parametrize("name", ["lshape-crisscross-8"])
 def test_galerkin_system_reduced_strongly_is_rejected(name):
-    # not quasi-definite (zero pressure block inside the domain), so the
-    # diagonal pivots of the symmetric ordering break down
-    case_name, family, level, params = STRONG_SYSTEMS[name]
-    mesh, case = build_mesh(case_name, family, level), build_case(case_name)
-    full = assemble_global(mesh, replace(params, formulation="galerkin-nitsche"), case)
+    # criss-cross P1-P1 Galerkin is singular, whatever the ordering
+    _, _, system = reduced_strong_system(name, "both-zero", "galerkin-nitsche")
     with pytest.raises(SingularSystemError, match="numerically singular"):
-        solve(apply_strong_bc(full, mesh, case, "both-zero"))
+        solve(system)
 
 
 def small_bordered_systems(rng):

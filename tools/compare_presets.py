@@ -55,9 +55,18 @@ def _rel(a: str, b: str) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _read(path: Path) -> tuple[list, list]:
+    """The header row and the other rows of a CSV file."""
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f)) or [[]]
+    return header, rows
+
+
 def compare(parent: Path, change: Path) -> tuple[int, float]:
     """Print every differing field of the CSVs in the two directories;
-    return the number of fields compared and the largest relative difference."""
+    return the number of fields compared and the largest relative difference.
+    Two CSVs whose header rows differ, in order, or whose rows differ in
+    number or width, count as different."""
     names = sorted({p.name for p in parent.glob("*.csv")} | {p.name for p in change.glob("*.csv")})
     fields, worst = 0, 0.0
     for name in names:
@@ -65,21 +74,21 @@ def compare(parent: Path, change: Path) -> tuple[int, float]:
             print(f"{name}: only in {'change' if (change / name).exists() else 'parent'}")
             worst = math.inf
             continue
-        with open(parent / name, newline="") as f:
-            rows_p = list(csv.DictReader(f))
-        with open(change / name, newline="") as f:
-            rows_c = list(csv.DictReader(f))
-        if len(rows_p) != len(rows_c) or (rows_p and rows_p[0].keys() != rows_c[0].keys()):
+        header, rows_p = _read(parent / name)
+        header_c, rows_c = _read(change / name)
+        if header != header_c or [len(r) for r in rows_p] != [len(r) for r in rows_c]:
             print(f"{name}: rows or columns differ")
             worst = math.inf
             continue
         for level, (row_p, row_c) in enumerate(zip(rows_p, rows_c)):
-            for key in row_p.keys() - SKIP:
+            for key, a, b in zip(header, row_p, row_c):
+                if key in SKIP:
+                    continue
                 fields += 1
-                if row_p[key] != row_c[key]:
-                    rel = _rel(row_p[key], row_c[key])
+                if a != b:
+                    rel = _rel(a, b)
                     worst = max(worst, rel)
-                    print(f"{name} row {level} {key}: {row_p[key]} -> {row_c[key]} (rel {rel:.2e})")
+                    print(f"{name} row {level} {key}: {a} -> {b} (rel {rel:.2e})")
     print(f"{len(names)} CSVs, {fields} fields compared, largest relative difference {worst:.2e}")
     return fields, worst
 
