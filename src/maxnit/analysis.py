@@ -57,12 +57,12 @@ def _udofs(nodal: np.ndarray) -> np.ndarray:
     return nodal[..., :2].reshape(nodal.shape[:-2] + (6,))
 
 
-def _rule_parts(mesh: Mesh, case: ProblemCase, degree: int, subdivide: int | None):
-    """(rule, triangles) pairs that cover every triangle once. By default a
-    case with singularity_n == 1 gets the once-subdivided rule on the
-    triangles near its singular corner, the origin, and the plain rule
-    elsewhere; an explicit `subdivide` applies to every triangle."""
-    rule = triangle_rule(degree)
+def _rule_parts(mesh: Mesh, case: ProblemCase, subdivide: int | None):
+    """(rule, triangles) pairs of the degree-6 rule that cover every triangle
+    once. By default a case with singularity_n == 1 gets the once-subdivided
+    rule on the triangles near its singular corner, the origin, and the plain
+    rule elsewhere; an explicit `subdivide` applies to every triangle."""
+    rule = triangle_rule(6)
     if subdivide is None and case.singularity_n == 1:
         centroid = mesh.vertices[mesh.triangles].mean(axis=1)
         near = np.hypot(centroid[:, 0], centroid[:, 1]) <= _CORNER_RADIUS_H * mesh.h
@@ -70,30 +70,23 @@ def _rule_parts(mesh: Mesh, case: ProblemCase, degree: int, subdivide: int | Non
     return [(subdivide_triangle_rule(rule, subdivide) if subdivide else rule, slice(None))]
 
 
-def l2_errors(
-    mesh: Mesh,
-    sol,
-    case: ProblemCase,
-    degree: int = 6,
-    subdivide: int | None = None,
-    curl_degree: int = 1,
-) -> ErrorReport:
+def l2_errors(mesh: Mesh, sol, case: ProblemCase, subdivide: int | None = None) -> ErrorReport:
     """Error norms of a discrete solution against the exact fields.
 
-    |u - u_h|^2 and |p_h|^2 are integrated with an elementwise rule of the
-    given degree. For the strongest singularity (singularity_n == 1) the
-    triangles whose centroid lies within `_CORNER_RADIUS_H` mesh sizes of
-    the corner get one extra uniform quadrature subdivision by default, so
-    the corner elements are integrated adequately; `subdivide` overrides
-    this with that many subdivisions on every triangle.
+    |u - u_h|^2 and |p_h|^2 are integrated with the degree-6 rule. For the
+    strongest singularity (singularity_n == 1) the triangles whose centroid
+    lies within `_CORNER_RADIUS_H` mesh sizes of the corner get one extra
+    uniform quadrature subdivision by default, so the corner elements are
+    integrated adequately; `subdivide` overrides this with that many
+    subdivisions on every triangle.
 
-    The curl error is measured at the element Gauss points (one centroid
-    point by default). Since the discrete curl is elementwise constant,
-    this is the natural discrete curl-error measure; on criss-cross and
+    The curl error is measured at the element centroids, the Gauss point
+    of a P1 code. Since the discrete curl is elementwise constant, this is
+    the natural discrete curl-error measure; on criss-cross and
     Powell-Sabin meshes the centroid values are superconvergent, which a
     full-quadrature norm of the piecewise-constant curl cannot see (it is
     bounded below by the piecewise-constant approximation error of the
-    exact curl). Pass curl_degree=6 for the saturated norm instead.
+    exact curl).
     """
     x = _coeffs(sol)
     coords = mesh.vertices[mesh.triangles]
@@ -102,7 +95,7 @@ def l2_errors(
     w2a = 2.0 * mesh.tri_area
 
     sq_u = sq_p = 0.0
-    for rule, tris in _rule_parts(mesh, case, degree, subdivide):
+    for rule, tris in _rule_parts(mesh, case, subdivide):
         pts = _map_rule_points(rule, coords[tris])
         u_ex = case.exact_u(pts.reshape(-1, 2)).reshape(pts.shape)
         vals_h = _map_rule_points(rule, nodal[tris])
@@ -111,7 +104,7 @@ def l2_errors(
         sq_p += np.einsum("m,q,mq->", w2a[tris], rule.weights, vals_h[:, :, 2] ** 2)
     err_u, err_p = np.sqrt(sq_u), np.sqrt(sq_p)
 
-    crule = triangle_rule(curl_degree)
+    crule = triangle_rule(1)  # the centroid
     cpts = _map_rule_points(crule, coords)
     c_ex = case.exact_curl_u(cpts.reshape(-1, 2)).reshape(cpts.shape[:2])
     dc = (c_ex - c_h[:, None]) ** 2
@@ -157,8 +150,9 @@ def triple_norm(mesh: Mesh, sol, params: Params) -> float:
 
 
 def boundary_data_norm(mesh: Mesh, case: ProblemCase, params: Params) -> float:
-    """||f||_L2 + sqrt(nu/h) ||t(ubar)||_L2(boundary), the data functional
-    scale against which the solution's triple norm is compared.
+    """||f||_L2 + sqrt(nu/h) ||t(ubar)||_L2(boundary), with f = nu * source_f,
+    the data functional scale against which the solution's triple norm is
+    compared.
 
     A `zero_source` case has ||f|| = 0 without quadrature; its flag is
     checked at the mesh vertices, and a nonzero `source_f` there raises
@@ -170,7 +164,7 @@ def boundary_data_norm(mesh: Mesh, case: ProblemCase, params: Params) -> float:
     else:
         rule = triangle_rule(6)
         pts = _map_rule_points(rule, mesh.vertices[mesh.triangles])
-        f = case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
+        f = params.nu * case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
         f_norm = np.sqrt(
             np.einsum("m,q,mq->", 2.0 * mesh.tri_area, rule.weights, (f**2).sum(axis=2))
         )

@@ -280,8 +280,8 @@ def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
     parts = []  # (dof indices, values), summed in this order
 
     if not case.zero_source:
-        # (f, phi_a) with phi the nodal hat functions, both components, one
-        # block of triangles at a time to cap the temporaries
+        # (f, phi_a) with f = nu * source_f and phi the nodal hat functions,
+        # both components, one block of triangles at a time to cap the temporaries
         rule = triangle_rule(RHS_TRI_DEGREE)
         # w_q * phi_i(x_q): barycentric values are the P1 values
         wlam = rule.weights[:, None] * rule.points
@@ -291,7 +291,7 @@ def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
         for s in range(0, mesh.n_triangles, _BLOCK):
             block = slice(s, s + _BLOCK)
             pts = _map_rule_points(rule, coords[block])
-            fvals = case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
+            fvals = params.nu * case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
             contrib[block] = 2.0 * area[block, None, None] * np.einsum("qi,mqd->mid", wlam, fvals)
         # per vertex slot i: the u_x entries of all triangles, then the u_y ones
         slots = 3 * mesh.triangles.T[:, None, :] + np.arange(2)[:, None]  # (3, 2, m)
@@ -427,7 +427,8 @@ def apply_strong_bc(
     (u_x, u_y, p), one per tangentially constrained vertex (the normal
     component), two for a free corner (u_x, u_y), none for a fixed one.
     The re-entrant-corner unknowns are recorded as `corner`; removing them
-    leaves the both-zero system.
+    leaves the both-zero system. A mesh on which every dof is prescribed
+    (all vertices on the boundary and fixed) raises MeshError.
     """
     if corner_strategy not in CORNER_STRATEGIES:
         raise ValueError(f"unknown corner strategy {corner_strategy!r}")
@@ -459,6 +460,8 @@ def apply_strong_bc(
 
     n_cols = np.full(mesh.n_vertices, 3)
     n_cols[vb] = np.select([tangential, free], [1, 2], 0)
+    if not n_cols.any():
+        raise MeshError("the strong boundary conditions leave no unknown")
     cols = (np.cumsum(n_cols) - n_cols)[:, None] + np.arange(3)
     vals = np.ones(cols.shape)
     vt = vb[tangential]

@@ -76,9 +76,10 @@ _MESHES = {
     ("curved-l", "curved-mapped"): lambda level: map_to_curved_l(gen_lshape(level)),
 }
 
+_DOMAINS = tuple(dict.fromkeys(domain for domain, _ in _MESHES))
 _FAMILIES = tuple(dict.fromkeys(family for _, family in _MESHES))
 
-# case name -> ProblemCase factory taking nu
+# case name -> ProblemCase factory
 _CASES = {
     "square": square_case,
     **{f"lshape:{n}": partial(lshape_case, n) for n in (1, 2, 4)},
@@ -142,10 +143,10 @@ class StudyReport:
     rates_curl: list
 
 
-def build_case(name: str, nu: float = 1.0) -> ProblemCase:
+def build_case(name: str) -> ProblemCase:
     if name not in _CASES:
         raise ConfigError(f"unknown case {name!r}")
-    return _CASES[name](nu)
+    return _CASES[name]()
 
 
 def build_mesh(case: str, family: str, level: int) -> Mesh:
@@ -194,7 +195,7 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
                 raise ConfigError(f"studies {_title(writers[key])!r} and {_title(cfg)!r} "
                                   f"both write {key[1]!r} files to {key[0]}")
             writers[key] = cfg
-    cases = [build_case(c.case, c.params.nu) for c in configs]
+    cases = [build_case(c.case) for c in configs]
     # an unwritable output directory fails here, not after the studies ran
     for out_dir in dict.fromkeys(os.fspath(c.out_dir) for c in configs if c.out_dir is not None):
         os.makedirs(out_dir, exist_ok=True)
@@ -466,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     mesh_p.add_argument("--family", required=True, choices=_FAMILIES)
     mesh_p.add_argument("--level", required=True, type=int)
     mesh_p.add_argument("--out", required=True)
-    mesh_p.add_argument("--domain", default="square", help="square | lshape | curved-l")
+    mesh_p.add_argument("--domain", default="square", choices=_DOMAINS)
     mesh_p.set_defaults(func=_cmd_mesh)
 
     presets_p = sub.add_parser("presets", help="list preset names")

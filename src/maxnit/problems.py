@@ -45,10 +45,11 @@ def _eval_or_fill(field, points: np.ndarray, fill: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProblemCase:
-    """Exact solution bundle; the pseudo-pressure is identically zero."""
+    """Exact solution bundle; the pseudo-pressure is identically zero. The
+    exact fields do not depend on nu, and `source_f` is the source per unit
+    nu, curl curl u: the discrete problem's f is `Params.nu * source_f`."""
 
     domain: str
-    nu: float
     exact_u: Callable[[np.ndarray], np.ndarray]
     exact_curl_u: Callable[[np.ndarray], np.ndarray]
     source_f: Callable[[np.ndarray], np.ndarray]
@@ -85,10 +86,8 @@ def _phis(t, order: int):
     return out
 
 
-def square_case(nu: float = 1.0) -> ProblemCase:
+def square_case() -> ProblemCase:
     """Smooth rotational field on (-1,1)^2 built from phi(t) = t^2 sin(pi t/2)."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
 
     @_vectorised
     def u(pts):
@@ -102,13 +101,13 @@ def square_case(nu: float = 1.0) -> ProblemCase:
 
     @_vectorised
     def f(pts):
-        # f = nu * vector-curl of the scalar curl, so div f = 0 identically
+        # f / nu = vector-curl of the scalar curl, so div f = 0 identically
         (px, p1x, p2x, p3x), (py, p1y, p2y, p3y) = _phis(pts[:, 0], 3), _phis(pts[:, 1], 3)
         dcdx = -(p3x * py + p1x * p2y)
         dcdy = -(p2x * p1y + px * p3y)
-        return nu * np.column_stack([dcdy, -dcdx])
+        return np.column_stack([dcdy, -dcdx])
 
-    return ProblemCase("square", nu, u, curl, f, u)
+    return ProblemCase("square", u, curl, f, u)
 
 
 def _corner_gradient(n: int):
@@ -138,12 +137,10 @@ def _corner_gradient(n: int):
     return u
 
 
-def lshape_case(n: int, nu: float = 1.0) -> ProblemCase:
+def lshape_case(n: int) -> ProblemCase:
     """Curl-free corner singularity on the L-domain; smoothness grows with n."""
     if n not in (1, 2, 4):
         raise ValueError("n must be one of 1, 2, 4")
-    if nu <= 0:
-        raise ValueError("nu must be positive")
     u = _corner_gradient(n)
 
     @_vectorised
@@ -154,11 +151,9 @@ def lshape_case(n: int, nu: float = 1.0) -> ProblemCase:
     def zero_vector(pts):
         return np.zeros((pts.shape[0], 2))
 
-    return ProblemCase(
-        "lshape", nu, u, zero_scalar, zero_vector, u, singularity_n=n, zero_source=True
-    )
+    return ProblemCase("lshape", u, zero_scalar, zero_vector, u, singularity_n=n, zero_source=True)
 
 
-def curved_l_case(n: int, nu: float = 1.0) -> ProblemCase:
+def curved_l_case(n: int) -> ProblemCase:
     """Same fields as the L-domain case, posed on the curved-L domain."""
-    return replace(lshape_case(n, nu), domain="curved-l")
+    return replace(lshape_case(n), domain="curved-l")

@@ -39,7 +39,7 @@ def linear_case():
     def f(pts):
         return np.zeros((pts.shape[0], 2))
 
-    return ProblemCase("square", 1.0, u, curl, f, u)
+    return ProblemCase("square", u, curl, f, u)
 
 
 class TestL2Errors:
@@ -58,6 +58,20 @@ class TestL2Errors:
         case = square_case()
         rep = l2_errors(mesh, solve(assemble_global(mesh, params, case)), case)
         assert rep.err_u == pytest.approx(1.07e-01, rel=0.10)
+
+    def test_nu_from_params_alone(self):
+        # nu = 2 from Params alone: bit for bit the (err_u, err_curl, err_p) of
+        # the former square case built with its own nu = 2
+        params, case = Params(nu=2.0, L0=0.1, c_u=0.1), square_case()
+        expected = {
+            8: (0.0987774149464213, 0.864731373648937, 0.2832163769741126),
+            16: (0.020455660735348706, 0.42437441055858494, 0.08217090718340725),
+            32: (0.005043626050588828, 0.21404496467520115, 0.022274162978893574),
+        }
+        for n, errors in expected.items():
+            mesh = gen_square_uniform(n)
+            rep = l2_errors(mesh, solve(assemble_global(mesh, params, case)), case)
+            assert (rep.err_u, rep.err_curl, rep.err_p) == errors
 
     def test_err_p_reported(self):
         mesh = gen_square_uniform(8)

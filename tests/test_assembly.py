@@ -98,7 +98,7 @@ def rotation_patch_case(domain="square"):
     def f(pts):
         return np.zeros((pts.shape[0], 2))
 
-    return ProblemCase(domain, 1.0, u, curl, f, u)
+    return ProblemCase(domain, u, curl, f, u)
 
 
 def zero_case(domain="square"):
@@ -110,7 +110,7 @@ def zero_case(domain="square"):
     def zs(pts):
         return np.zeros(pts.shape[0])
 
-    return ProblemCase(domain, 1.0, zv, zs, zv, zv)
+    return ProblemCase(domain, zv, zs, zv, zv)
 
 
 class TestLocalMatrices:
@@ -270,6 +270,14 @@ class TestRhs:
         b = assemble_rhs(mesh, zero_case(), Params())
         assert np.all(b == 0.0)
 
+    def test_source_is_scaled_by_params_nu(self):
+        # f = nu * source_f; the strong form has no boundary terms in the RHS
+        mesh, case = gen_square_uniform(4), square_case()
+        strong = Params(formulation="stabilised-strong")
+        unit = assemble_rhs(mesh, case, strong)
+        assert np.abs(unit).max() > 0.0
+        assert np.array_equal(assemble_rhs(mesh, case, replace(strong, nu=2.0)), 2.0 * unit)
+
     def test_corner_singularity_cases_have_boundary_only_rhs(self):
         mesh = gen_lshape(4)
         case = lshape_case(2)
@@ -283,7 +291,7 @@ class TestRhs:
         from maxnit.quadrature import edge_rule, subdivide_triangle_rule, triangle_rule
 
         mesh = gen_square_uniform(8)
-        case = square_case(1.0)
+        case = square_case()
         params = Params(nu=1.0, L0=0.1, c_u=0.1, N_u=100.0, N_p=100.0)
         b = assemble_rhs(mesh, case, params)
 
@@ -523,7 +531,7 @@ class TestStrongBc:
         mesh = map_to_curved_l(gen_lshape(4))
         case = lshape_case(2)
         case = ProblemCase(
-            "curved-l", 1.0, case.exact_u, case.exact_curl_u, case.source_f,
+            "curved-l", case.exact_u, case.exact_curl_u, case.source_f,
             case.dirichlet_u, 2,
         )
         params = Params(formulation="stabilised-strong")
@@ -672,9 +680,11 @@ _SYSTEM_FORMS = {
 # (matrix hash, RHS hash). The matrix hashes are those of the per-edge and
 # per-vertex boundary code that maxnit.assembly had before its batched edge
 # kernel; so are the RHS hashes of the L-shape and curved-L cases, which
-# also cover the corner value pinned to zero. The square RHS hashes were
-# recorded with the 25-point source rule (RHS_TRI_DEGREE = 8), the only
-# intended change to any of these systems since.
+# also cover the corner value pinned to zero. The square RHS hashes are
+# those of the 25-point source rule (RHS_TRI_DEGREE = 8) with f scaled by
+# the Params' nu = 1.3; they equal the hashes of the former square case
+# built with its own nu = 1.3. These are the only intended changes to any
+# of these systems since.
 _SYSTEM_FINGERPRINTS = {
     ("curved-ps", 2, "galerkin-nitsche"): (
         "59240e18fef591aab2499bac79f025f4e411d76bbae75df18d5f59f07b9b3980",
@@ -758,83 +768,83 @@ _SYSTEM_FINGERPRINTS = {
     ),
     ("square-ps", 2, "galerkin-nitsche"): (
         "ff49c30525e0af577dbe38d2fb0b9dd0a2f9e1d91d90372bba70b1a5f7a18240",
-        "ec2d056be6d687a190b9bf01109f2d8c1cd983b4b53e0df9b71aee720df29e5a",
+        "15b7df9e8e43ed34f6321e590215d58fe5f0ef5a768d4631236b5a3f3d82f7f7",
     ),
     ("square-ps", 2, "stabilised-nitsche"): (
         "c1e381fd64b6cfa61945218e0f2d16b274815dac2c99cc7edff4e0ed512e7294",
-        "ec2d056be6d687a190b9bf01109f2d8c1cd983b4b53e0df9b71aee720df29e5a",
+        "15b7df9e8e43ed34f6321e590215d58fe5f0ef5a768d4631236b5a3f3d82f7f7",
     ),
     ("square-ps", 2, "strong-bisector-normal"): (
         "b70764878a075420174424f095a798781bb3f5513229f960afafb97dbac650a8",
-        "967dbfa5417e297bec5a29e450f21e515406028f6c4a1300178a78e9e211d6a8",
+        "0f54aaab9eb26945e213c6a9b6767839e3b11d00766988602ad1e43669927b93",
     ),
     ("square-ps", 2, "strong-both-zero"): (
         "b70764878a075420174424f095a798781bb3f5513229f960afafb97dbac650a8",
-        "967dbfa5417e297bec5a29e450f21e515406028f6c4a1300178a78e9e211d6a8",
+        "0f54aaab9eb26945e213c6a9b6767839e3b11d00766988602ad1e43669927b93",
     ),
     ("square-ps", 2, "strong-free"): (
         "b70764878a075420174424f095a798781bb3f5513229f960afafb97dbac650a8",
-        "967dbfa5417e297bec5a29e450f21e515406028f6c4a1300178a78e9e211d6a8",
+        "0f54aaab9eb26945e213c6a9b6767839e3b11d00766988602ad1e43669927b93",
     ),
     ("square-ps", 4, "galerkin-nitsche"): (
         "9bc23a22dcfad47950af80a03431ed19f43d1d65ad1caa3af4e914169a3a7363",
-        "4cf6100cd6e416ee865b91b8196c809cb032664b13187e550497b7104a0f8d89",
+        "75b148cdf981c03de3c42200654baf9db09e9bf46ea319ad752fbefd2a3aa615",
     ),
     ("square-ps", 4, "stabilised-nitsche"): (
         "21854585c417289c3beab6c2477ba6b6791bb3e190b0d2266520c189bcc92328",
-        "4cf6100cd6e416ee865b91b8196c809cb032664b13187e550497b7104a0f8d89",
+        "75b148cdf981c03de3c42200654baf9db09e9bf46ea319ad752fbefd2a3aa615",
     ),
     ("square-ps", 4, "strong-bisector-normal"): (
         "c4298cb36e67b562d1291bf3e4a5dcc2cf1592dc4fdeb9aa5243f56deb68c7df",
-        "4900fd0832df6122f39a69961a74d2d42bb1ad0d11f7b3ee41474b72a77d7bb1",
+        "8ac3cf3c81241e92dd6c379785a60cc874c594d1224103e34decc1d7d3e4f286",
     ),
     ("square-ps", 4, "strong-both-zero"): (
         "c4298cb36e67b562d1291bf3e4a5dcc2cf1592dc4fdeb9aa5243f56deb68c7df",
-        "4900fd0832df6122f39a69961a74d2d42bb1ad0d11f7b3ee41474b72a77d7bb1",
+        "8ac3cf3c81241e92dd6c379785a60cc874c594d1224103e34decc1d7d3e4f286",
     ),
     ("square-ps", 4, "strong-free"): (
         "c4298cb36e67b562d1291bf3e4a5dcc2cf1592dc4fdeb9aa5243f56deb68c7df",
-        "4900fd0832df6122f39a69961a74d2d42bb1ad0d11f7b3ee41474b72a77d7bb1",
+        "8ac3cf3c81241e92dd6c379785a60cc874c594d1224103e34decc1d7d3e4f286",
     ),
     ("square-uniform", 2, "galerkin-nitsche"): (
         "46d3bf76d8cbd40d96a7b6488f682ecd79c8c7b098f70c6e05f558c25a3b6bec",
-        "e327d01cf9328edf7d3b9a33cf1fb94cfcb98e415bda767a476cfec0c6831149",
+        "355fccf7cc6f09c4d970854b970923fd624c44a3f27d03adcc63d31dfd1e50ba",
     ),
     ("square-uniform", 2, "stabilised-nitsche"): (
         "9fb1e9d41ef7093ac79f4f01d0cf3f09eafe0c6029276646ef1373f7bac87f98",
-        "e327d01cf9328edf7d3b9a33cf1fb94cfcb98e415bda767a476cfec0c6831149",
+        "355fccf7cc6f09c4d970854b970923fd624c44a3f27d03adcc63d31dfd1e50ba",
     ),
     ("square-uniform", 2, "strong-bisector-normal"): (
         "13a64420ea3ed5ca7c30a0506050cd04833f684e921d7a57ed0d8c2c3733fed6",
-        "e52ca22015bdf43a0db793dd8edb6b64ab7c3172ccccde3fde58942a31f9f6e4",
+        "d57fb234156a458df7ed377735b87595ff8c27cc0367e4e50ccda07094a97109",
     ),
     ("square-uniform", 2, "strong-both-zero"): (
         "13a64420ea3ed5ca7c30a0506050cd04833f684e921d7a57ed0d8c2c3733fed6",
-        "e52ca22015bdf43a0db793dd8edb6b64ab7c3172ccccde3fde58942a31f9f6e4",
+        "d57fb234156a458df7ed377735b87595ff8c27cc0367e4e50ccda07094a97109",
     ),
     ("square-uniform", 2, "strong-free"): (
         "13a64420ea3ed5ca7c30a0506050cd04833f684e921d7a57ed0d8c2c3733fed6",
-        "e52ca22015bdf43a0db793dd8edb6b64ab7c3172ccccde3fde58942a31f9f6e4",
+        "d57fb234156a458df7ed377735b87595ff8c27cc0367e4e50ccda07094a97109",
     ),
     ("square-uniform", 4, "galerkin-nitsche"): (
         "b97bb8a9a1d632f719d2631f1c83bdbd803f14a279534d3c4215bb53fadb05e5",
-        "97e3cf4a32b7450beb596b811ac95217cbc8a4b84d39c8899eae85c2417128e6",
+        "e7c2d35e1b5cb514ba3f72992a26dd81b29c9abbda7362882c6af7028cbd5168",
     ),
     ("square-uniform", 4, "stabilised-nitsche"): (
         "c8067679ea9f3d861290e6c1bda9b15283c71478d0c77e92cf795d6eb57c5bc5",
-        "97e3cf4a32b7450beb596b811ac95217cbc8a4b84d39c8899eae85c2417128e6",
+        "e7c2d35e1b5cb514ba3f72992a26dd81b29c9abbda7362882c6af7028cbd5168",
     ),
     ("square-uniform", 4, "strong-bisector-normal"): (
         "999f819ef40ea5ffd60a05587c9e4661095d1b5f6bfeceec9256f09bc543dd58",
-        "dba52c9a9b21d11fdbbf9db647240d2488871b20563458e9b076256b1f6a63b4",
+        "8e8778338b7e90b86d0993f70a3e4f3b1a525fe40699d9dea03a5437b343d6c3",
     ),
     ("square-uniform", 4, "strong-both-zero"): (
         "999f819ef40ea5ffd60a05587c9e4661095d1b5f6bfeceec9256f09bc543dd58",
-        "dba52c9a9b21d11fdbbf9db647240d2488871b20563458e9b076256b1f6a63b4",
+        "8e8778338b7e90b86d0993f70a3e4f3b1a525fe40699d9dea03a5437b343d6c3",
     ),
     ("square-uniform", 4, "strong-free"): (
         "999f819ef40ea5ffd60a05587c9e4661095d1b5f6bfeceec9256f09bc543dd58",
-        "dba52c9a9b21d11fdbbf9db647240d2488871b20563458e9b076256b1f6a63b4",
+        "8e8778338b7e90b86d0993f70a3e4f3b1a525fe40699d9dea03a5437b343d6c3",
     ),
 }
 

@@ -52,6 +52,19 @@ def test_the_gate_is_relative_1e_9(monkeypatch, tmp_path):
     assert tool.compare(tmp_path / "a", tmp_path / "b")[1] > tool.REL_TOL == 1e-9
 
 
+def test_a_non_finite_field_fails_the_gate(monkeypatch, tmp_path, capsys):
+    tool = load_tool(monkeypatch)
+    for value in ("nan", "inf", "-inf"):
+        rows = {"parent": "1,1.0,0,", "change": f"1,{value},0,"}
+        monkeypatch.setattr(
+            tool, "run_presets", lambda src, out, presets: write(out, "s.csv", [rows[out.name]])
+        )
+        assert tool.main(["parent", "change"]) == 1
+        out = capsys.readouterr().out
+        assert f"s.csv row 0 err_u: 1.0 -> {value} (rel inf)" in out
+        assert "largest relative difference inf" in out
+
+
 def test_column_order_counts_with_or_without_rows(monkeypatch, tmp_path, capsys):
     tool = load_tool(monkeypatch)
     write(tmp_path / "a", "s.csv", ["0.5,1e-3,12.5,"])

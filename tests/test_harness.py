@@ -90,8 +90,7 @@ class TestTables:
 
     @pytest.mark.parametrize("name", list(harness._CASES))
     def test_every_case_builds(self, name):
-        case = build_case(name, 2.0)
-        assert (case.domain, case.nu) == (name.split(":")[0], 2.0)
+        assert build_case(name).domain == name.split(":")[0]
         quick_config(case=name, family="powell-sabin", levels=[2])
 
     def test_cli_family_choices_are_the_table_families(self):
@@ -99,8 +98,10 @@ class TestTables:
             a for a in harness.build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
-        family = next(a for a in sub.choices["mesh"]._actions if a.dest == "family")
-        assert list(family.choices) == list(dict.fromkeys(f for _, f in harness._MESHES))
+        mesh_args = {a.dest: a for a in sub.choices["mesh"]._actions}
+        for dest, column in (("domain", 0), ("family", 1)):
+            expected = list(dict.fromkeys(key[column] for key in harness._MESHES))
+            assert list(mesh_args[dest].choices) == expected
 
     def test_incompatible_pairs_rejected_before_any_mesh(self, monkeypatch, tmp_path):
         meshes = counting(monkeypatch, harness, "build_mesh")
@@ -221,7 +222,7 @@ class TestRunStudies:
         studies = run_studies(lshape_batch())
         for study in studies:
             cfg = study.config
-            case = build_case(cfg.case, cfg.params.nu)
+            case = build_case(cfg.case)
             for level, rep in zip(cfg.levels, study.reports):
                 mesh = build_mesh(cfg.case, cfg.family, level)
                 sol = linsolve.solve(assemble_global(mesh, cfg.params, case))
@@ -288,7 +289,7 @@ class TestRunStudies:
         # LU is of a cut core, not of the reduced matrix itself
         params = replace(LSHAPE, formulation="stabilised-strong", corner_strategy="free")
         cfg = StudyConfig("lshape:1", "crisscross", [8], params)
-        case = build_case(cfg.case, params.nu)
+        case = build_case(cfg.case)
         mesh = build_mesh(cfg.case, cfg.family, 8)
         system = assembly.apply_strong_bc(assemble_global(mesh, params, case), mesh, case, "free")
         assert len(system.corner) == 2
@@ -475,6 +476,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("I/O error")
         assert len(meshes) == 0
 
+    def test_mesh_command_takes_a_domain_not_a_case(self, tmp_path, capsys):
+        out = tmp_path / "m.txt"
+        with pytest.raises(SystemExit) as exit_:
+            main(["mesh", "--domain", "lshape:zz", "--family", "crisscross", "--level", "4",
+                  "--out", str(out)])
+        assert exit_.value.code == 2 and not out.exists()
+        assert "invalid choice: 'lshape:zz'" in capsys.readouterr().err
+
     def test_mesh_command_bad_level(self, tmp_path, capsys):
         out = str(tmp_path / "m.txt")
         for level, domain in (("3", "lshape"), ("0", "square"), ("-2", "curved-l")):
@@ -660,6 +669,17 @@ class TestCli:
         code = main(["run", "--config", str(path), "--out", str(blocker / "sub"), "--emit", "csv"])
         assert (code, len(meshes)) == (2, 0)
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_strong_level_without_unknowns_exit_code(self, tmp_path, capsys):
+        # square uniform 1: four convex corners, every dof prescribed
+        path = tmp_path / "strong.json"
+        path.write_text(json.dumps({"case": "square", "family": "uniform", "levels": [1],
+                                    "params": {"formulation": "stabilised-strong"}}))
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "mesh failure: level 1, square / uniform: "
+            "the strong boundary conditions leave no unknown\n"
+        )
 
     def test_mesh_failure_exit_code(self, monkeypatch):
         def folded(*args):

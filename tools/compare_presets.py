@@ -52,7 +52,8 @@ def _rel(a: str, b: str) -> float:
         return math.inf
     if x == y:
         return 0.0
-    return abs(x - y) / max(abs(x), abs(y))
+    rel = abs(x - y) / max(abs(x), abs(y))
+    return rel if math.isfinite(rel) else math.inf  # a nan or inf on one side
 
 
 def _read(path: Path) -> tuple[list, list]:
