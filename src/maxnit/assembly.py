@@ -13,7 +13,7 @@ and the weak formulations add the boundary terms
     -nu <t(v), c(u)> - nu <t(u), c(v)>        t(v) = n1 v2 - n2 v1
     -<n.u, q> - <n.v, p>
     +N_u (nu/h) <t(v), t(u)>  -  N_p (L0^2/(nu h)) <p, q>
-    +(L0^2/nu) [<n.grad p, q> + <p, n.grad q>]   [stabilised, optional]
+    +(L0^2/nu) [<n.grad p, q> + <p, n.grad q>]   [stabilised]
 
 with h the diameter of the edge's adjacent element. The right-hand side is
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -74,25 +75,29 @@ class Params:
     N_p: float = 100.0
     formulation: str = "stabilised-nitsche"
     corner_strategy: str = "both-zero"
-    include_p_flux: bool = True
 
     def __post_init__(self):
         for name in ("nu", "L0", "c_u", "N_u", "N_p"):
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not real or not math.isfinite(value):
+            if not real or not abs(value) <= sys.float_info.max:  # nan, inf, a huge int
                 raise ValueError(f"{name} must be a finite real number")
         for name in ("nu", "L0", "c_u"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.N_u < 0.0 or self.N_p < 0.0:
             raise ValueError("penalty constants must be non-negative")
+        # the forms' scales, by `*` and `/`: inf or 0 where `**` would raise
+        l0_sq = self.L0 * self.L0
+        scales = (self.c_u * self.nu / self.L0 / self.L0, l0_sq / self.nu)
+        penalties = (self.N_u * self.nu, self.N_p * l0_sq / self.nu)
+        if not all(map(math.isfinite, scales + penalties)) or 0.0 in scales:
+            raise ValueError(f"the scales c_u nu/L0^2, L0^2/nu = {scales} must be finite and "
+                             f"nonzero, and N_u nu, N_p L0^2/nu = {penalties} finite")
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.corner_strategy not in CORNER_STRATEGIES:
             raise ValueError(f"unknown corner strategy {self.corner_strategy!r}")
-        if not isinstance(self.include_p_flux, bool):
-            raise ValueError("include_p_flux must be true or false")
         if self.formulation != "stabilised-strong" and (
             self.N_u < _PENALTY_WARN_THRESHOLD or self.N_p < _PENALTY_WARN_THRESHOLD
         ):
@@ -233,7 +238,7 @@ def _edge_blocks(mesh: Mesh, params: Params):
         (edge_u, edge_u, pen_u),
         (edge_p, edge_p, pen_p),
     ]
-    if params.formulation == "stabilised-nitsche" and params.include_p_flux:
+    if params.formulation == "stabilised-nitsche":
         # n . grad psi_a, element constant; a batched matmul rounds like the
         # per-edge `grads[e] @ n[e]`, an einsum would not
         ndgrad = (grads @ n[:, :, None])[:, :, 0]

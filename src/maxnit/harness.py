@@ -78,6 +78,7 @@ _MESHES = {
 
 _DOMAINS = tuple(dict.fromkeys(domain for domain, _ in _MESHES))
 _FAMILIES = tuple(dict.fromkeys(family for _, family in _MESHES))
+_EMITS = ("csv", "markdown", "vtk", "matrixmarket")
 
 # case name -> ProblemCase factory
 _CASES = {
@@ -93,18 +94,19 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """One convergence study: a case, a mesh family and refinement levels."""
+    """One convergence study: a case, a mesh family and refinement levels.
+    `levels` and `emit` are kept as tuples, so a checked config cannot change."""
 
     case: str = "square"
     family: str = "uniform"
-    levels: list = field(default_factory=lambda: [8, 16, 32, 64])
+    levels: tuple = (8, 16, 32, 64)
     params: Params = field(default_factory=Params)
     out_dir: str | None = None
     emit: tuple = ("markdown",)
     label: str = ""
 
     def __post_init__(self):
-        for name in ("case", "label"):
+        for name in ("case", "family", "label"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string")
         if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
@@ -113,23 +115,18 @@ class StudyConfig:
             raise ConfigError(f"label {self.label!r} holds a path separator")
         if self.case not in _CASES:
             raise ConfigError(f"unknown case {self.case!r}")
-        if self.family not in _FAMILIES:
-            raise ConfigError(f"unknown mesh family {self.family!r}")
-        domain = self.case.split(":")[0]
-        if (domain, self.family) not in _MESHES:
-            raise ConfigError(f"family {self.family!r} incompatible with {self.case!r}")
-        levels = self.levels
-        if not isinstance(levels, list) or not all(
-            isinstance(n, numbers.Integral) and not isinstance(n, bool) and n > 0 for n in levels
-        ):
-            raise ConfigError("levels must be a list of positive integers")
-        if levels != sorted(set(levels)) or not levels:
+        for name, items in (("levels", "positive integers"), ("emit", "strings")):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list of {items}")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        domain = _CASES[self.case]().domain
+        for level in self.levels:
+            _check_mesh(domain, self.family, level)
+        if not self.levels or list(self.levels) != sorted(set(self.levels)):
             raise ConfigError("levels must be non-empty and strictly increasing")
-        if domain != "square" and any(n % 2 for n in levels):
-            raise ConfigError(f"levels of {self.case!r} must be even (an L-shape grid)")
-        unknown = set(self.emit) - {"csv", "markdown", "vtk", "matrixmarket"}
+        unknown = [e for e in self.emit if e not in _EMITS]
         if unknown:
-            raise ConfigError(f"unknown emit formats {sorted(unknown)}")
+            raise ConfigError(f"unknown emit formats {unknown}")
         files = set(self.emit) - {"markdown"}
         if files and self.out_dir is None:
             raise ConfigError(f"emit formats {sorted(files)} need an output directory (--out)")
@@ -149,13 +146,22 @@ def build_case(name: str) -> ProblemCase:
     return _CASES[name]()
 
 
-def build_mesh(case: str, family: str, level: int) -> Mesh:
-    """Mesh of one refinement level of `case`'s domain (see `_MESHES`)."""
-    domain = case.split(":")[0]
+def _check_mesh(domain: str, family: str, level) -> None:
+    """The mesh rule: `domain` is one of `_DOMAINS`, (domain, family) a key of
+    `_MESHES`, and `level` a positive integer, even on an L-shaped domain."""
+    if domain not in _DOMAINS:
+        raise ConfigError(f"unknown domain {domain!r}")
     if (domain, family) not in _MESHES:
         raise ConfigError(f"family {family!r} incompatible with domain {domain!r}")
-    if level < 1 or (domain != "square" and level % 2):
-        raise ConfigError(f"level {level} of {domain!r}: grid levels are positive, and even on an L")
+    integral = isinstance(level, numbers.Integral) and not isinstance(level, bool)
+    if not integral or level < 1 or (domain != "square" and level % 2):
+        raise ConfigError(f"level {level!r} of {family!r} on {domain!r}: levels are "
+                          "positive integers, even on an L")
+
+
+def build_mesh(domain: str, family: str, level: int) -> Mesh:
+    """Mesh of one refinement level of `family` on `domain` (see `_MESHES`)."""
+    _check_mesh(domain, family, level)
     return _MESHES[domain, family](level)
 
 
@@ -181,14 +187,12 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
     factorisation. Reports come back in config order. Every `out_dir` is
     created, parents included, before the first mesh is built. An exception
     keeps its type and attributes; its message gains the level, and the
-    study's title when a per-config stage raised it. Every config is
-    validated again first: a frozen config's `levels` list can still be
-    edited in place. Two configs that write files to the same directory
-    under the same name raise ConfigError before any work.
+    study's title when a per-config stage raised it. Two configs that write
+    files to the same directory under the same name raise ConfigError before
+    any work.
     """
     writers: dict = {}
     for cfg in configs:
-        replace(cfg)  # re-runs StudyConfig.__post_init__
         if set(cfg.emit) - {"markdown"}:
             key = (os.path.abspath(cfg.out_dir), _slug(cfg))
             if key in writers:
@@ -203,10 +207,9 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
     for level in sorted({lv for c in configs for lv in c.levels}):
         at_level = [i for i, c in enumerate(configs) if level in c.levels]
         ms = dict.fromkeys(at_level, 0.0)  # each config's wall_ms at this level
-        for on_mesh in _groups(at_level, lambda i: (configs[i].case.split(":")[0], configs[i].family)):
-            first = configs[on_mesh[0]]
+        for on_mesh in _groups(at_level, lambda i: (cases[i].domain, configs[i].family)):
             with _stage(f"level {level}", ms, on_mesh):
-                mesh = build_mesh(first.case, first.family, level)
+                mesh = build_mesh(cases[on_mesh[0]].domain, configs[on_mesh[0]].family, level)
             for group in _groups(on_mesh, lambda i: _matrix_key(configs[i].params)):
                 for i, sol in zip(group, _solve_group(mesh, level, group, configs, cases, ms)):
                     cfg, case = configs[i], cases[i]
@@ -222,13 +225,9 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
 
     studies = []
     for cfg, reports in zip(configs, rows):
-        rates_u = [None] + [
-            convergence_rate(a, b, "err_u") for a, b in zip(reports, reports[1:])
-        ]
-        rates_c = [None] + [
-            convergence_rate(a, b, "err_curl") for a, b in zip(reports, reports[1:])
-        ]
-        study = StudyReport(cfg, reports, rates_u, rates_c)
+        rates = [[None] + [convergence_rate(a, b, key) for a, b in zip(reports, reports[1:])]
+                 for key in ("err_u", "err_curl")]
+        study = StudyReport(cfg, reports, *rates)
         if "csv" in cfg.emit:
             mio.write_report_csv(study, f"{cfg.out_dir}/{_slug(cfg)}.csv")
         studies.append(study)
@@ -328,7 +327,7 @@ def default_configs() -> dict[str, list[StudyConfig]]:
     strong_sq = replace(sq_other, formulation="stabilised-strong")
     strong_lsh = replace(lsh, formulation="stabilised-strong")
 
-    presets: dict[str, list[StudyConfig]] = {
+    return {
         "table1-uniform": [
             StudyConfig("square", "uniform", [8, 16, 32, 64], sq_uni, label="t1-uniform")
         ],
@@ -368,7 +367,6 @@ def default_configs() -> dict[str, list[StudyConfig]]:
             for n in (1, 2, 4)
         ],
     }
-    return presets
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +402,6 @@ def _config_from_json(path: str, overrides: dict) -> StudyConfig:
         raise ConfigError("config must be a JSON object")
     params = _params_from_dict(raw.pop("params", {}))
     _check_keys(raw, StudyConfig, "config")
-    if "emit" in raw:
-        if not isinstance(raw["emit"], list) or not all(isinstance(e, str) for e in raw["emit"]):
-            raise ConfigError("emit must be a list of strings")
-        raw["emit"] = tuple(raw["emit"])
     return StudyConfig(params=params, **{**raw, **overrides})
 
 
@@ -416,7 +410,7 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         overrides["out_dir"] = args.out
     if args.emit is not None:
-        overrides["emit"] = tuple(args.emit.split(","))
+        overrides["emit"] = args.emit.split(",")
     if args.preset:
         presets = default_configs()
         if args.preset not in presets:
@@ -460,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", help="named preset (see `maxnit presets`)")
     group.add_argument("--config", help="JSON study configuration file")
     run_p.add_argument("--out", help="output directory for emitted files")
-    run_p.add_argument("--emit", help="comma-separated: csv,markdown,vtk,matrixmarket")
+    run_p.add_argument("--emit", help=f"comma-separated: {','.join(_EMITS)}")
     run_p.set_defaults(func=_cmd_run)
 
     mesh_p = sub.add_parser("mesh", help="generate and export a mesh")

@@ -571,11 +571,21 @@ class TestParams:
 
     def test_non_real_scalars_rejected(self):
         for bad in (dict(nu="1"), dict(L0=None), dict(N_u=True), dict(N_p=[1.0]),
-                    dict(nu=float("nan")), dict(c_u=float("inf"))):
+                    dict(nu=float("nan")), dict(c_u=float("inf")), dict(L0=10**400)):
             with pytest.raises(ValueError, match="finite real number"):
                 Params(**bad)
-        with pytest.raises(ValueError, match="include_p_flux"):
-            Params(include_p_flux="no")
+
+    def test_scales_must_be_finite_and_nonzero(self):
+        # unchecked, L0 = 1e200 overflowed (OverflowError) and L0 = 1e-200
+        # underflowed (ZeroDivisionError) inside the assembly
+        for bad in (dict(L0=1e200), dict(L0=1e-200), dict(L0=1e160, N_p=0.0),
+                    dict(nu=1e300, N_u=1e10), dict(c_u=1e-300, nu=1e-300)):
+            with pytest.raises(ValueError, match="scales"):
+                Params(**bad)
+        with pytest.warns(UserWarning, match="stability threshold"):
+            Params(N_u=0.0, N_p=0.0)  # zero penalty scales are allowed
+        Params(nu=1e-300)
+        Params(nu=1e300)
 
     def test_frozen_after_construction(self):
         params = Params()

@@ -74,3 +74,13 @@ def test_column_order_counts_with_or_without_rows(monkeypatch, tmp_path, capsys)
     assert tool.compare(tmp_path / "a", tmp_path / "b") == (0, math.inf)
     out = capsys.readouterr().out
     assert "s.csv: rows or columns differ" in out and "empty.csv: rows or columns differ" in out
+
+
+def test_nothing_compared_fails_the_gate(monkeypatch, capsys):
+    # no CSV on either side: "same numbers" would hold vacuously
+    tool = load_tool(monkeypatch)
+    monkeypatch.setattr(tool, "run_presets", lambda src, out, presets: None)
+    assert tool.main(["parent", "change"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "0 CSVs, 0 fields compared, largest relative difference 0.00e+00"
+    ]

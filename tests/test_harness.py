@@ -64,7 +64,17 @@ class TestConfigValidation:
             cfg.levels = [0]
         with pytest.raises(ConfigError):
             replace(cfg, levels=[0])  # replace re-runs the checks
-        assert cfg.levels == [2, 4]
+        with pytest.raises(AttributeError):
+            cfg.levels.append(3)  # the levels are a tuple
+        assert cfg.levels == (2, 4)
+
+    def test_levels_and_emit_are_kept_as_tuples(self):
+        assert StudyConfig("square", "uniform", [2, 4]).levels == (2, 4)
+        assert quick_config(emit=["csv"], out_dir="out") == quick_config(emit=("csv",), out_dir="out")
+        assert quick_config().emit == ("markdown",)
+        for bad in ("csv", ["csv", 1], [["csv"]]):
+            with pytest.raises(ConfigError, match="emit"):
+                quick_config(emit=bad)
 
 
 class TestBuildMesh:
@@ -72,13 +82,25 @@ class TestBuildMesh:
         assert build_mesh("square", "uniform", 2).n_triangles == 8
         assert build_mesh("square", "crisscross", 2).n_triangles == 16
         assert build_mesh("square", "powell-sabin", 2).n_triangles == 48
-        assert build_mesh("lshape:1", "crisscross", 4).domain == "lshape"
-        assert build_mesh("curved-l:1", "curved-mapped", 4).domain == "curved-l"
-        assert build_mesh("curved-l:1", "powell-sabin", 4).domain == "curved-l"
+        assert build_mesh("lshape", "crisscross", 4).domain == "lshape"
+        assert build_mesh("curved-l", "curved-mapped", 4).domain == "curved-l"
+        assert build_mesh("curved-l", "powell-sabin", 4).domain == "curved-l"
 
     def test_incompatible_pair_rejected(self):
-        with pytest.raises(ConfigError):
-            build_mesh("lshape:1", "uniform", 4)
+        with pytest.raises(ConfigError, match="incompatible"):
+            build_mesh("lshape", "uniform", 4)
+
+    def test_takes_a_domain_not_a_case(self):
+        for name, family, level in (("lshape:zz", "crisscross", 4), ("square:7", "uniform", 2),
+                                    ("lshape:1", "crisscross", 4), ("cube", "uniform", 2)):
+            with pytest.raises(ConfigError, match=f"unknown domain {name!r}"):
+                build_mesh(name, family, level)
+
+    @pytest.mark.parametrize("domain, level", [("square", 0), ("square", 2.0), ("square", True),
+                                               ("lshape", 3), ("curved-l", -2)])
+    def test_bad_level_rejected(self, domain, level):
+        with pytest.raises(ConfigError, match=f"level {level!r} of 'powell-sabin' on {domain!r}"):
+            build_mesh(domain, "powell-sabin", level)
 
 
 class TestTables:
@@ -210,21 +232,13 @@ def lshape_batch():
 
 
 class TestRunStudies:
-    def test_levels_edited_in_place_rejected_before_any_mesh(self, monkeypatch):
-        meshes = counting(monkeypatch, harness, "build_mesh")
-        cfg = StudyConfig("lshape:1", "crisscross", [2])
-        cfg.levels.append(3)  # frozen, but the list itself can change
-        with pytest.raises(ConfigError, match="must be even"):
-            run_study(cfg)
-        assert meshes == []
-
     def test_matches_direct_composition(self):
         studies = run_studies(lshape_batch())
         for study in studies:
             cfg = study.config
             case = build_case(cfg.case)
             for level, rep in zip(cfg.levels, study.reports):
-                mesh = build_mesh(cfg.case, cfg.family, level)
+                mesh = build_mesh(case.domain, cfg.family, level)
                 sol = linsolve.solve(assemble_global(mesh, cfg.params, case))
                 direct = l2_errors(mesh, sol, case)
                 direct.triple = triple_norm(mesh, sol, cfg.params)
@@ -290,7 +304,7 @@ class TestRunStudies:
         params = replace(LSHAPE, formulation="stabilised-strong", corner_strategy="free")
         cfg = StudyConfig("lshape:1", "crisscross", [8], params)
         case = build_case(cfg.case)
-        mesh = build_mesh(cfg.case, cfg.family, 8)
+        mesh = build_mesh(case.domain, cfg.family, 8)
         system = assembly.apply_strong_bc(assemble_global(mesh, params, case), mesh, case, "free")
         assert len(system.corner) == 2
         shapes = []
@@ -426,7 +440,7 @@ class TestPresets:
 
         t1 = presets["table1-uniform"][0]
         assert (t1.params.L0, t1.params.c_u) == (0.1, 0.1)
-        assert t1.levels == [8, 16, 32, 64]
+        assert t1.levels == (8, 16, 32, 64)
 
         t4 = presets["table4-ps"][0]
         assert (t4.params.L0, t4.params.c_u) == (0.5, 1.0)
@@ -436,7 +450,7 @@ class TestPresets:
         strategies = [c.params.corner_strategy for c in t5 if c.params.formulation == "stabilised-strong"]
         assert strategies == ["both-zero", "free", "bisector-normal"]
         assert sum(c.params.formulation == "stabilised-nitsche" for c in t5) == 1
-        assert all(c.levels == [128] for c in t5)
+        assert all(c.levels == (128,) for c in t5)
 
         t6 = presets["table6-ps"]
         assert all(len(c.levels) == 6 for c in t6)
@@ -535,7 +549,10 @@ class TestCli:
             {"params": {"N_p": True}},
             {"params": {"L0": float("nan")}},
             {"params": {"c_u": float("inf")}},
-            {"params": {"include_p_flux": "no"}},
+            {"params": {"include_p_flux": False}},
+            {"params": {"L0": 1e200}},
+            {"params": {"L0": 1e-200}},
+            {"params": {"L0": 1e160, "formulation": "stabilised-strong"}},
             {"params": {"corner_strategy": "mystery"}},
             {"params": {"nu": -1.0}},
             {"params": [1.0]},
@@ -562,14 +579,15 @@ class TestCli:
         assert len(meshes) == 0
         assert not out.exists()
 
-    def test_preset_edited_in_place_is_config_error(self, monkeypatch, capsys):
-        meshes = counting(monkeypatch, harness, "build_mesh")
-        cfg = StudyConfig("lshape:1", "crisscross", [2])
-        cfg.levels.append(3)
-        monkeypatch.setattr(harness, "default_configs", lambda: {"edited": [cfg]})
-        assert main(["run", "--preset", "edited"]) == 2
-        assert "configuration error" in capsys.readouterr().err
-        assert meshes == []
+    @pytest.mark.parametrize("nu", [1e-300, 1e300])
+    def test_extreme_nu_is_a_solver_failure(self, tmp_path, capsys, nu):
+        # finite, nonzero scales, but a matrix that SuperLU finds singular
+        path = tmp_path / "nu.json"
+        path.write_text(json.dumps({"case": "square", "family": "uniform", "levels": [2, 4],
+                                    "params": {"nu": nu}}))
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: level 2") and len(err.splitlines()) == 1
 
     def test_solver_failure_exit_code(self, tmp_path):
         cfg = {

@@ -132,7 +132,8 @@ CORNER_SYSTEMS = sorted(set(STRONG_SYSTEMS) - {"square-powell-sabin-4"})
 
 def reduced_strong_system(name, corner_strategy, formulation="stabilised-strong"):
     case_name, family, level, params = STRONG_SYSTEMS[name]
-    mesh, case = build_mesh(case_name, family, level), build_case(case_name)
+    case = build_case(case_name)
+    mesh = build_mesh(case.domain, family, level)
     full = assemble_global(mesh, replace(params, formulation=formulation), case)
     return mesh, case, apply_strong_bc(full, mesh, case, corner_strategy)
 
@@ -194,8 +195,7 @@ def test_bordered_solve_equals_own_factorisation(name, corner_strategy):
 
 @pytest.mark.parametrize("domain, family", [k for k in _MESHES if k[0] != "square"])
 def test_core_of_every_strategy_is_the_both_zero_matrix(domain, family):
-    case_name = f"{domain}:1"
-    mesh, case = build_mesh(case_name, family, 4), build_case(case_name)
+    mesh, case = build_mesh(domain, family, 4), build_case(f"{domain}:1")
     full = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
     both_zero = apply_strong_bc(full, mesh, case, "both-zero").matrix
     for strategy in CORNER_STRATEGIES:
@@ -264,8 +264,7 @@ def test_lone_solve_takes_the_study_path(monkeypatch):
 def test_stabilised_strong_core_takes_the_symmetric_ordering(monkeypatch, domain, family):
     calls = []
     monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
-    case_name = f"{domain}:1"
-    mesh, case = build_mesh(case_name, family, 4), build_case(case_name)
+    mesh, case = build_mesh(domain, family, 4), build_case(f"{domain}:1")
     full = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
     for strategy in CORNER_STRATEGIES:
         factorize_system(apply_strong_bc(full, mesh, case, strategy))
@@ -301,7 +300,7 @@ def test_galerkin_system_reduced_strongly_is_rejected(name):
 def small_bordered_systems(rng):
     """(matrix, border, core LU) triples small enough for a dense inverse."""
     for level in (2, 4):
-        mesh, case = build_mesh("lshape:1", "crisscross", level), build_case("lshape:1")
+        mesh, case = build_mesh("lshape", "crisscross", level), build_case("lshape:1")
         full = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
         for strategy in ("free", "bisector-normal"):
             system = apply_strong_bc(full, mesh, case, strategy)
@@ -466,10 +465,7 @@ def test_factorize_without_malloc_trim(monkeypatch):
     assert solve(system, lu=factorize(system.matrix)).residual < 1e-10
 
 
-@pytest.mark.parametrize(
-    "formulation, include_p_flux",
-    [(f, True) for f in FORMULATIONS] + [("stabilised-nitsche", False)],
-)
+@pytest.mark.parametrize("formulation", FORMULATIONS)
 @pytest.mark.parametrize(
     "case_name, family",
     [
@@ -480,11 +476,12 @@ def test_factorize_without_malloc_trim(monkeypatch):
         ("curved-l:2", "powell-sabin"),
     ],
 )
-def test_every_system_is_exactly_symmetric(formulation, include_p_flux, case_name, family):
+def test_every_system_is_exactly_symmetric(formulation, case_name, family):
     # so that `factorize` hands every preset's matrix to SuperLU without a
     # copy; a fallback to `tocsc()` would raise the peak memory silently
-    mesh, case = build_mesh(case_name, family, 4), build_case(case_name)
-    params = Params(formulation=formulation, include_p_flux=include_p_flux)
+    case = build_case(case_name)
+    mesh = build_mesh(case.domain, family, 4)
+    params = Params(formulation=formulation)
     system = assemble_global(mesh, params, case)
     matrices = [system.matrix]
     if formulation == "stabilised-strong":

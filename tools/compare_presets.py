@@ -6,9 +6,9 @@ Each SRC is a checkout or its `src` directory. The presets (by default
 every one that the tree defines) run with `--emit csv` in one fresh
 process per tree, one tree after the other, with `MAXNIT_THREADS=1`.
 Every field other than `wall_ms` that differs between the trees is
-printed with its relative difference. Exit status: 0 when every
-difference is at most `REL_TOL` relative, 1 otherwise (a missing file,
-row or column counts as above it).
+printed with its relative difference. Exit status: 0 when at least one
+field was compared and every difference is at most `REL_TOL` relative,
+1 otherwise (a missing file, row or column counts as above it).
 """
 
 import csv
@@ -106,8 +106,8 @@ def main(argv=None) -> int:
             out.mkdir()
             run_presets(_src(src), out, argv[2:])
             outs.append(out)
-        _, worst = compare(*outs)
-    return 0 if worst <= REL_TOL else 1
+        fields, worst = compare(*outs)
+    return 0 if fields and worst <= REL_TOL else 1
 
 
 if __name__ == "__main__":
