@@ -32,14 +32,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, MeshError
-from .problems import ProblemCase, _eval_or_fill
+from .problems import ProblemCase
 from .quadrature import edge_rule, triangle_rule
 
 __all__ = [
     "FORMULATIONS",
     "CORNER_STRATEGIES",
+    "ConfigError",
     "Params",
-    "DofMap",
     "LinearSystem",
     "assemble_rhs",
     "assemble_global",
@@ -64,6 +64,10 @@ _PENALTY_WARN_THRESHOLD = 4.0  # ~4 * (unit trace-constant estimate)^2
 _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
+class ConfigError(ValueError):
+    """An invalid study request: parameters, case, mesh rule or output."""
+
+
 @dataclass(frozen=True)
 class Params:
     """Physical and algorithmic constants plus the formulation selectors."""
@@ -81,23 +85,23 @@ class Params:
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if not real or not abs(value) <= sys.float_info.max:  # nan, inf, a huge int
-                raise ValueError(f"{name} must be a finite real number")
+                raise ConfigError(f"{name} must be a finite real number")
         for name in ("nu", "L0", "c_u"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         if self.N_u < 0.0 or self.N_p < 0.0:
-            raise ValueError("penalty constants must be non-negative")
+            raise ConfigError("penalty constants must be non-negative")
         # the forms' scales, by `*` and `/`: inf or 0 where `**` would raise
         l0_sq = self.L0 * self.L0
         scales = (self.c_u * self.nu / self.L0 / self.L0, l0_sq / self.nu)
         penalties = (self.N_u * self.nu, self.N_p * l0_sq / self.nu)
         if not all(map(math.isfinite, scales + penalties)) or 0.0 in scales:
-            raise ValueError(f"the scales c_u nu/L0^2, L0^2/nu = {scales} must be finite and "
-                             f"nonzero, and N_u nu, N_p L0^2/nu = {penalties} finite")
+            raise ConfigError(f"the scales c_u nu/L0^2, L0^2/nu = {scales} must be finite and "
+                              f"nonzero, and N_u nu, N_p L0^2/nu = {penalties} finite")
         if self.formulation not in FORMULATIONS:
-            raise ValueError(f"unknown formulation {self.formulation!r}")
+            raise ConfigError(f"unknown formulation {self.formulation!r}")
         if self.corner_strategy not in CORNER_STRATEGIES:
-            raise ValueError(f"unknown corner strategy {self.corner_strategy!r}")
+            raise ConfigError(f"unknown corner strategy {self.corner_strategy!r}")
         if self.formulation != "stabilised-strong" and (
             self.N_u < _PENALTY_WARN_THRESHOLD or self.N_p < _PENALTY_WARN_THRESHOLD
         ):
@@ -108,23 +112,9 @@ class Params:
             )
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Interleaved (u_x, u_y, p) unknowns per vertex."""
-
-    n_vertices: int
-
-    @property
-    def n_dofs(self) -> int:
-        return 3 * self.n_vertices
-
-    def p(self, v):
-        return 3 * np.asarray(v) + 2
-
-    def u_pair(self, v) -> np.ndarray:
-        """[ux(v0), uy(v0), ux(v1), uy(v1), ...] for a vertex list."""
-        v = np.asarray(v)
-        return np.column_stack([3 * v, 3 * v + 1]).ravel()
+def _dofs(vertices) -> np.ndarray:
+    """The interleaved unknowns (u_x, u_y, p) of each vertex, (..., 3)."""
+    return 3 * np.asarray(vertices)[..., None] + np.arange(3)
 
 
 @dataclass
@@ -194,18 +184,17 @@ def _edge_frame(mesh: Mesh):
     element curl coefficients (k, 6), the tangent t = (-n2, n1) (k, 2), the
     edge dofs (ux0, uy0, ux1, uy1) and (p0, p1), and the owner triangle's
     u dofs (k, 6) and p dofs (k, 3)."""
-    dofs = DofMap(mesh.n_vertices)
-    tris = mesh.triangles[mesh.edge_tri]
+    edge, tri = _dofs(mesh.edge_vertices), _dofs(mesh.triangles[mesh.edge_tri])
     grads = mesh.tri_grads[mesh.edge_tri]
     n = mesh.edge_normal
     return (
         grads,
         _curl_coefs(grads),
         np.column_stack([-n[:, 1], n[:, 0]]),
-        dofs.u_pair(mesh.edge_vertices.ravel()).reshape(-1, 4),
-        dofs.p(mesh.edge_vertices),
-        dofs.u_pair(tris.ravel()).reshape(-1, 6),
-        dofs.p(tris),
+        edge[..., :2].reshape(-1, 4),
+        edge[..., 2],
+        tri[..., :2].reshape(-1, 6),
+        tri[..., 2],
     )
 
 
@@ -281,7 +270,7 @@ def _edge_trace(mesh: Mesh, case: ProblemCase):
 def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
     if case.domain != mesh.domain:
         raise ValueError(f"case domain {case.domain!r} != mesh domain {mesh.domain!r}")
-    dofs = DofMap(mesh.n_vertices)
+    n_dofs = 3 * mesh.n_vertices
     parts = []  # (dof indices, values), summed in this order
 
     if not case.zero_source:
@@ -299,7 +288,7 @@ def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
             fvals = params.nu * case.source_f(pts.reshape(-1, 2)).reshape(pts.shape)
             contrib[block] = 2.0 * area[block, None, None] * np.einsum("qi,mqd->mid", wlam, fvals)
         # per vertex slot i: the u_x entries of all triangles, then the u_y ones
-        slots = 3 * mesh.triangles.T[:, None, :] + np.arange(2)[:, None]  # (3, 2, m)
+        slots = _dofs(mesh.triangles.T)[..., :2].transpose(0, 2, 1)  # (3, 2, m)
         parts.append((slots, contrib.transpose(1, 2, 0)))
 
     if params.formulation != "stabilised-strong":
@@ -315,11 +304,11 @@ def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
         parts.append((edge_u, scale[:, None, None] * moment1[:, :, None] * tvec[:, None, :]))
 
     if not parts:
-        return np.zeros(dofs.n_dofs)
+        return np.zeros(n_dofs)
     return np.bincount(
         np.concatenate([i.ravel() for i, _ in parts]),
         weights=np.concatenate([v.ravel() for _, v in parts]),
-        minlength=dofs.n_dofs,
+        minlength=n_dofs,
     )
 
 
@@ -362,11 +351,9 @@ def _scatter(groups, n_dofs) -> sp.csr_matrix:
 
 
 def _assemble_matrix(mesh: Mesh, params: Params) -> sp.csr_matrix:
-    dofs = DofMap(mesh.n_vertices)
     area, h_k, grads = mesh.tri_area, mesh.tri_h, mesh.tri_grads
-
-    u_idx = dofs.u_pair(mesh.triangles.ravel()).reshape(-1, 6)
-    p_idx = dofs.p(mesh.triangles)
+    dofs = _dofs(mesh.triangles)
+    u_idx, p_idx = dofs[..., :2].reshape(-1, 6), dofs[..., 2]
 
     stabilised = params.formulation in ("stabilised-nitsche", "stabilised-strong")
 
@@ -385,7 +372,7 @@ def _assemble_matrix(mesh: Mesh, params: Params) -> sp.csr_matrix:
     if params.formulation != "stabilised-strong":
         # edge-major: every block of one edge before the next edge's
         groups.append(_edge_blocks(mesh, params))
-    return _scatter(groups, dofs.n_dofs)
+    return _scatter(groups, 3 * mesh.n_vertices)
 
 
 def assemble_global(mesh: Mesh, params: Params, case: ProblemCase) -> LinearSystem:
@@ -457,8 +444,10 @@ def apply_strong_bc(
     s = n_a[averaged] + n_b[averaged]
     normal[averaged] = s / np.sqrt(_rowdot(s, s))[:, None]
     tau = np.column_stack([-normal[:, 1], normal[:, 0]])
-    # an unbounded corner value is pinned to zero
-    ubar = _eval_or_fill(case.dirichlet_u, mesh.vertices[vb], 0.0)
+    ubar = case.dirichlet_u(mesh.vertices[vb])
+    # an unbounded (NaN) re-entrant-corner value is pinned to zero; a NaN
+    # anywhere else reaches the solve's non-finite check
+    ubar = np.where(reentrant[:, None] & np.isnan(ubar), 0.0, ubar)
     prescribed = np.where(tangential[:, None], _rowdot(tau, ubar)[:, None] * tau, ubar)
     offset = np.zeros(n_full)  # p = 0 on the whole boundary
     offset.reshape(-1, 3)[vb, :2] = np.where(free[:, None], 0.0, prescribed)

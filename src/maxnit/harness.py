@@ -23,6 +23,7 @@ from .analysis import (
     triple_norm,
 )
 from .assembly import (
+    ConfigError,
     Params,
     apply_strong_bc,
     assemble_global,
@@ -86,10 +87,6 @@ _CASES = {
     **{f"lshape:{n}": partial(lshape_case, n) for n in (1, 2, 4)},
     **{f"curved-l:{n}": partial(curved_l_case, n) for n in (1, 2, 4)},
 }
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -377,10 +374,7 @@ def _params_from_dict(raw: dict) -> Params:
     if not isinstance(raw, dict):
         raise ConfigError("params must be a JSON object")
     _check_keys(raw, Params, "params")
-    try:
-        return Params(**raw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Params(**raw)
 
 
 def _check_keys(raw: dict, cls, what: str) -> None:
@@ -485,7 +479,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,7 +2,8 @@
 
 Conventions (2D): scalar curl c(v) = d1 v2 - d2 v1, vector curl of a
 scalar w is (d2 w, -d1 w). All field callables accept an (m, 2) array of
-points (or a single (2,) point) and return matching arrays.
+points (or a single (2,) point) and return matching arrays. A field is NaN
+where it is unbounded: at the re-entrant corner of an n = 1 case.
 """
 
 from __future__ import annotations
@@ -14,33 +15,10 @@ import numpy as np
 
 __all__ = [
     "ProblemCase",
-    "SingularPointError",
     "square_case",
     "lshape_case",
     "curved_l_case",
 ]
-
-_LEG_ANGLE_SPAN = 1.5 * np.pi  # the L-domain covers theta in [0, 3*pi/2]
-
-
-class SingularPointError(ValueError):
-    """Field evaluation requested at a point where it is unbounded."""
-
-
-def _eval_or_fill(field, points: np.ndarray, fill: float) -> np.ndarray:
-    """A vector field at an (m, 2) point batch. If the batch raises
-    SingularPointError, its halves are evaluated the same way, down to
-    single points; the singular ones get `fill`. A few singular points cost
-    O(log m) calls each."""
-    try:
-        return np.asarray(field(points), dtype=float)
-    except SingularPointError:
-        if len(points) == 1:
-            return np.full((1, 2), float(fill))
-        half = len(points) // 2
-        return np.concatenate(
-            [_eval_or_fill(field, points[:half], fill), _eval_or_fill(field, points[half:], fill)]
-        )
 
 
 @dataclass(frozen=True)
@@ -112,7 +90,8 @@ def square_case() -> ProblemCase:
 
 def _corner_gradient(n: int):
     """Gradient of r^(2n/3) sin(2n theta/3) with theta measured from the
-    positive x-axis into [0, 3*pi/2]."""
+    positive x-axis into [0, 3*pi/2]; at the origin it is 0, or NaN for
+    n = 1, where it is unbounded."""
     k = 2.0 * n / 3.0
 
     @_vectorised
@@ -123,10 +102,7 @@ def _corner_gradient(n: int):
         theta = np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
         out = np.empty((len(r), 2))
         at_origin = r < 1e-14
-        if at_origin.any():
-            if n == 1:
-                raise SingularPointError("field is unbounded at the corner")
-            out[at_origin] = 0.0
+        out[at_origin] = np.nan if n == 1 else 0.0
         ok = ~at_origin
         rad = k * r[ok] ** (k - 1.0)
         ang = (k - 1.0) * theta[ok]

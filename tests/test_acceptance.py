@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from maxnit.analysis import l2_errors
-from maxnit.assembly import Params, apply_strong_bc, assemble_global, DofMap
+from maxnit.assembly import Params, _dofs, apply_strong_bc, assemble_global
 from maxnit.harness import StudyConfig, build_case, run_studies, run_study
 from maxnit.linsolve import solve
 from maxnit.mesh import (
@@ -396,12 +396,11 @@ def test_c09_local_matrix_oracle(rng):
             int(np.where(mesh.triangles[0] == v1)[0][0]),
         )
         want = oracle_edge_blocks(tri, local, mesh.edge_normal[e], params)
-        dofs = DofMap(3)
         keyed = {(tuple(r), tuple(c)): b for r, c, b in edge_blocks_of(mesh, e, params)}
-        edge_u = tuple(dofs.u_pair([v0, v1]))
-        edge_p = tuple(dofs.p(np.array([v0, v1])))
-        tri_u = tuple(dofs.u_pair(mesh.triangles[0]))
-        tri_p = tuple(dofs.p(mesh.triangles[0]))
+        edge_u = tuple(_dofs([v0, v1])[:, :2].ravel())
+        edge_p = tuple(_dofs([v0, v1])[:, 2])
+        tri_u = tuple(_dofs(mesh.triangles[0])[:, :2].ravel())
+        tri_p = tuple(_dofs(mesh.triangles[0])[:, 2])
         for key, expected in [
             ((edge_u, tri_u), want["consistency"]),
             ((edge_p, edge_u), want["normal_flux"]),

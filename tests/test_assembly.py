@@ -9,20 +9,22 @@ from maxnit.analysis import boundary_data_norm
 from maxnit.assembly import (
     _BLOCK,
     RHS_TRI_DEGREE,
+    CORNER_STRATEGIES,
     FORMULATIONS,
-    DofMap,
+    ConfigError,
     Params,
     _batch_curl_curl,
     _batch_div_div,
     _batch_mixed_grad,
     _batch_pressure_laplacian,
+    _dofs,
     _edge_blocks,
     _map_rule_points,
     apply_strong_bc,
     assemble_global,
     assemble_rhs,
 )
-from maxnit.linsolve import solve
+from maxnit.linsolve import SingularSystemError, solve
 from maxnit.mesh import (
     MeshError,
     _build,
@@ -194,14 +196,13 @@ class TestLocalOracle:
             )
             expected = oracle_edge_blocks(tri, local, mesh.edge_normal[e], params)
             blocks = edge_blocks_of(mesh, e, params)
-            dofs = DofMap(3)
             keyed = {
                 (tuple(r), tuple(c)): b for r, c, b in blocks
             }
-            edge_u = tuple(dofs.u_pair([v0, v1]))
-            edge_p = tuple(dofs.p(np.array([v0, v1])))
-            tri_u = tuple(dofs.u_pair(mesh.triangles[0]))
-            tri_p = tuple(dofs.p(mesh.triangles[0]))
+            edge_u = tuple(_dofs([v0, v1])[:, :2].ravel())
+            edge_p = tuple(_dofs([v0, v1])[:, 2])
+            tri_u = tuple(_dofs(mesh.triangles[0])[:, :2].ravel())
+            tri_p = tuple(_dofs(mesh.triangles[0])[:, 2])
             pairs = [
                 ((edge_u, tri_u), expected["consistency"]),
                 ((edge_p, edge_u), expected["normal_flux"]),
@@ -227,9 +228,8 @@ class TestEdgeBlocks:
         e = bottoms[0]
         params = Params(nu=1.0, L0=1.0, c_u=1.0, N_u=100.0, N_p=100.0)
         blocks = edge_blocks_of(mesh, e, params)
-        dofs = DofMap(mesh.n_vertices)
         v0, v1 = mesh.edge_vertices[e]
-        edge_u = tuple(dofs.u_pair([v0, v1]))
+        edge_u = tuple(_dofs([v0, v1])[:, :2].ravel())
         pen = next(b for r, c, b in blocks if tuple(r) == edge_u and tuple(c) == edge_u)
         # n = (0,-1): t(v) = v_x, so only the x-x pairs carry the edge mass
         ell = mesh.edge_length[e]
@@ -243,14 +243,13 @@ class TestEdgeBlocks:
         params = Params(N_u=100.0, N_p=100.0)
         case = zero_case()
         system = assemble_global(mesh, params, case)
-        dofs = DofMap(mesh.n_vertices)
         diag = system.matrix.diagonal()
-        boundary = np.where(mesh.on_boundary)[0]
-        interior = np.where(~mesh.on_boundary)[0]
+        boundary = _dofs(np.where(mesh.on_boundary)[0])[:, 2]
+        interior = _dofs(np.where(~mesh.on_boundary)[0])[:, 2]
         # boundary p diagonals pick up the negative penalty mass on top of
         # the (already negative) pressure laplacian
-        assert np.all(diag[dofs.p(boundary)] < diag[dofs.p(interior)].max())
-        assert np.all(diag[dofs.p(boundary)] < 0)
+        assert np.all(diag[boundary] < diag[interior].max())
+        assert np.all(diag[boundary] < 0)
 
     def test_strong_formulation_has_no_edge_blocks(self):
         # the strong matrix is the stabilised-Nitsche one without any edge block
@@ -295,8 +294,7 @@ class TestRhs:
         params = Params(nu=1.0, L0=0.1, c_u=0.1, N_u=100.0, N_p=100.0)
         b = assemble_rhs(mesh, case, params)
 
-        dofs = DofMap(mesh.n_vertices)
-        oracle = np.zeros(dofs.n_dofs)
+        oracle = np.zeros(3 * mesh.n_vertices)
         rule = subdivide_triangle_rule(triangle_rule(8), 2)
         coords = mesh.vertices[mesh.triangles]
         pts = np.einsum("qk,mkd->mqd", rule.points, coords)
@@ -322,14 +320,14 @@ class TestRhs:
         )
         curl6 = _curl_coefs(mesh.tri_grads[mesh.edge_tri])
         mom0 = mesh.edge_length * (tu @ ew)
-        tri_u = dofs.u_pair(mesh.triangles[mesh.edge_tri].ravel()).reshape(-1, 6)
+        tri_u = _dofs(mesh.triangles[mesh.edge_tri])[..., :2]
         np.add.at(oracle, tri_u.ravel(), (-params.nu * mom0[:, None] * curl6).ravel())
         lam = np.column_stack([1.0 - t, t])
         mom1 = mesh.edge_length[:, None] * np.einsum("q,qi,kq->ki", ew, lam, tu)
         scale = params.N_u * params.nu / mesh.edge_local_h
         tvecs = np.column_stack([-mesh.edge_normal[:, 1], mesh.edge_normal[:, 0]])
         pen = scale[:, None, None] * mom1[:, :, None] * tvecs[:, None, :]
-        edge_u = dofs.u_pair(mesh.edge_vertices.ravel()).reshape(-1, 4)
+        edge_u = _dofs(mesh.edge_vertices)[..., :2]
         np.add.at(oracle, edge_u.ravel(), pen.reshape(-1, 4).ravel())
 
         assert np.linalg.norm(b - oracle) < 1e-10 * np.linalg.norm(oracle)
@@ -413,7 +411,7 @@ class TestGlobalAssembly:
         mesh = gen_square_uniform(2)
         system = assemble_global(mesh, Params(), square_case())
         assert system.matrix.shape == (27, 27)
-        assert DofMap(mesh.n_vertices).n_dofs == 27
+        assert np.array_equal(_dofs([0, 8]), [[0, 1, 2], [24, 25, 26]])
 
     def test_quadratic_form_positivity(self, rng):
         mesh = gen_square_uniform(4)
@@ -437,12 +435,11 @@ class TestGlobalAssembly:
         a_sn = assemble_global(mesh, params_sn, case).matrix
         a_gn = assemble_global(mesh, params_gn, case).matrix
 
-        dofs = DofMap(mesh.n_vertices)
         area, h_k, grads = mesh.tri_area, mesh.tri_h, mesh.tri_grads
         uu = _batch_div_div(area, h_k, grads, params_sn)
         pp = _batch_pressure_laplacian(area, grads, params_sn)
-        u_idx = dofs.u_pair(mesh.triangles.ravel()).reshape(-1, 6)
-        p_idx = dofs.p(mesh.triangles)
+        dofs = _dofs(mesh.triangles)
+        u_idx, p_idx = dofs[..., :2].reshape(-1, 6), dofs[..., 2]
         stab = block_matrix([(u_idx, u_idx, uu), (p_idx, p_idx, pp)], a_sn.shape[0])
 
         # the pressure flux is the (p, p) edge-by-triangle pair of blocks
@@ -527,6 +524,39 @@ class TestStrongBc:
         assert free.n_unknowns == both.n_unknowns + 2
         assert bis.n_unknowns == both.n_unknowns + 1
 
+    @pytest.mark.parametrize("strategy", CORNER_STRATEGIES)
+    def test_one_data_evaluation_and_the_corner_pinned_to_zero(self, strategy):
+        mesh, case = gen_lshape(32), lshape_case(1)
+        system = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
+        calls = []
+
+        def spy(points):
+            calls.append(len(points))
+            return case.dirichlet_u(points)
+
+        reduced = apply_strong_bc(system, mesh, replace(case, dirichlet_u=spy), strategy)
+        assert calls == [int(mesh.on_boundary.sum())]
+        corner = np.all(mesh.vertices == 0.0, axis=1)
+        assert np.array_equal(reduced.offset.reshape(-1, 3)[corner], [[0.0, 0.0, 0.0]])
+        assert np.all(np.isfinite(reduced.offset))
+
+    @pytest.mark.parametrize("strategy", CORNER_STRATEGIES)
+    def test_nan_data_off_the_corner_is_a_solver_failure(self, strategy):
+        # only the re-entrant corner's unbounded value is pinned to zero
+        mesh, case = gen_lshape(8), lshape_case(1)
+        off_corner = mesh.on_boundary & np.any(mesh.vertices != 0.0, axis=1)
+        target = mesh.vertices[np.flatnonzero(off_corner)[0]]
+
+        def data(points):
+            out = case.dirichlet_u(points)
+            out[np.all(points == target, axis=1)] = np.nan
+            return out
+
+        system = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
+        reduced = apply_strong_bc(system, mesh, replace(case, dirichlet_u=data), strategy)
+        with pytest.raises(SingularSystemError):
+            solve(reduced)
+
     def test_curved_arc_uses_averaged_normals(self):
         mesh = map_to_curved_l(gen_lshape(4))
         case = lshape_case(2)
@@ -586,6 +616,13 @@ class TestParams:
             Params(N_u=0.0, N_p=0.0)  # zero penalty scales are allowed
         Params(nu=1e-300)
         Params(nu=1e300)
+
+    def test_invalid_params_are_config_errors(self):
+        from maxnit import harness
+
+        with pytest.raises(ConfigError, match="nu must be positive"):
+            Params(nu=-1.0)
+        assert harness.ConfigError is ConfigError
 
     def test_frozen_after_construction(self):
         params = Params()

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from maxnit.mesh import gen_lshape
-from maxnit.problems import (
-    SingularPointError,
-    _eval_or_fill,
-    curved_l_case,
-    lshape_case,
-    square_case,
-)
+from maxnit.problems import curved_l_case, lshape_case, square_case
 
 FD_STEP = 1e-6
 # the achievable central-difference accuracy at this step is limited by
@@ -116,10 +110,15 @@ class TestLshapeCase:
         assert u @ pt == pytest.approx(0.0, abs=1e-14)
 
     def test_singular_point_behaviour(self):
-        with pytest.raises(SingularPointError):
-            lshape_case(1).exact_u([0.0, 0.0])
-        for n in (2, 4):
-            assert np.allclose(lshape_case(n).exact_u([0.0, 0.0]), 0.0)
+        # unbounded at the corner for n = 1: NaN there, finite everywhere else
+        vertices = gen_lshape(32).vertices
+        corner = np.all(vertices == 0.0, axis=1)
+        assert corner.sum() == 1
+        for n in (1, 2, 4):
+            u = lshape_case(n).exact_u(vertices)
+            assert np.all(np.isfinite(u[~corner]))
+            assert np.all(np.isnan(u[corner]) if n == 1 else u[corner] == 0.0)
+        assert np.all(np.isnan(lshape_case(1).exact_u([0.0, 0.0])))
 
     def test_curl_and_div_vanish(self, rng):
         for n in (1, 2, 4):
@@ -200,45 +199,3 @@ def test_exact_p_is_zero():
         pts = np.array([[0.3, 0.4], [-0.5, 0.25]])
         assert np.all(case.exact_p(pts) == 0.0)
 
-
-class TestEvalOrFill:
-    @staticmethod
-    def counted(field):
-        calls = []
-
-        def wrapped(points):
-            calls.append(len(points))
-            return field(points)
-
-        return wrapped, calls
-
-    @staticmethod
-    def pointwise(field, points, fill):
-        out = []
-        for point in points:
-            try:
-                out.append(field(point[None]))
-            except SingularPointError:
-                out.append(np.full((1, 2), fill))
-        return np.concatenate(out)
-
-    @pytest.mark.parametrize("fill", [np.nan, 0.0])
-    def test_bisection_equals_pointwise_evaluation(self, fill):
-        # every vertex of a mesh with the singular corner among them
-        points = gen_lshape(32).vertices
-        corner = np.flatnonzero(np.all(points == 0.0, axis=1))
-        assert len(corner) == 1
-        exact_u = lshape_case(1).exact_u
-        field, calls = self.counted(exact_u)
-        got = _eval_or_fill(field, points, fill)
-        assert np.array_equal(got, self.pointwise(exact_u, points, fill), equal_nan=True)
-        assert np.array_equal(got[corner[0]], [fill, fill], equal_nan=True)
-        assert np.all(np.isfinite(np.delete(got, corner, axis=0)))
-        # one singular point: the whole batch, then two halves per level
-        assert len(calls) <= 1 + 2 * math.ceil(math.log2(len(points)))
-
-    def test_regular_batch_is_one_call(self):
-        points = np.array([[0.5, 0.5], [-0.3, -0.7], [0.0, 0.0]])
-        field, calls = self.counted(lshape_case(2).exact_u)
-        assert np.array_equal(_eval_or_fill(field, points, np.nan), lshape_case(2).exact_u(points))
-        assert calls == [3]
