@@ -73,10 +73,10 @@ def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
 
     Raises SingularSystemError when the factorisation breaks down or the
     1-norm condition estimate ||A||_1 * est(||A^-1||_1) is not below
-    `_COND_LIMIT`. The estimate only solves with the factors; reading
-    `lu.L` or `lu.U` would make SuperLU keep CSC copies of both. The
-    factorisation also solves with any matrix that borders `matrix` with a
-    few rows and columns, through `BorderedLU`.
+    `_COND_LIMIT`. The estimate (`_inverse_norm1`, scipy's `onenormest`) only
+    solves with the factors; reading `lu.L` or `lu.U` would make SuperLU keep
+    CSC copies of both. The factorisation also solves with any matrix that
+    borders `matrix` with a few rows and columns, through `BorderedLU`.
 
     Memory: an exactly symmetric CSR matrix (every system that assembly
     builds) is handed to SuperLU as the CSC view of its transpose, which
@@ -108,7 +108,7 @@ def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
 def _check_condition(norm1: float, lu) -> None:
     """Raise SingularSystemError unless norm1 * est(||A^-1||_1), with A the
     matrix that `lu` solves with, is below `_COND_LIMIT`."""
-    cond = norm1 * _inverse_norm1(lu, lu.shape[0])
+    cond = norm1 * _inverse_norm1(lu)
     if not cond < _COND_LIMIT:
         raise SingularSystemError(
             f"numerically singular system (1-norm condition estimate {cond:.1e}); "
@@ -235,10 +235,12 @@ def _malloc_trim():
     return trim
 
 
-def _inverse_norm1(lu, n: int) -> float:
+def _inverse_norm1(lu) -> float:
     """Lower estimate of ||A^-1||_1 from the solves of `lu` with A (SuperLU
-    or `BorderedLU`): Hager's iteration with Higham's safeguards (LAPACK
-    xLACN2). Deterministic; `inf` when a solve is not finite."""
+    or `BorderedLU`), `inf` when a solve is not finite: scipy's `onenormest`
+    at t = 1, which draws random columns only for t >= 2, and one more solve
+    with Higham's alternating-sign vector, which LAPACK's xLACN2 takes to
+    catch what the iteration misses and scipy's t = 1 iteration lacks."""
 
     def apply(v, trans="N"):
         y = lu.solve(v, trans=trans)
@@ -246,29 +248,12 @@ def _inverse_norm1(lu, n: int) -> float:
             raise FloatingPointError
         return y
 
-    # Higham's alternating-sign vector, of 1-norm 3n/2, catches what the
-    # iteration misses; it is solved together with the start vector
+    n = lu.shape[0]
+    # with no dtype given, LinearOperator would find it by one more solve
+    op = spla.LinearOperator(lu.shape, matvec=apply, rmatvec=lambda v: apply(v, "T"), dtype=float)
     alt = (1.0 + np.arange(n) / max(n - 1, 1)) * (-1.0) ** np.arange(n)
     try:
-        y, y_alt = apply(np.column_stack([np.full(n, 1.0 / n), alt])).T
-        est = np.abs(y).sum()
-        signs = np.where(y >= 0.0, 1.0, -1.0)
-        j = None
-        for _ in range(4):
-            z = np.abs(apply(signs, "T"))
-            if j is not None and z[j] == z.max():
-                break  # the next unit vector would repeat the last estimate
-            j = int(np.argmax(z))
-            unit = np.zeros(n)
-            unit[j] = 1.0
-            y = apply(unit)
-            new_signs = np.where(y >= 0.0, 1.0, -1.0)
-            new_est = np.abs(y).sum()
-            if new_est <= est or np.array_equal(new_signs, signs):
-                est = max(est, new_est)
-                break
-            est, signs = new_est, new_signs
-        return max(est, np.abs(y_alt).sum() / (1.5 * n))
+        return max(spla.onenormest(op, t=1), np.abs(apply(alt)).sum() / (1.5 * n))
     except FloatingPointError:
         return np.inf
 
@@ -281,12 +266,17 @@ def solve(system: LinearSystem, lu=None) -> SolutionFields:
     its own, or that of a system with the same matrix up to the right-hand
     side or the corner strategy (the configs of one study group share it).
     Without it the core is factorised here. Raises ValueError when `lu` is
-    not of the core's shape, SingularSystemError when the factorisation or
-    the border breaks down or yields non-finite values, ResidualError when
-    refinement cannot reach `_RESIDUAL_TOL`.
+    not of the core's shape, SingularSystemError when the right-hand side is
+    not finite (checked first) or when the factorisation or the border
+    breaks down or yields non-finite values, ResidualError when refinement
+    cannot reach `_RESIDUAL_TOL`.
     """
     a = system.matrix
     b = system.rhs
+    if not np.all(np.isfinite(b)):
+        raise SingularSystemError(
+            "right-hand side is not finite: check the source and boundary data"
+        )
     if lu is None:
         lu = factorize_system(system)
     lu = BorderedLU(lu, a, system.corner)

@@ -21,6 +21,7 @@ from maxnit.linsolve import (
     BorderedLU,
     ResidualError,
     SingularSystemError,
+    _check_condition,
     _inverse_norm1,
     core_matrix,
     factorize,
@@ -315,7 +316,7 @@ def small_bordered_systems(rng):
 def test_inverse_norm1_through_the_border_is_a_close_lower_bound(rng):
     for matrix, border, core in small_bordered_systems(rng):
         exact = np.linalg.cond(matrix.toarray(), 1) / spla.norm(matrix, 1)
-        est = _inverse_norm1(BorderedLU(core, matrix, border), matrix.shape[0])
+        est = _inverse_norm1(BorderedLU(core, matrix, border))
         assert exact / 10.0 <= est <= exact * (1.0 + 1e-10)
 
 
@@ -347,19 +348,38 @@ def small_matrices(rng):
 def test_inverse_norm1_is_a_close_lower_bound(rng):
     for matrix in small_matrices(rng):
         exact = np.linalg.cond(matrix.toarray(), 1) / spla.norm(matrix, 1)
-        est = _inverse_norm1(spla.splu(sp.csc_matrix(matrix)), matrix.shape[0])
+        est = _inverse_norm1(spla.splu(sp.csc_matrix(matrix)))
         assert exact / 10.0 <= est <= exact * (1.0 + 1e-10)
 
 
 def test_inverse_norm1_is_deterministic_and_leaves_global_rng_alone():
     lu = spla.splu(sp.csc_matrix(crisscross_matrix(8, 1e-4)))
     before = np.random.get_state()
-    first = _inverse_norm1(lu, lu.shape[0])
-    second = _inverse_norm1(lu, lu.shape[0])
+    first = _inverse_norm1(lu)
+    second = _inverse_norm1(lu)
     after = np.random.get_state()
     assert first == second
     assert before[0] == after[0] and before[2:] == after[2:]
     assert np.array_equal(before[1], after[1])
+
+
+class _NanTransposedSolve:
+    """SuperLU stand-in whose transposed solves are NaN."""
+
+    def __init__(self, lu):
+        self._lu, self.shape = lu, lu.shape
+
+    def solve(self, rhs, trans="N"):
+        x = self._lu.solve(rhs, trans)
+        return np.full_like(x, np.nan) if trans == "T" else x
+
+
+def test_non_finite_solve_is_an_infinite_estimate():
+    matrix = crisscross_matrix(4, 1e-4)
+    lu = _NanTransposedSolve(spla.splu(sp.csc_matrix(matrix)))
+    assert _inverse_norm1(lu) == np.inf
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        _check_condition(spla.norm(matrix, 1), lu)
 
 
 class _FactorsOnly:
