@@ -14,7 +14,6 @@ from .assembly import (
     _edge_trace,
     _map_rule_points,
 )
-from .linsolve import SolutionFields
 from .mesh import Mesh
 from .problems import ProblemCase
 from .quadrature import subdivide_triangle_rule, triangle_rule
@@ -48,10 +47,6 @@ class ErrorReport:
     wall_ms: float = 0.0
 
 
-def _coeffs(sol) -> np.ndarray:
-    return sol.coeffs if isinstance(sol, SolutionFields) else np.asarray(sol, float)
-
-
 def _udofs(nodal: np.ndarray) -> np.ndarray:
     """Interleaved (u_x, u_y) element vectors from nodal (..., 3, [ux, uy, p])."""
     return nodal[..., :2].reshape(nodal.shape[:-2] + (6,))
@@ -70,8 +65,10 @@ def _rule_parts(mesh: Mesh, case: ProblemCase, subdivide: int | None):
     return [(subdivide_triangle_rule(rule, subdivide) if subdivide else rule, slice(None))]
 
 
-def l2_errors(mesh: Mesh, sol, case: ProblemCase, subdivide: int | None = None) -> ErrorReport:
-    """Error norms of a discrete solution against the exact fields.
+def l2_errors(mesh: Mesh, x: np.ndarray, case: ProblemCase,
+              subdivide: int | None = None) -> ErrorReport:
+    """Error norms of a discrete solution, the full nodal coefficient vector
+    `x`, against the exact fields.
 
     |u - u_h|^2 and |p_h|^2 are integrated with the degree-6 rule. For the
     strongest singularity (singularity_n == 1) the triangles whose centroid
@@ -88,7 +85,6 @@ def l2_errors(mesh: Mesh, sol, case: ProblemCase, subdivide: int | None = None) 
     bounded below by the piecewise-constant approximation error of the
     exact curl).
     """
-    x = _coeffs(sol)
     coords = mesh.vertices[mesh.triangles]
     nodal = x.reshape(-1, 3)[mesh.triangles]  # (m, 3, 3)
     c_h = np.einsum("ma,ma->m", _curl_coefs(mesh.tri_grads), _udofs(nodal))
@@ -112,14 +108,14 @@ def l2_errors(mesh: Mesh, sol, case: ProblemCase, subdivide: int | None = None) 
     return ErrorReport(mesh.h, float(err_u), float(err_c), float(err_p), 3 * mesh.n_vertices)
 
 
-def triple_norm(mesh: Mesh, sol, params: Params) -> float:
-    """Mesh-dependent stability norm of a discrete pair [v, q]:
+def triple_norm(mesh: Mesh, x: np.ndarray, params: Params) -> float:
+    """Mesh-dependent stability norm of a discrete pair [v, q], given as its
+    full nodal coefficient vector `x`:
 
     nu ||c(v)||^2 + (nu/L0^2) ||v||^2 + (L0^2/nu) ||grad q||^2
       + nu sum_K (h_K^2/L0^2) ||div v||_K^2
       + sum_e (nu/h_e) ||t(v)||_e^2 + sum_e (L0^2/(nu h_e)) ||q||_e^2
     """
-    x = _coeffs(sol)
     area, h_k, grads = mesh.tri_area, mesh.tri_h, mesh.tri_grads
     nodal = x.reshape(-1, 3)[mesh.triangles]
     udofs = _udofs(nodal)

@@ -108,7 +108,7 @@ class Params:
             warnings.warn(
                 "penalty constants below the stability threshold estimate; "
                 "the discrete problem may be unstable",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__
             )
 
 
@@ -429,10 +429,9 @@ def apply_strong_bc(
     n_a, n_b = mesh.edge_normal[e_in], mesh.edge_normal[e_out]
     turn = n_a[:, 0] * n_b[:, 1] - n_a[:, 1] * n_b[:, 0]  # sign of the CCW boundary turn
     colinear = (np.abs(turn) < 1e-12) & (_rowdot(n_a, n_b) > 0.0)
-    tags = np.asarray(mesh.edge_tag)
     # equal tags: interior vertex of a polygonally approximated curved
     # segment, treated like a straight vertex with the averaged normal
-    averaged = ~colinear & (tags[e_in] == tags[e_out])
+    averaged = ~colinear & (mesh.edge_tag[e_in] == mesh.edge_tag[e_out])
     # a convex corner has both tangents prescribed, so both components
     # are fixed by the data; the strategy decides at re-entrant corners
     reentrant = ~colinear & ~averaged & ~(turn > 0.0)

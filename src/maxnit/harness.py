@@ -211,14 +211,14 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
                 for i, sol in zip(group, _solve_group(mesh, level, group, configs, cases, ms)):
                     cfg, case = configs[i], cases[i]
                     with _stage(f"level {level}, {_title(cfg)}", ms, [i]):
-                        rep = l2_errors(mesh, sol, case)
-                        rep.triple = triple_norm(mesh, sol, cfg.params)
+                        rep = l2_errors(mesh, sol.coeffs, case)
+                        rep.triple = triple_norm(mesh, sol.coeffs, cfg.params)
                         rep.data_norm = boundary_data_norm(mesh, case, cfg.params)
                     rep.wall_ms = ms[i]
                     rows[i].append(rep)
                     if "vtk" in cfg.emit:
                         path = f"{cfg.out_dir}/{_slug(cfg)}_L{level}.vtk"
-                        mio.export_vtk(mesh, path, mio.nodal_fields(mesh, sol, case))
+                        mio.export_vtk(mesh, path, mio.nodal_fields(mesh, sol.coeffs, case))
 
     studies = []
     for cfg, reports in zip(configs, rows):

@@ -6,7 +6,6 @@ import csv
 
 import numpy as np
 
-from .analysis import _coeffs
 from .mesh import Mesh
 
 __all__ = [
@@ -22,10 +21,10 @@ _CSV_COLUMNS = (
 )
 
 
-def nodal_fields(mesh: Mesh, sol, case) -> dict:
-    """The computed u_x, u_y and p of a solution (a `SolutionFields` or a
-    coefficient vector) and their exact counterparts, as nodal arrays."""
-    nodal = _coeffs(sol).reshape(-1, 3)
+def nodal_fields(mesh: Mesh, x: np.ndarray, case) -> dict:
+    """The computed u_x, u_y and p of a solution, the full nodal coefficient
+    vector `x`, and their exact counterparts, as nodal arrays."""
+    nodal = x.reshape(-1, 3)
     u_ex = case.exact_u(mesh.vertices)  # NaN at a singular corner
     return {
         "u_x": nodal[:, 0].copy(),

@@ -32,18 +32,11 @@ class ResidualError(RuntimeError):
 
 @dataclass
 class SolutionFields:
-    """Full-length nodal coefficient vector with per-vertex accessors."""
+    """Full-length nodal coefficient vector, interleaved (u_x, u_y, p) per
+    vertex, and the relative residual of the solve."""
 
     coeffs: np.ndarray
     residual: float
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.coeffs.reshape(-1, 3)[:, :2]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.coeffs.reshape(-1, 3)[:, 2]
 
 
 # A system whose 1-norm condition estimate reaches this is rejected as
@@ -108,7 +101,8 @@ def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
 def _check_condition(norm1: float, lu) -> None:
     """Raise SingularSystemError unless norm1 * est(||A^-1||_1), with A the
     matrix that `lu` solves with, is below `_COND_LIMIT`."""
-    cond = norm1 * _inverse_norm1(lu)
+    # Python floats: a product past the float range is inf, with no numpy warning
+    cond = float(norm1) * float(_inverse_norm1(lu))
     if not cond < _COND_LIMIT:
         raise SingularSystemError(
             f"numerically singular system (1-norm condition estimate {cond:.1e}); "

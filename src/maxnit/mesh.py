@@ -10,7 +10,7 @@ tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +55,8 @@ class Mesh:
     edge_normal: np.ndarray     # (k, 2) outward unit normal
     edge_length: np.ndarray     # (k,)
     edge_local_h: np.ndarray    # (k,)
-    edge_tag: list = field(default_factory=list)  # (k,) segment names
-    on_boundary: np.ndarray = None  # (n,) bool
+    edge_tag: np.ndarray        # (k,) segment names
+    on_boundary: np.ndarray     # (n,) bool
 
     @property
     def h(self) -> float:
@@ -140,7 +140,8 @@ def _edge_table(triangles: np.ndarray):
 
 def _build(vertices, triangles, domain, tag_edges=None) -> Mesh:
     """Assemble the derived geometry; `tag_edges` maps the (k, 2) directed
-    boundary edges to their k segment names (all "boundary" without it)."""
+    boundary edges to a (k,) string array of their segment names (all
+    "boundary" without it)."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     areas, h_k, grads = _tri_geometry(vertices[triangles])
@@ -154,10 +155,7 @@ def _build(vertices, triangles, domain, tag_edges=None) -> Mesh:
     # interior is left of the directed edge, so the outward normal is its
     # clockwise rotation
     normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / lengths[:, None]
-    if tag_edges is None:
-        tags = ["boundary"] * len(bedges)
-    else:
-        tags = np.asarray(tag_edges(bedges)).tolist()
+    tags = np.full(len(bedges), "boundary") if tag_edges is None else tag_edges(bedges)
 
     on_bnd = np.zeros(len(vertices), dtype=bool)
     on_bnd[bedges.ravel()] = True
@@ -306,7 +304,7 @@ def powell_sabin_refine(m: Mesh) -> Mesh:
         parent = parent_edge[bedges].max(axis=1)
         if np.any(parent < 0):
             raise MeshError("refined boundary edge without a split vertex")
-        return np.asarray(m.edge_tag)[parent]
+        return m.edge_tag[parent]
 
     return _build(new_verts, children, m.domain, tag_edges=inherit)
 

@@ -1,9 +1,10 @@
 """Manufactured solution cases: exact fields, sources and boundary data.
 
 Conventions (2D): scalar curl c(v) = d1 v2 - d2 v1, vector curl of a
-scalar w is (d2 w, -d1 w). All field callables accept an (m, 2) array of
-points (or a single (2,) point) and return matching arrays. A field is NaN
-where it is unbounded: at the re-entrant corner of an n = 1 case.
+scalar w is (d2 w, -d1 w). Every field callable takes an (m, 2) float
+array of points and returns m values: an (m,) array for a scalar field, an
+(m, 2) array for a vector field. A field is NaN where it is unbounded: at
+the re-entrant corner of an n = 1 case.
 """
 
 from __future__ import annotations
@@ -38,18 +39,7 @@ class ProblemCase:
     zero_source: bool = False
 
     def exact_p(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.zeros(pts.shape[0])
-
-
-def _vectorised(fn):
-    def wrapped(points):
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        out = fn(np.atleast_2d(pts))
-        return out[0] if single else out
-
-    return wrapped
+        return np.zeros(len(points))
 
 
 def _phis(t, order: int):
@@ -67,17 +57,14 @@ def _phis(t, order: int):
 def square_case() -> ProblemCase:
     """Smooth rotational field on (-1,1)^2 built from phi(t) = t^2 sin(pi t/2)."""
 
-    @_vectorised
     def u(pts):
         (px, p1x), (py, p1y) = _phis(pts[:, 0], 1), _phis(pts[:, 1], 1)
         return np.column_stack([px * p1y, -p1x * py])
 
-    @_vectorised
     def curl(pts):
         (px, _, p2x), (py, _, p2y) = _phis(pts[:, 0], 2), _phis(pts[:, 1], 2)
         return -(p2x * py + px * p2y)
 
-    @_vectorised
     def f(pts):
         # f / nu = vector-curl of the scalar curl, so div f = 0 identically
         (px, p1x, p2x, p3x), (py, p1y, p2y, p3y) = _phis(pts[:, 0], 3), _phis(pts[:, 1], 3)
@@ -94,7 +81,6 @@ def _corner_gradient(n: int):
     n = 1, where it is unbounded."""
     k = 2.0 * n / 3.0
 
-    @_vectorised
     def u(pts):
         x, y = pts[:, 0], pts[:, 1]
         r = np.hypot(x, y)
@@ -119,11 +105,9 @@ def lshape_case(n: int) -> ProblemCase:
         raise ValueError("n must be one of 1, 2, 4")
     u = _corner_gradient(n)
 
-    @_vectorised
     def zero_scalar(pts):
         return np.zeros(pts.shape[0])
 
-    @_vectorised
     def zero_vector(pts):
         return np.zeros((pts.shape[0], 2))
 

@@ -84,3 +84,18 @@ def test_nothing_compared_fails_the_gate(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "0 CSVs, 0 fields compared, largest relative difference 0.00e+00"
     ]
+
+
+def test_a_tree_that_cannot_run_fails_in_one_line(monkeypatch, capsys):
+    tool = load_tool(monkeypatch)
+
+    def run_presets(src, out, presets):
+        if out.name == "change":
+            raise tool.subprocess.CalledProcessError(2, ["python"])
+        write(out, "s.csv", ["1,1.0,0,"])
+
+    monkeypatch.setattr(tool, "run_presets", run_presets)
+    assert tool.main(["old", "new", "table1-ps"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["change tree new: presets exited with status 2"]

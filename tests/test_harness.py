@@ -23,6 +23,7 @@ from maxnit.harness import (
 )
 from maxnit.io import _CSV_COLUMNS, write_report_csv
 from maxnit.mesh import MeshError, validate_mesh
+from maxnit.problems import ProblemCase
 
 
 def quick_config(**kwargs):
@@ -239,13 +240,47 @@ class TestRunStudies:
             case = build_case(cfg.case)
             for level, rep in zip(cfg.levels, study.reports):
                 mesh = build_mesh(case.domain, cfg.family, level)
-                sol = linsolve.solve(assemble_global(mesh, cfg.params, case))
-                direct = l2_errors(mesh, sol, case)
-                direct.triple = triple_norm(mesh, sol, cfg.params)
+                x = linsolve.solve(assemble_global(mesh, cfg.params, case)).coeffs
+                direct = l2_errors(mesh, x, case)
+                direct.triple = triple_norm(mesh, x, cfg.params)
                 direct.data_norm = boundary_data_norm(mesh, case, cfg.params)
                 assert rep.wall_ms >= 0.0
                 assert replace(rep, wall_ms=0.0) == replace(direct, wall_ms=0.0)
         assert [s.config.label for s in studies] == ["n1", "n2", "n4"]
+
+    def test_every_field_call_gets_an_m_by_2_float_array(self, monkeypatch, tmp_path):
+        # the case fields convert nothing: every call that a study makes, to
+        # the four field callables and to exact_p, hands them (m, 2) float64
+        # points, on weak and strong solves, norms and exports alike
+        calls = {}
+
+        def recording(name, fn):
+            def wrapped(*args):
+                calls.setdefault(name, []).append(args[-1])
+                return fn(*args)
+
+            return wrapped
+
+        fields = ("exact_u", "exact_curl_u", "source_f", "dirichlet_u")
+        base = harness.build_case
+
+        def build_case(name):
+            case = base(name)
+            return replace(case, **{f: recording(f, getattr(case, f)) for f in fields})
+
+        monkeypatch.setattr(harness, "build_case", build_case)
+        monkeypatch.setattr(ProblemCase, "exact_p", recording("exact_p", ProblemCase.exact_p))
+        strong = replace(LSHAPE, formulation="stabilised-strong", corner_strategy="free")
+        run_studies([
+            StudyConfig("lshape:1", "crisscross", [2, 4], LSHAPE, str(tmp_path), ("csv", "vtk")),
+            StudyConfig("lshape:1", "crisscross", [2, 4], strong, label="free"),
+            StudyConfig("square", "powell-sabin", [2]),  # f != 0
+        ])
+        assert set(calls) == {*fields, "exact_p"}
+        for name, points in calls.items():
+            for pts in points:
+                assert type(pts) is np.ndarray and pts.dtype == np.float64, name
+                assert pts.ndim == 2 and pts.shape[1] == 2, (name, pts.shape)
 
     def test_one_factorisation_per_matrix(self, monkeypatch):
         splu = counting(monkeypatch, linsolve.spla, "splu")
@@ -315,9 +350,9 @@ class TestRunStudies:
             return factorize(matrix, **kwargs)
 
         monkeypatch.setattr(linsolve, "factorize", keep_shape)
-        sol = linsolve.solve(system)
-        direct = l2_errors(mesh, sol, case)
-        direct.triple = triple_norm(mesh, sol, params)
+        x = linsolve.solve(system).coeffs
+        direct = l2_errors(mesh, x, case)
+        direct.triple = triple_norm(mesh, x, params)
         direct.data_norm = boundary_data_norm(mesh, case, params)
         (rep,) = run_study(cfg).reports
         assert shapes == [(system.matrix.shape[0] - 2,) * 2] * 2
@@ -579,13 +614,17 @@ class TestCli:
         assert len(meshes) == 0
         assert not out.exists()
 
-    @pytest.mark.parametrize("nu", [1e-300, 1e300])
-    def test_extreme_nu_is_a_solver_failure(self, tmp_path, capsys, nu):
-        # finite, nonzero scales, but a matrix that SuperLU finds singular
-        path = tmp_path / "nu.json"
+    @pytest.mark.parametrize("params", [{"nu": 1e-300}, {"nu": 1e300}, {"L0": 1e150}],
+                             ids=["nu=1e-300", "nu=1e+300", "L0=1e+150"])
+    def test_extreme_scale_is_a_solver_failure(self, tmp_path, capsys, params):
+        # finite, nonzero scales, but a matrix that SuperLU finds singular or
+        # whose condition estimate overflows, which must not warn on the way
+        path = tmp_path / "extreme.json"
         path.write_text(json.dumps({"case": "square", "family": "uniform", "levels": [2, 4],
-                                    "params": {"nu": nu}}))
-        assert main(["run", "--config", str(path)]) == 3
+                                    "params": params}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("solver failure: level 2") and len(err.splitlines()) == 1
 

@@ -24,8 +24,9 @@ class TestSquareCase:
     case = square_case()
 
     def test_center_values(self):
-        assert np.allclose(self.case.exact_u([0.0, 0.0]), 0.0)
-        assert self.case.exact_curl_u([0.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
+        center = np.zeros((1, 2))
+        assert np.allclose(self.case.exact_u(center), 0.0)
+        assert self.case.exact_curl_u(center)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_nonzero_boundary_data(self):
         # phi(1) = 1 and phi(-1) = -1 make the tangential data nonzero
@@ -33,7 +34,7 @@ class TestSquareCase:
         ub = self.case.dirichlet_u(pts)
         assert np.abs(ub).max() > 0.5
         # u2(1, 0) = -phi'(1) phi(0) = 0, u2(1, 1) = -phi'(1) phi(1) = -2
-        assert self.case.exact_u([1.0, 1.0])[1] == pytest.approx(-2.0)
+        assert self.case.exact_u(np.array([[1.0, 1.0]]))[0, 1] == pytest.approx(-2.0)
 
     def test_divergence_free(self, rng):
         pts = rng.uniform(-0.95, 0.95, size=(100, 2))
@@ -106,7 +107,7 @@ class TestLshapeCase:
         case = lshape_case(4)
         theta = 3 * math.pi / 8
         pt = np.array([math.cos(theta), math.sin(theta)])
-        u = case.exact_u(pt)
+        u = case.exact_u(pt[None])[0]
         assert u @ pt == pytest.approx(0.0, abs=1e-14)
 
     def test_singular_point_behaviour(self):
@@ -118,7 +119,7 @@ class TestLshapeCase:
             u = lshape_case(n).exact_u(vertices)
             assert np.all(np.isfinite(u[~corner]))
             assert np.all(np.isnan(u[corner]) if n == 1 else u[corner] == 0.0)
-        assert np.all(np.isnan(lshape_case(1).exact_u([0.0, 0.0])))
+        assert np.all(np.isnan(lshape_case(1).exact_u(np.zeros((1, 2)))))
 
     def test_curl_and_div_vanish(self, rng):
         for n in (1, 2, 4):
@@ -147,7 +148,7 @@ class TestLshapeCase:
 
 class TestCurvedLCase:
     def test_same_fields_as_lshape(self):
-        pt = np.array([0.5, 0.5])
+        pt = np.array([[0.5, 0.5]])
         for n in (1, 2, 4):
             a = curved_l_case(n).exact_u(pt)
             b = lshape_case(n).exact_u(pt)
@@ -160,7 +161,7 @@ class TestCurvedLCase:
     def test_golden_value_on_arc_point(self):
         # direct evaluation at the mapped corner (1-sqrt2, sqrt2-1):
         # r = 2 - sqrt(2), theta = 3*pi/4
-        pt = np.array([1 - math.sqrt(2), math.sqrt(2) - 1])
+        pt = np.array([[1 - math.sqrt(2), math.sqrt(2) - 1]])
         r = 2.0 - math.sqrt(2.0)
         for n, golden in [
             (1, None),
@@ -171,10 +172,10 @@ class TestCurvedLCase:
             rad = k * r ** (k - 1.0)
             ang = (k - 1.0) * 0.75 * math.pi
             expect = np.array([rad * math.sin(ang), rad * math.cos(ang)])
-            got = curved_l_case(n).exact_u(pt)
+            got = curved_l_case(n).exact_u(pt)[0]
             assert np.allclose(got, expect, rtol=1e-14)
         # frozen regression value for the singular case
-        got = curved_l_case(1).exact_u(pt)
+        got = curved_l_case(1).exact_u(pt)[0]
         assert got[0] == pytest.approx(-0.563396276350480, rel=1e-12)
         assert got[1] == pytest.approx(+0.563396276350480, rel=1e-12)
 

@@ -8,7 +8,10 @@ process per tree, one tree after the other, with `MAXNIT_THREADS=1`.
 Every field other than `wall_ms` that differs between the trees is
 printed with its relative difference. Exit status: 0 when at least one
 field was compared and every difference is at most `REL_TOL` relative,
-1 otherwise (a missing file, row or column counts as above it).
+1 otherwise (a missing file, row or column counts as above it). A tree
+that cannot run its presets (a wrong path, an unknown preset, a failing
+study) ends the comparison with one line naming the tree and the exit
+status of its run, after the run's own error output, and status 1.
 """
 
 import csv
@@ -104,7 +107,12 @@ def main(argv=None) -> int:
         for tag, src in zip(("parent", "change"), argv[:2]):
             out = Path(tmp) / tag
             out.mkdir()
-            run_presets(_src(src), out, argv[2:])
+            try:
+                run_presets(_src(src), out, argv[2:])
+            except subprocess.CalledProcessError as exc:
+                print(f"{tag} tree {src}: presets exited with status {exc.returncode}",
+                      file=sys.stderr)
+                return 1
             outs.append(out)
         fields, worst = compare(*outs)
     return 0 if fields and worst <= REL_TOL else 1
