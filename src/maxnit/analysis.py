@@ -52,30 +52,28 @@ def _udofs(nodal: np.ndarray) -> np.ndarray:
     return nodal[..., :2].reshape(nodal.shape[:-2] + (6,))
 
 
-def _rule_parts(mesh: Mesh, case: ProblemCase, subdivide: int | None):
+def _rule_parts(mesh: Mesh, case: ProblemCase):
     """(rule, triangles) pairs of the degree-6 rule that cover every triangle
-    once. By default a case with singularity_n == 1 gets the once-subdivided
-    rule on the triangles near its singular corner, the origin, and the plain
-    rule elsewhere; an explicit `subdivide` applies to every triangle."""
+    once. A case with singularity_n == 1 gets the once-subdivided rule on the
+    triangles near its singular corner, the origin, and the plain rule
+    elsewhere; every other case gets the plain rule."""
     rule = triangle_rule(6)
-    if subdivide is None and case.singularity_n == 1:
-        centroid = mesh.vertices[mesh.triangles].mean(axis=1)
-        near = np.hypot(centroid[:, 0], centroid[:, 1]) <= _CORNER_RADIUS_H * mesh.h
-        return [(rule, ~near), (subdivide_triangle_rule(rule, 1), near)]
-    return [(subdivide_triangle_rule(rule, subdivide) if subdivide else rule, slice(None))]
+    if case.singularity_n != 1:
+        return [(rule, slice(None))]
+    centroid = mesh.vertices[mesh.triangles].mean(axis=1)
+    near = np.hypot(centroid[:, 0], centroid[:, 1]) <= _CORNER_RADIUS_H * mesh.h
+    return [(rule, ~near), (subdivide_triangle_rule(rule, 1), near)]
 
 
-def l2_errors(mesh: Mesh, x: np.ndarray, case: ProblemCase,
-              subdivide: int | None = None) -> ErrorReport:
+def l2_errors(mesh: Mesh, x: np.ndarray, case: ProblemCase) -> ErrorReport:
     """Error norms of a discrete solution, the full nodal coefficient vector
     `x`, against the exact fields.
 
     |u - u_h|^2 and |p_h|^2 are integrated with the degree-6 rule. For the
     strongest singularity (singularity_n == 1) the triangles whose centroid
     lies within `_CORNER_RADIUS_H` mesh sizes of the corner get one extra
-    uniform quadrature subdivision by default, so the corner elements are
-    integrated adequately; `subdivide` overrides this with that many
-    subdivisions on every triangle.
+    uniform quadrature subdivision, so the corner elements are integrated
+    adequately.
 
     The curl error is measured at the element centroids, the Gauss point
     of a P1 code. Since the discrete curl is elementwise constant, this is
@@ -91,7 +89,7 @@ def l2_errors(mesh: Mesh, x: np.ndarray, case: ProblemCase,
     w2a = 2.0 * mesh.tri_area
 
     sq_u = sq_p = 0.0
-    for rule, tris in _rule_parts(mesh, case, subdivide):
+    for rule, tris in _rule_parts(mesh, case):
         pts = _map_rule_points(rule, coords[tris])
         u_ex = case.exact_u(pts.reshape(-1, 2)).reshape(pts.shape)
         vals_h = _map_rule_points(rule, nodal[tris])

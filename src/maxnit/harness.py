@@ -370,33 +370,24 @@ def default_configs() -> dict[str, list[StudyConfig]]:
 # command line interface
 
 
-def _params_from_dict(raw: dict) -> Params:
-    if not isinstance(raw, dict):
-        raise ConfigError("params must be a JSON object")
-    _check_keys(raw, Params, "params")
-    return Params(**raw)
-
-
-def _check_keys(raw: dict, cls, what: str) -> None:
-    """The JSON schema is the dataclass: every key must name one of its fields."""
-    unknown = set(raw) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {what} fields {sorted(unknown)}")
-
-
 def _config_from_json(path: str, overrides: dict) -> StudyConfig:
     """The config in the JSON file at `path`, with the fields in `overrides`
-    (the command line's `--out` and `--emit`) replaced."""
+    (the command line's `--out` and `--emit`) replaced. The JSON schema is
+    the dataclasses: every key names a field of `StudyConfig`, or of `Params`
+    under "params"."""
     try:
         with open(path) as f:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    params = _params_from_dict(raw.pop("params", {}))
-    _check_keys(raw, StudyConfig, "config")
-    return StudyConfig(params=params, **{**raw, **overrides})
+    params = raw.get("params", {}) if isinstance(raw, dict) else None
+    for what, obj, cls in (("config", raw, StudyConfig), ("params", params, Params)):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{what} must be a JSON object")
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {what} fields {sorted(unknown)}")
+    return StudyConfig(**{**raw, "params": Params(**params), **overrides})
 
 
 def _cmd_run(args) -> int:
@@ -423,6 +414,8 @@ def _cmd_mesh(args) -> int:
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):  # fail before the mesh is built
         raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, "is a directory", args.out)
     mesh = build_mesh(args.domain, args.family, args.level)
     if args.out.endswith(".vtk"):
         mio.export_vtk(mesh, args.out)

@@ -56,7 +56,6 @@ class Mesh:
     edge_length: np.ndarray     # (k,)
     edge_local_h: np.ndarray    # (k,)
     edge_tag: np.ndarray        # (k,) segment names
-    on_boundary: np.ndarray     # (n,) bool
 
     @property
     def h(self) -> float:
@@ -157,9 +156,6 @@ def _build(vertices, triangles, domain, tag_edges=None) -> Mesh:
     normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / lengths[:, None]
     tags = np.full(len(bedges), "boundary") if tag_edges is None else tag_edges(bedges)
 
-    on_bnd = np.zeros(len(vertices), dtype=bool)
-    on_bnd[bedges.ravel()] = True
-
     return Mesh(
         vertices=vertices,
         triangles=triangles,
@@ -173,7 +169,6 @@ def _build(vertices, triangles, domain, tag_edges=None) -> Mesh:
         edge_length=lengths,
         edge_local_h=h_k[owners],
         edge_tag=tags,
-        on_boundary=on_bnd,
     )
 
 

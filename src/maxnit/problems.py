@@ -38,9 +38,6 @@ class ProblemCase:
     # `source_f` stays a callable that returns zeros.
     zero_source: bool = False
 
-    def exact_p(self, points: np.ndarray) -> np.ndarray:
-        return np.zeros(len(points))
-
 
 def _phis(t, order: int):
     """phi(t) = t^2 sin(pi t/2) and its derivatives up to `order` (1 to 3),

@@ -205,6 +205,13 @@ def mesh_stats(m) -> dict:
     }
 
 
+def boundary_mask(mesh) -> np.ndarray:
+    """(n,) bool: True at the vertices of the boundary edges."""
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    mask[mesh.edge_vertices] = True
+    return mask
+
+
 def nodal_interpolant(mesh, case) -> np.ndarray:
     """Interleaved (u_x, u_y, p) coefficients of the vertex interpolant of
     the exact solution, with p = 0."""

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from maxnit import analysis
 from maxnit.analysis import (
     ErrorReport,
     boundary_data_norm,
@@ -79,36 +80,40 @@ class TestL2Errors:
 
 
 class TestCornerSubdivision:
-    """For singularity_n == 1 the default error norm subdivides the rule on
-    the triangles near the corner only."""
+    """For singularity_n == 1 the error norm subdivides the rule on the
+    triangles near the corner only."""
 
     @pytest.mark.parametrize(
         "build",
         [lambda: gen_lshape(32), lambda: powell_sabin_refine(gen_lshape_uniform(16))],
         ids=["crisscross-32", "powell-sabin-16"],
     )
-    def test_equals_full_subdivision(self, build):
+    def test_equals_full_subdivision(self, build, monkeypatch):
         mesh, case = build(), lshape_case(1)
         x = solve(assemble_global(mesh, Params(nu=1.0, L0=0.5, c_u=1.0), case)).coeffs
 
-        def norm(subdivide):
+        def norm(base):
             """The error report and the number of exact_u points it took."""
             points = []
 
             def exact_u(pts):
                 points.append(len(pts))
-                return case.exact_u(pts)
+                return base.exact_u(pts)
 
-            rep = l2_errors(mesh, x, replace(case, exact_u=exact_u), subdivide=subdivide)
+            rep = l2_errors(mesh, x, replace(base, exact_u=exact_u))
             return rep, sum(points)
 
-        (corner, n_corner), (full, n_full), (plain, n_plain) = map(norm, (None, 1, 0))
+        corner, n_corner = norm(case)
+        plain, n_plain = norm(replace(case, singularity_n=None))
+        # a corner disc that holds every triangle: the rule subdivided everywhere
+        monkeypatch.setattr(analysis, "_CORNER_RADIUS_H", np.inf)
+        full, n_full = norm(case)
         assert corner.err_u == pytest.approx(full.err_u, rel=1e-12, abs=0.0)
         assert corner.err_p == pytest.approx(full.err_p, rel=1e-12, abs=0.0)
         assert corner.err_curl == full.err_curl
-        # the subdivision matters at that tolerance; an explicit `subdivide`
-        # applies to every triangle (12 points each unsubdivided, 48 once
-        # subdivided), the default to some of them only
+        # the subdivision matters at that tolerance; the plain rule takes 12
+        # points per triangle, the subdivided one 48, the corner split some
+        # of each
         assert abs(plain.err_u / full.err_u - 1.0) > 1e-4
         assert (n_plain, n_full) == (12 * mesh.n_triangles, 48 * mesh.n_triangles)
         assert n_plain < n_corner < n_full

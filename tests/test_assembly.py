@@ -43,6 +43,7 @@ from maxnit.problems import (
 from maxnit.quadrature import subdivide_triangle_rule, triangle_rule
 
 from conftest import (
+    boundary_mask,
     oracle_curl_curl,
     oracle_div_div,
     oracle_edge_blocks,
@@ -238,8 +239,9 @@ class TestEdgeBlocks:
         case = zero_case()
         system = assemble_global(mesh, params, case)
         diag = system.matrix.diagonal()
-        boundary = _dofs(np.where(mesh.on_boundary)[0])[:, 2]
-        interior = _dofs(np.where(~mesh.on_boundary)[0])[:, 2]
+        on_boundary = boundary_mask(mesh)
+        boundary = _dofs(np.where(on_boundary)[0])[:, 2]
+        interior = _dofs(np.where(~on_boundary)[0])[:, 2]
         # boundary p diagonals pick up the negative penalty mass on top of
         # the (already negative) pressure laplacian
         assert np.all(diag[boundary] < diag[interior].max())
@@ -474,7 +476,7 @@ class TestStrongBc:
         system = apply_strong_bc(assemble_global(mesh, params, case), mesh, case, "both-zero")
         # eliminated: 3 dofs per boundary vertex at 4 corners, p plus the
         # tangential component elsewhere on the boundary
-        n_boundary = int(mesh.on_boundary.sum())
+        n_boundary = int(boundary_mask(mesh).sum())
         n_corners = 4
         eliminated = 3 * n_corners + 2 * (n_boundary - n_corners)
         assert system.n_unknowns == 3 * mesh.n_vertices - eliminated
@@ -483,7 +485,7 @@ class TestStrongBc:
 
         nodal = solve(system).coeffs.reshape(-1, 3)
         ubar = case.dirichlet_u(mesh.vertices)
-        for v in np.where(mesh.on_boundary)[0]:
+        for v in np.where(boundary_mask(mesh))[0]:
             assert nodal[v, 2] == 0.0
         for corner in [(0, 0), (2, 0), (0, 2), (2, 2)]:
             v = int(np.where(
@@ -529,7 +531,7 @@ class TestStrongBc:
             return case.dirichlet_u(points)
 
         reduced = apply_strong_bc(system, mesh, replace(case, dirichlet_u=spy), strategy)
-        assert calls == [int(mesh.on_boundary.sum())]
+        assert calls == [int(boundary_mask(mesh).sum())]
         corner = np.all(mesh.vertices == 0.0, axis=1)
         assert np.array_equal(reduced.offset.reshape(-1, 3)[corner], [[0.0, 0.0, 0.0]])
         assert np.all(np.isfinite(reduced.offset))
@@ -538,7 +540,7 @@ class TestStrongBc:
     def test_nan_data_off_the_corner_is_a_solver_failure(self, strategy):
         # only the re-entrant corner's unbounded value is pinned to zero
         mesh, case = gen_lshape(8), lshape_case(1)
-        off_corner = mesh.on_boundary & np.any(mesh.vertices != 0.0, axis=1)
+        off_corner = boundary_mask(mesh) & np.any(mesh.vertices != 0.0, axis=1)
         target = mesh.vertices[np.flatnonzero(off_corner)[0]]
 
         def data(points):

@@ -23,7 +23,6 @@ from maxnit.harness import (
 )
 from maxnit.io import _CSV_COLUMNS, write_report_csv
 from maxnit.mesh import MeshError, validate_mesh
-from maxnit.problems import ProblemCase
 
 
 def quick_config(**kwargs):
@@ -249,9 +248,9 @@ class TestRunStudies:
         assert [s.config.label for s in studies] == ["n1", "n2", "n4"]
 
     def test_every_field_call_gets_an_m_by_2_float_array(self, monkeypatch, tmp_path):
-        # the case fields convert nothing: every call that a study makes, to
-        # the four field callables and to exact_p, hands them (m, 2) float64
-        # points, on weak and strong solves, norms and exports alike
+        # the case fields convert nothing: every call that a study makes to
+        # the four field callables hands them (m, 2) float64 points, on weak
+        # and strong solves, norms and exports alike
         calls = {}
 
         def recording(name, fn):
@@ -269,14 +268,13 @@ class TestRunStudies:
             return replace(case, **{f: recording(f, getattr(case, f)) for f in fields})
 
         monkeypatch.setattr(harness, "build_case", build_case)
-        monkeypatch.setattr(ProblemCase, "exact_p", recording("exact_p", ProblemCase.exact_p))
         strong = replace(LSHAPE, formulation="stabilised-strong", corner_strategy="free")
         run_studies([
             StudyConfig("lshape:1", "crisscross", [2, 4], LSHAPE, str(tmp_path), ("csv", "vtk")),
             StudyConfig("lshape:1", "crisscross", [2, 4], strong, label="free"),
             StudyConfig("square", "powell-sabin", [2]),  # f != 0
         ])
-        assert set(calls) == {*fields, "exact_p"}
+        assert set(calls) == set(fields)
         for name, points in calls.items():
             for pts in points:
                 assert type(pts) is np.ndarray and pts.dtype == np.float64, name
@@ -523,6 +521,14 @@ class TestCli:
         out = tmp_path / "missing" / "m.txt"
         assert main(["mesh", "--family", "uniform", "--level", "2", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("I/O error")
+        assert len(meshes) == 0
+
+    @pytest.mark.parametrize("suffix", ["/", ""], ids=["trailing-slash", "bare"])
+    def test_mesh_command_out_is_a_directory(self, monkeypatch, tmp_path, capsys, suffix):
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        out = f"{tmp_path}{suffix}"
+        assert main(["mesh", "--family", "uniform", "--level", "2", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("I/O error: [Errno 21]")
         assert len(meshes) == 0
 
     def test_mesh_command_takes_a_domain_not_a_case(self, tmp_path, capsys):

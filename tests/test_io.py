@@ -49,6 +49,7 @@ def test_snapshot_contains_six_arrays():
     fields = nodal_fields(mesh, x, case)
     assert set(fields) == {"u_x", "u_y", "p", "u_x_exact", "u_y_exact", "p_exact"}
     assert all(len(a) == mesh.n_vertices for a in fields.values())
+    assert fields["p_exact"].dtype == np.float64 and not fields["p_exact"].any()
 
 
 def test_snapshot_singular_corner_is_nan():

@@ -19,7 +19,7 @@ from maxnit.mesh import (
     validate_mesh,
 )
 
-from conftest import mesh_stats
+from conftest import boundary_mask, mesh_stats
 
 
 def test_square_uniform_smallest():
@@ -230,7 +230,7 @@ def test_mesh_is_frozen():
 
 def test_folding_curved_map_raises(monkeypatch):
     base = gen_lshape(4)
-    inner = int(np.flatnonzero(~base.on_boundary)[0])
+    inner = int(np.flatnonzero(~boundary_mask(base))[0])
     blend = mesh_module._blend_toward_arc
 
     def folding_blend(points):
@@ -245,15 +245,16 @@ def test_folding_curved_map_raises(monkeypatch):
 
 _FINGERPRINT_FIELDS = (
     "vertices", "triangles", "tri_area", "tri_h", "edge_vertices", "edge_tri",
-    "edge_normal", "edge_length", "edge_local_h", "on_boundary",
+    "edge_normal", "edge_length", "edge_local_h",
 )
 
 
 def _fingerprint(m) -> str:
-    """sha256 over every array field (name, dtype, shape, bytes) and the tags."""
+    """sha256 over every array field (name, dtype, shape, bytes), the
+    boundary vertex mask under its former field name, and the tags."""
     digest = hashlib.sha256()
-    for name in _FINGERPRINT_FIELDS:
-        a = getattr(m, name)
+    arrays = [(name, getattr(m, name)) for name in _FINGERPRINT_FIELDS]
+    for name, a in arrays + [("on_boundary", boundary_mask(m))]:
         digest.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
         digest.update(np.ascontiguousarray(a).tobytes())
     digest.update("\n".join(m.edge_tag).encode())

@@ -193,10 +193,3 @@ def test_zero_source_flag(rng):
             f = case.source_f(pts)
             assert f.shape == (50, 2)
             assert np.all(f == 0.0)
-
-
-def test_exact_p_is_zero():
-    for case in (square_case(), lshape_case(1), curved_l_case(4)):
-        pts = np.array([[0.3, 0.4], [-0.5, 0.25]])
-        assert np.all(case.exact_p(pts) == 0.0)
-
