@@ -3,25 +3,4 @@ weakly (Nitsche) or strongly imposed Dirichlet data, plus a convergence-study
 harness reproducing reference error tables on square, L-shaped and curved-L
 domains."""
 
-from importlib import import_module
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "mesh",
-    "quadrature",
-    "problems",
-    "assembly",
-    "linsolve",
-    "analysis",
-    "harness",
-    "io",
-)
-
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return import_module(f"maxnit.{name}")
-    raise AttributeError(f"module 'maxnit' has no attribute {name!r}")

@@ -44,7 +44,6 @@ __all__ = [
     "assemble_rhs",
     "assemble_global",
     "apply_strong_bc",
-    "write_matrix_market",
 ]
 
 FORMULATIONS = ("galerkin-nitsche", "stabilised-nitsche", "stabilised-strong")
@@ -472,10 +471,3 @@ def apply_strong_bc(
     vr = vb[reentrant]
     corner = cols[vr][np.arange(3) < n_cols[vr][:, None]]
     return LinearSystem(reduced, rhs, transform=transform, offset=offset, corner=corner)
-
-
-def write_matrix_market(system: LinearSystem, path: str) -> None:
-    """Dump the (symmetric) system matrix in MatrixMarket coordinate format."""
-    import scipy.io as sio
-
-    sio.mmwrite(path, sp.tril(system.matrix), symmetry="symmetric")

@@ -1,4 +1,4 @@
-"""Configuration-driven convergence studies, table emission and the CLI."""
+"""Configuration-driven convergence studies and the CLI."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .assembly import (
     Params,
     apply_strong_bc,
     assemble_global,
-    write_matrix_market,
 )
 from .linsolve import (
     ResidualError,
@@ -44,7 +43,6 @@ from .mesh import (
     gen_square_uniform,
     map_to_curved_l,
     powell_sabin_refine,
-    save_txt,
 )
 from .problems import ProblemCase, curved_l_case, lshape_case, square_case
 
@@ -56,7 +54,6 @@ __all__ = [
     "build_mesh",
     "run_study",
     "run_studies",
-    "emit_table",
     "default_configs",
     "main",
 ]
@@ -261,7 +258,7 @@ def _solve_group(mesh, level, group, configs, cases, ms) -> list:
         with _stage(where, ms, [i]):
             solutions.append(solve(system, lu=lu))
         if "matrixmarket" in cfg.emit:
-            write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
+            mio.write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
     return solutions
 
 
@@ -297,22 +294,6 @@ def _title(config: StudyConfig) -> str:
 def _slug(config: StudyConfig) -> str:
     base = config.label or f"{config.case}_{config.family}"
     return base.replace(":", "").replace(" ", "_")
-
-
-def _fmt_rate(rate) -> str:
-    return "" if rate is None else f" ({rate:.2f})"
-
-
-def emit_table(report: StudyReport) -> str:
-    """Markdown table of h and the u and curl errors with their rates; the
-    machine-readable table is `io.write_report_csv`."""
-    lines = ["| h | err_u (rate) | err_curl (rate) |", "| --- | --- | --- |"]
-    for rep, ru, rc in zip(report.reports, report.rates_u, report.rates_curl):
-        lines.append(
-            f"| {rep.h:.4f} | {rep.err_u:.2e}{_fmt_rate(ru)} | "
-            f"{rep.err_curl:.2e}{_fmt_rate(rc)} |"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def default_configs() -> dict[str, list[StudyConfig]]:
@@ -406,7 +387,7 @@ def _cmd_run(args) -> int:
     for cfg, report in zip(configs, run_studies(configs)):
         if "markdown" in cfg.emit:
             print(f"## {_title(cfg)}  [{cfg.params.formulation}]")
-            print(emit_table(report))
+            print(mio.emit_table(report))
     return 0
 
 
@@ -417,10 +398,10 @@ def _cmd_mesh(args) -> int:
     if os.path.isdir(args.out):
         raise IsADirectoryError(errno.EISDIR, "is a directory", args.out)
     mesh = build_mesh(args.domain, args.family, args.level)
-    if args.out.endswith(".vtk"):
+    if args.out.lower().endswith(".vtk"):
         mio.export_vtk(mesh, args.out)
     else:
-        save_txt(mesh, args.out)
+        mio.save_txt(mesh, args.out)
     print(f"wrote {args.out}: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles")
     return 0
 

@@ -1,18 +1,22 @@
-"""Field, mesh and report export for figures and external verification."""
+"""Every file maxnit writes: field snapshots and meshes (VTK, plain text),
+system matrices (MatrixMarket) and convergence tables (CSV, markdown)."""
 
 from __future__ import annotations
 
 import csv
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Mesh
 
 __all__ = [
     "nodal_fields",
     "export_vtk",
+    "save_txt",
+    "write_matrix_market",
     "write_report_csv",
-    "read_report_csv",
+    "emit_table",
 ]
 
 _CSV_COLUMNS = (
@@ -61,6 +65,34 @@ def export_vtk(mesh: Mesh, path: str, fields: dict | None = None) -> None:
                 f.write("".join(f"{v:.17g}\n" for v in np.asarray(arr, float).tolist()))
 
 
+def save_txt(m: Mesh, path: str) -> None:
+    """Plain-text export: one header line, then one line per entity."""
+    k = m.n_boundary_edges
+    edges = np.empty((k, 7), dtype=object)
+    edges[:, 0] = np.arange(k)
+    edges[:, 1:3] = m.edge_vertices
+    edges[:, 3] = m.edge_tri
+    edges[:, 4:6] = m.edge_normal
+    edges[:, 6] = m.edge_tag
+    with open(path, "w") as f:
+        f.write(
+            f"VERTICES {m.n_vertices} / TRIANGLES {m.n_triangles} / "
+            f"BEDGES {k}\n"
+        )
+        np.savetxt(f, np.column_stack([np.arange(m.n_vertices), m.vertices]),
+                   fmt="%d %.17g %.17g")
+        np.savetxt(f, np.column_stack([np.arange(m.n_triangles), m.triangles]), fmt="%d")
+        np.savetxt(f, edges, fmt="%d %d %d %d %.17g %.17g %s")
+
+
+def write_matrix_market(system, path: str) -> None:
+    """Dump the (symmetric) matrix of a `LinearSystem` in MatrixMarket
+    coordinate format."""
+    import scipy.io as sio
+
+    sio.mmwrite(path, sp.tril(system.matrix), symmetry="symmetric")
+
+
 def _fmt(value) -> str:
     return "" if value is None else f"{value:.17g}"
 
@@ -77,22 +109,17 @@ def write_report_csv(report, path: str) -> None:
             writer.writerow([_fmt(row[key]) for key in _CSV_COLUMNS])
 
 
-def read_report_csv(path: str) -> list[dict]:
-    """Rows as dicts with floats (None for blank fields); round-trips exactly."""
-    out = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != list(_CSV_COLUMNS):
-            raise ValueError(f"unexpected CSV header in {path}")
-        for row in reader:
-            parsed = {}
-            for key in _CSV_COLUMNS:
-                raw = row[key]
-                if raw == "":
-                    parsed[key] = None
-                elif key == "dofs":
-                    parsed[key] = int(raw)
-                else:
-                    parsed[key] = float(raw)
-            out.append(parsed)
-    return out
+def _fmt_rate(rate) -> str:
+    return "" if rate is None else f" ({rate:.2f})"
+
+
+def emit_table(report) -> str:
+    """Markdown table of h and the u and curl errors with their rates; the
+    machine-readable table is `write_report_csv`."""
+    lines = ["| h | err_u (rate) | err_curl (rate) |", "| --- | --- | --- |"]
+    for rep, ru, rc in zip(report.reports, report.rates_u, report.rates_curl):
+        lines.append(
+            f"| {rep.h:.4f} | {rep.err_u:.2e}{_fmt_rate(ru)} | "
+            f"{rep.err_curl:.2e}{_fmt_rate(rc)} |"
+        )
+    return "\n".join(lines) + "\n"

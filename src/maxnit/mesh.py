@@ -23,12 +23,7 @@ __all__ = [
     "gen_lshape_uniform",
     "powell_sabin_refine",
     "map_to_curved_l",
-    "validate_mesh",
-    "save_txt",
 ]
-
-_DOMAIN_AREAS = {"square": 4.0, "lshape": 3.0}
-_AREA_TOL = 1e-10  # relative, of the summed triangle areas in `validate_mesh`
 
 
 class MeshError(RuntimeError):
@@ -352,50 +347,3 @@ def map_to_curved_l(m: Mesh) -> Mesh:
     # same triangles, so the same boundary edges in the same order as `m`
     tags = np.where(on_arc, "arc", m.edge_tag)
     return _build(verts, m.triangles, "curved-l", tag_edges=lambda _: tags)
-
-
-def validate_mesh(m: Mesh) -> None:
-    """Raise MeshError on any violated structural invariant."""
-    if not np.all(np.isfinite(m.vertices)):
-        raise MeshError("non-finite vertex coordinates")
-    geometry = _tri_geometry(m.vertices[m.triangles])
-    if not all(map(np.array_equal, geometry, (m.tri_area, m.tri_h, m.tri_grads))):
-        raise MeshError("stored triangle geometry is stale")
-
-    _, edges, _, sides = _edge_table(m.triangles)
-    stored = np.unique(np.sort(m.edge_vertices, axis=1), axis=0)
-    if not np.array_equal(edges[sides[:, 1] < 0], stored):
-        raise MeshError("stored boundary edges disagree with connectivity")
-
-    mids = 0.5 * (m.vertices[m.edge_vertices[:, 0]] + m.vertices[m.edge_vertices[:, 1]])
-    centroids = m.vertices[m.triangles[m.edge_tri]].mean(axis=1)
-    if np.any(((mids - centroids) * m.edge_normal).sum(axis=1) <= 0.0):
-        raise MeshError("boundary normal points inward")
-    if not np.allclose(np.linalg.norm(m.edge_normal, axis=1), 1.0, atol=1e-12):
-        raise MeshError("boundary normal not unit length")
-
-    expected = _DOMAIN_AREAS.get(m.domain)
-    if expected is not None:
-        total = m.tri_area.sum()
-        if abs(total - expected) > _AREA_TOL * expected:
-            raise MeshError(f"area {total} differs from domain area {expected}")
-
-
-def save_txt(m: Mesh, path: str) -> None:
-    """Plain-text export: one header line, then one line per entity."""
-    k = m.n_boundary_edges
-    edges = np.empty((k, 7), dtype=object)
-    edges[:, 0] = np.arange(k)
-    edges[:, 1:3] = m.edge_vertices
-    edges[:, 3] = m.edge_tri
-    edges[:, 4:6] = m.edge_normal
-    edges[:, 6] = m.edge_tag
-    with open(path, "w") as f:
-        f.write(
-            f"VERTICES {m.n_vertices} / TRIANGLES {m.n_triangles} / "
-            f"BEDGES {k}\n"
-        )
-        np.savetxt(f, np.column_stack([np.arange(m.n_vertices), m.vertices]),
-                   fmt="%d %.17g %.17g")
-        np.savetxt(f, np.column_stack([np.arange(m.n_triangles), m.triangles]), fmt="%d")
-        np.savetxt(f, edges, fmt="%d %d %d %d %.17g %.17g %s")

@@ -8,6 +8,7 @@ integral is evaluated by mapped quadrature on pointwise samples.
 import numpy as np
 import pytest
 
+from maxnit.mesh import MeshError, _edge_table, _tri_geometry
 from maxnit.quadrature import edge_rule, triangle_rule
 
 
@@ -182,6 +183,38 @@ def random_ccw_triangle(rng, min_area=0.05):
 
 
 # --- mesh and field helpers -----------------------------------------------
+
+_DOMAIN_AREAS = {"square": 4.0, "lshape": 3.0}
+_AREA_TOL = 1e-10  # relative, of the summed triangle areas in `validate_mesh`
+
+
+def validate_mesh(m) -> None:
+    """Raise MeshError on any violated structural invariant. Unlike the
+    oracles above, it recomputes the geometry and the edge table with the
+    mesh module's own kernels, to catch a stored table gone stale."""
+    if not np.all(np.isfinite(m.vertices)):
+        raise MeshError("non-finite vertex coordinates")
+    geometry = _tri_geometry(m.vertices[m.triangles])
+    if not all(map(np.array_equal, geometry, (m.tri_area, m.tri_h, m.tri_grads))):
+        raise MeshError("stored triangle geometry is stale")
+
+    _, edges, _, sides = _edge_table(m.triangles)
+    stored = np.unique(np.sort(m.edge_vertices, axis=1), axis=0)
+    if not np.array_equal(edges[sides[:, 1] < 0], stored):
+        raise MeshError("stored boundary edges disagree with connectivity")
+
+    mids = 0.5 * (m.vertices[m.edge_vertices[:, 0]] + m.vertices[m.edge_vertices[:, 1]])
+    centroids = m.vertices[m.triangles[m.edge_tri]].mean(axis=1)
+    if np.any(((mids - centroids) * m.edge_normal).sum(axis=1) <= 0.0):
+        raise MeshError("boundary normal points inward")
+    if not np.allclose(np.linalg.norm(m.edge_normal, axis=1), 1.0, atol=1e-12):
+        raise MeshError("boundary normal not unit length")
+
+    expected = _DOMAIN_AREAS.get(m.domain)
+    if expected is not None:
+        total = m.tri_area.sum()
+        if abs(total - expected) > _AREA_TOL * expected:
+            raise MeshError(f"area {total} differs from domain area {expected}")
 
 
 def mesh_stats(m) -> dict:

@@ -648,7 +648,7 @@ def test_matrix_market_dump(tmp_path):
     mesh = gen_square_uniform(2)
     system = assemble_global(mesh, Params(), square_case())
     path = tmp_path / "system.mtx"
-    from maxnit.assembly import write_matrix_market
+    from maxnit.io import write_matrix_market
 
     write_matrix_market(system, str(path))
     loaded = sio.mmread(str(path)).tocsr()

@@ -16,13 +16,14 @@ from maxnit.harness import (
     build_case,
     build_mesh,
     default_configs,
-    emit_table,
     main,
     run_studies,
     run_study,
 )
-from maxnit.io import _CSV_COLUMNS, write_report_csv
-from maxnit.mesh import MeshError, validate_mesh
+from maxnit.io import _CSV_COLUMNS, emit_table, write_report_csv
+from maxnit.mesh import MeshError
+
+from conftest import validate_mesh
 
 
 def quick_config(**kwargs):
@@ -512,9 +513,10 @@ class TestCli:
         out = tmp_path / "m.txt"
         assert main(["mesh", "--family", "crisscross", "--level", "2", "--out", str(out)]) == 0
         assert out.exists()
-        vtk = tmp_path / "m.vtk"
-        assert main(["mesh", "--family", "uniform", "--level", "2", "--out", str(vtk)]) == 0
-        assert vtk.read_text().startswith("# vtk DataFile")
+        for name in ("m.vtk", "m.VTK"):  # the suffix in any case picks the VTK writer
+            vtk = tmp_path / name
+            assert main(["mesh", "--family", "uniform", "--level", "2", "--out", str(vtk)]) == 0
+            assert vtk.read_text().startswith("# vtk DataFile")
 
     def test_mesh_command_unwritable_out(self, monkeypatch, tmp_path, capsys):
         meshes = counting(monkeypatch, harness, "build_mesh")

@@ -15,11 +15,10 @@ from maxnit.mesh import (
     gen_square_uniform,
     map_to_curved_l,
     powell_sabin_refine,
-    save_txt,
-    validate_mesh,
 )
+from maxnit.io import save_txt
 
-from conftest import boundary_mask, mesh_stats
+from conftest import boundary_mask, mesh_stats, validate_mesh
 
 
 def test_square_uniform_smallest():
