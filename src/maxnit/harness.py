@@ -1,13 +1,9 @@
-"""Configuration-driven convergence studies and the CLI."""
+"""Configuration-driven convergence studies: configs, presets and `run_studies`."""
 
 from __future__ import annotations
 
-import argparse
-import errno
-import json
 import numbers
 import os
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -22,21 +18,10 @@ from .analysis import (
     l2_errors,
     triple_norm,
 )
-from .assembly import (
-    ConfigError,
-    Params,
-    apply_strong_bc,
-    assemble_global,
-)
-from .linsolve import (
-    ResidualError,
-    SingularSystemError,
-    factorize_system,
-    solve,
-)
+from .assembly import ConfigError, Params, apply_strong_bc, assemble_global
+from .linsolve import factorize_system, solve
 from .mesh import (
     Mesh,
-    MeshError,
     gen_lshape,
     gen_lshape_uniform,
     gen_square_crisscross,
@@ -55,7 +40,6 @@ __all__ = [
     "run_study",
     "run_studies",
     "default_configs",
-    "main",
 ]
 
 # (domain, family) -> mesh of one refinement level; `level` is the cell count
@@ -345,111 +329,3 @@ def default_configs() -> dict[str, list[StudyConfig]]:
             for n in (1, 2, 4)
         ],
     }
-
-
-# ---------------------------------------------------------------------------
-# command line interface
-
-
-def _config_from_json(path: str, overrides: dict) -> StudyConfig:
-    """The config in the JSON file at `path`, with the fields in `overrides`
-    (the command line's `--out` and `--emit`) replaced. The JSON schema is
-    the dataclasses: every key names a field of `StudyConfig`, or of `Params`
-    under "params"."""
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    params = raw.get("params", {}) if isinstance(raw, dict) else None
-    for what, obj, cls in (("config", raw, StudyConfig), ("params", params, Params)):
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{what} must be a JSON object")
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown {what} fields {sorted(unknown)}")
-    return StudyConfig(**{**raw, "params": Params(**params), **overrides})
-
-
-def _cmd_run(args) -> int:
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.emit is not None:
-        overrides["emit"] = args.emit.split(",")
-    if args.preset:
-        presets = default_configs()
-        if args.preset not in presets:
-            raise ConfigError(f"unknown preset {args.preset!r}; see `maxnit presets`")
-        configs = [replace(cfg, **overrides) for cfg in presets[args.preset]]
-    else:
-        configs = [_config_from_json(args.config, overrides)]
-    for cfg, report in zip(configs, run_studies(configs)):
-        if "markdown" in cfg.emit:
-            print(f"## {_title(cfg)}  [{cfg.params.formulation}]")
-            print(mio.emit_table(report))
-    return 0
-
-
-def _cmd_mesh(args) -> int:
-    out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):  # fail before the mesh is built
-        raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
-    if os.path.isdir(args.out):
-        raise IsADirectoryError(errno.EISDIR, "is a directory", args.out)
-    mesh = build_mesh(args.domain, args.family, args.level)
-    if args.out.lower().endswith(".vtk"):
-        mio.export_vtk(mesh, args.out)
-    else:
-        mio.save_txt(mesh, args.out)
-    print(f"wrote {args.out}: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles")
-    return 0
-
-
-def _cmd_presets(_args) -> int:
-    for name, configs in default_configs().items():
-        parts = ", ".join(c.label for c in configs)
-        print(f"{name}: {parts}")
-    return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="maxnit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a convergence study")
-    group = run_p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", help="named preset (see `maxnit presets`)")
-    group.add_argument("--config", help="JSON study configuration file")
-    run_p.add_argument("--out", help="output directory for emitted files")
-    run_p.add_argument("--emit", help=f"comma-separated: {','.join(_EMITS)}")
-    run_p.set_defaults(func=_cmd_run)
-
-    mesh_p = sub.add_parser("mesh", help="generate and export a mesh")
-    mesh_p.add_argument("--family", required=True, choices=_FAMILIES)
-    mesh_p.add_argument("--level", required=True, type=int)
-    mesh_p.add_argument("--out", required=True)
-    mesh_p.add_argument("--domain", default="square", choices=_DOMAINS)
-    mesh_p.set_defaults(func=_cmd_mesh)
-
-    presets_p = sub.add_parser("presets", help="list preset names")
-    presets_p.set_defaults(func=_cmd_presets)
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (SingularSystemError, ResidualError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except MeshError as exc:
-        print(f"mesh failure: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 2

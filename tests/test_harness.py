@@ -7,16 +7,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from maxnit import assembly, harness, linsolve
+from maxnit import assembly, cli, harness, linsolve
 from maxnit.analysis import boundary_data_norm, l2_errors, triple_norm
 from maxnit.assembly import CORNER_STRATEGIES, Params, assemble_global
+from maxnit.cli import main
 from maxnit.harness import (
     ConfigError,
     StudyConfig,
     build_case,
     build_mesh,
     default_configs,
-    main,
     run_studies,
     run_study,
 )
@@ -118,7 +118,7 @@ class TestTables:
 
     def test_cli_family_choices_are_the_table_families(self):
         sub = next(
-            a for a in harness.build_parser()._actions
+            a for a in cli.build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
         mesh_args = {a.dest: a for a in sub.choices["mesh"]._actions}
@@ -649,6 +649,18 @@ class TestCli:
             warnings.simplefilter("ignore")
             code = main(["run", "--config", str(path)])
         assert code == 3
+
+    def test_residual_failure_exit_code(self, monkeypatch, tmp_path, capsys):
+        def unconverged(*args, **kwargs):
+            raise linsolve.ResidualError("relative residual 1.000e-06 above 1.0e-10")
+
+        monkeypatch.setattr(harness, "solve", unconverged)
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"case": "square", "family": "uniform", "levels": [2, 4]}))
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "solver failure: level 2, square / uniform: relative residual 1.000e-06 above 1.0e-10\n"
+        )
 
     def test_emit_csv_to_out_dir(self, tmp_path, capsys):
         cfg = {

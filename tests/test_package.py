@@ -1,5 +1,6 @@
 """The package as a whole: every module's exports, the one module that
-writes files, and the thread cap of the console entry point."""
+writes files, the one that reads the command line, and the thread cap of the
+console entry point."""
 
 import ast
 import os
@@ -46,6 +47,18 @@ def test_only_io_writes_files():
                for node in ast.walk(ast.parse(path.read_text())))
     }
     assert writers == {"io.py"}
+
+
+def test_only_cli_reads_the_command_line():
+    """`argparse` and `json` (the command line and its config files) are
+    imported by `cli.py` alone; the other modules are the library."""
+    importers = {
+        path.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and {a.name for a in node.names} & {"argparse", "json"}
+        or isinstance(node, ast.ImportFrom) and node.module in ("argparse", "json")
+    }
+    assert importers == {"cli.py"}
 
 
 def test_thread_cap_is_set_before_numpy_loads():

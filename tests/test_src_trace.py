@@ -15,6 +15,6 @@ def test_reports_the_entry_points_and_not_the_study_path():
     assert total == f"{len(rows)} statements never ran"
     functions = {row.split()[1] for row in rows}
     assert {"run_study", "core_matrix"} <= functions  # library entry points
-    assert any(row.startswith("harness.py:") and " main return 2" in row for row in rows)
+    assert any(row.startswith("cli.py:") and " main return 2" in row for row in rows)
     assert not functions & {"_rule_parts", "_build", "save_txt", "write_matrix_market",
                             "emit_table"}
