@@ -10,6 +10,7 @@ from .assembly import (
     Params,
     _curl_coefs,
     _div_coefs,
+    _edge_frame,
     _edge_mass,
     _edge_trace,
     _map_rule_points,
@@ -89,13 +90,14 @@ def l2_errors(mesh: Mesh, x: np.ndarray, case: ProblemCase) -> ErrorReport:
     w2a = 2.0 * mesh.tri_area
 
     sq_u = sq_p = 0.0
+    coords_nodal = np.concatenate([coords, nodal], axis=2)  # (m, 3, [x, y, ux, uy, p])
     for rule, tris in _rule_parts(mesh, case):
-        pts = _map_rule_points(rule, coords[tris])
+        mapped = _map_rule_points(rule, coords_nodal[tris])
+        pts, u_h, p_h = mapped[..., :2], mapped[..., 2:4], mapped[..., 4]
         u_ex = case.exact_u(pts.reshape(-1, 2)).reshape(pts.shape)
-        vals_h = _map_rule_points(rule, nodal[tris])
-        du = ((u_ex - vals_h[:, :, :2]) ** 2).sum(axis=2)
+        du = ((u_ex - u_h) ** 2).sum(axis=2)
         sq_u += np.einsum("m,q,mq->", w2a[tris], rule.weights, du)
-        sq_p += np.einsum("m,q,mq->", w2a[tris], rule.weights, vals_h[:, :, 2] ** 2)
+        sq_p += np.einsum("m,q,mq->", w2a[tris], rule.weights, p_h**2)
     err_u, err_p = np.sqrt(sq_u), np.sqrt(sq_p)
 
     crule = triangle_rule(1)  # the centroid
@@ -131,11 +133,9 @@ def triple_norm(mesh: Mesh, x: np.ndarray, params: Params) -> float:
         total += (nu / l0**2) * (area * np.einsum("mi,ij,mj->m", vals, _P1_MASS, vals)).sum()
 
     mass = _edge_mass(1.0)
-    ev = mesh.edge_vertices
-    tvecs = np.column_stack([-mesh.edge_normal[:, 1], mesh.edge_normal[:, 0]])
-    uverts = x.reshape(-1, 3)[:, :2]
-    tvals = np.einsum("kd,kid->ki", tvecs, uverts[ev])  # t(v) at edge endpoints
-    qvals = x.reshape(-1, 3)[:, 2][ev]
+    _, _, tvec, edge_u, edge_p, _, _ = _edge_frame(mesh)
+    tvals = np.einsum("kd,kid->ki", tvec, x[edge_u].reshape(-1, 2, 2))  # t(v) at edge endpoints
+    qvals = x[edge_p]
     eint_t = mesh.edge_length * np.einsum("ki,ij,kj->k", tvals, mass, tvals)
     eint_q = mesh.edge_length * np.einsum("ki,ij,kj->k", qvals, mass, qvals)
     total += (nu / mesh.edge_local_h * eint_t).sum()

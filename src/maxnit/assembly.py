@@ -135,20 +135,15 @@ class LinearSystem:
 
 
 def _curl_coefs(grads: np.ndarray) -> np.ndarray:
-    """Element curl of the six nodal vector basis fields, (m, 6)."""
-    m = grads.shape[0]
-    out = np.empty((m, 6))
-    out[:, 0::2] = -grads[:, :, 1]  # (lambda_i, 0) has curl -d2 lambda_i
-    out[:, 1::2] = grads[:, :, 0]  # (0, lambda_i) has curl  d1 lambda_i
-    return out
+    """Element curl of the six nodal vector basis fields, (m, 6): the rotated
+    gradients, -d2 lambda_i for (lambda_i, 0), d1 lambda_i for (0, lambda_i)."""
+    return np.stack([-grads[:, :, 1], grads[:, :, 0]], axis=2).reshape(-1, 6)
 
 
 def _div_coefs(grads: np.ndarray) -> np.ndarray:
-    m = grads.shape[0]
-    out = np.empty((m, 6))
-    out[:, 0::2] = grads[:, :, 0]
-    out[:, 1::2] = grads[:, :, 1]
-    return out
+    """Element divergence of the six nodal vector basis fields, (m, 6): the
+    interleaved gradients, d1 lambda_i for (lambda_i, 0), d2 lambda_i for (0, lambda_i)."""
+    return grads.reshape(-1, 6)
 
 
 def _batch_curl_curl(area, grads, nu):

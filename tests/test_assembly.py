@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from maxnit.analysis import boundary_data_norm
+from maxnit.analysis import boundary_data_norm, l2_errors, triple_norm
 from maxnit.assembly import (
     _BLOCK,
     RHS_TRI_DEGREE,
@@ -17,13 +17,17 @@ from maxnit.assembly import (
     _batch_div_div,
     _batch_mixed_grad,
     _batch_pressure_laplacian,
+    _curl_coefs,
+    _div_coefs,
     _dofs,
     _edge_blocks,
+    _edge_frame,
     _map_rule_points,
     apply_strong_bc,
     assemble_global,
     assemble_rhs,
 )
+from maxnit.harness import _MESHES
 from maxnit.linsolve import SingularSystemError, solve
 from maxnit.mesh import (
     MeshError,
@@ -259,6 +263,32 @@ class TestEdgeBlocks:
         assert abs(a_weak - edges - a_strong).max() < 1e-14 * abs(a_weak).max()
 
 
+@pytest.mark.parametrize("domain, family", sorted(_MESHES))
+class TestP1Frame:
+    """The one copy of the boundary tangent and of the basis curl and
+    divergence, which the Nitsche blocks, the right-hand side and the
+    norms all read."""
+
+    def test_tangent_runs_along_the_edge_with_the_interior_left(self, domain, family):
+        mesh = _MESHES[domain, family](4)
+        tvec = _edge_frame(mesh)[2]
+        v0, v1 = (mesh.vertices[mesh.edge_vertices[:, i]] for i in range(2))
+        d = v1 - v0
+        assert np.abs(tvec - d / np.hypot(d[:, 0], d[:, 1])[:, None]).max() < 1e-15
+        to_centroid = mesh.vertices[mesh.triangles[mesh.edge_tri]].mean(axis=1) - v0
+        assert np.all(tvec[:, 0] * to_centroid[:, 1] - tvec[:, 1] * to_centroid[:, 0] > 0.0)
+
+    def test_curl_and_div_coefs_of_the_basis_fields(self, domain, family):
+        grads = _MESHES[domain, family](4).tri_grads
+        curl, div = _curl_coefs(grads), _div_coefs(grads)
+        for i in range(3):
+            for c in range(2):  # column 2 i + c is the field lambda_i e_c
+                jac = np.zeros((len(grads), 2, 2))  # [component, derivative]
+                jac[:, c] = grads[:, i]
+                assert np.array_equal(curl[:, 2 * i + c], jac[:, 1, 0] - jac[:, 0, 1])
+                assert np.array_equal(div[:, 2 * i + c], jac[:, 0, 0] + jac[:, 1, 1])
+
+
 class TestRhs:
     def test_zero_data_gives_zero_vector(self):
         mesh = gen_square_uniform(2)
@@ -304,7 +334,6 @@ class TestRhs:
 
         erule = edge_rule(21)
         t, ew = erule.points, erule.weights
-        from maxnit.assembly import _curl_coefs
 
         p0 = mesh.vertices[mesh.edge_vertices[:, 0]]
         p1 = mesh.vertices[mesh.edge_vertices[:, 1]]
@@ -895,11 +924,12 @@ _SYSTEM_FINGERPRINTS = {
 }
 
 
+_FINGERPRINT_PARAMS = Params(nu=1.3, L0=0.6, c_u=0.7, N_u=40.0, N_p=25.0)
+
+
 def _fingerprints(family, n, form) -> tuple[str, str]:
     build, case = _SYSTEM_MESHES[family]
-    params = replace(
-        Params(nu=1.3, L0=0.6, c_u=0.7, N_u=40.0, N_p=25.0), **_SYSTEM_FORMS[form]
-    )
+    params = replace(_FINGERPRINT_PARAMS, **_SYSTEM_FORMS[form])
     return _system_fingerprints(build(n), case(), params)
 
 
@@ -913,3 +943,61 @@ def test_system_fingerprint(family, n, form):
 def test_rhs_fingerprint(family, n, form):
     """The RHS (and the strong form's reduced RHS)."""
     assert _fingerprints(family, n, form)[1] == _SYSTEM_FINGERPRINTS[family, n, form][1]
+
+
+# float.hex of (err_u, err_curl, err_p) of `l2_errors`, `triple_norm` and
+# `boundary_data_norm` for the coefficient vector
+# `default_rng(n).uniform(-1, 1, 3 n_vertices)` and `_FINGERPRINT_PARAMS`.
+# Level 16 maps more than `_BLOCK` triangles, and on the L-shape and curved L
+# it splits the error rule at the singular corner.
+_NORM_FINGERPRINTS = {
+    ("curved-ps", 4): (
+        "0x1.6443f10b6a8dcp+0", "0x1.05e7169930b5dp+4", "0x1.3ca521de7904fp-1",
+        "0x1.e26a48227845ep+8", "0x1.e3a3b3d9d216bp+0",
+    ),
+    ("curved-ps", 16): (
+        "0x1.76b1d3f383ebdp+0", "0x1.06863f20ba720p+6", "0x1.2fae0a16cafdcp-1",
+        "0x1.a9a1e8d33274fp+12", "0x1.de0daccf298bap+1",
+    ),
+    ("lshape-crisscross", 4): (
+        "0x1.955755411c790p+0", "0x1.20983626494e1p+2", "0x1.744b7ca6899bep-1",
+        "0x1.1d656c4e309edp+6", "0x1.c8b6bcf7cf7f3p+0",
+    ),
+    ("lshape-crisscross", 16): (
+        "0x1.b2833bad36a78p+0", "0x1.78d4f45b3e8b4p+4", "0x1.6ed3ac690c5dep-1",
+        "0x1.cd34d70067a39p+9", "0x1.c8b6bcf7cebdcp+1",
+    ),
+    ("square-ps", 4): (
+        "0x1.ce32dadff8f30p+0", "0x1.a6444b40858c4p+3", "0x1.a4aa62a9fe500p-1",
+        "0x1.5cee05a0fa352p+8", "0x1.19de752da9b87p+4",
+    ),
+    ("square-ps", 16): (
+        "0x1.de0bfde901ee2p+0", "0x1.9b3c962773f99p+5", "0x1.989e88a131d18p-1",
+        "0x1.0c4263dd9e52fp+12", "0x1.6089516c48bfcp+4",
+    ),
+    ("square-uniform", 4): (
+        "0x1.c70a8b75c92dap+0", "0x1.86fa9a9547071p+2", "0x1.e11ced7dd2b63p-1",
+        "0x1.4170de4f121bbp+6", "0x1.073048f015c14p+4",
+    ),
+    ("square-uniform", 16): (
+        "0x1.eb00ff21961bap+0", "0x1.2bc1e2830d14cp+4", "0x1.9a20002003befp-1",
+        "0x1.27cd325092c6bp+9", "0x1.3b2d0db480554p+4",
+    ),
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(_NORM_FINGERPRINTS))
+def test_norm_fingerprint(family, n):
+    """The error and stability norms, bit for bit, like the systems above."""
+    build, case = _SYSTEM_MESHES[family]
+    mesh, case = build(n), case()
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, 3 * mesh.n_vertices)
+    rep = l2_errors(mesh, x, case)
+    norms = (
+        rep.err_u,
+        rep.err_curl,
+        rep.err_p,
+        triple_norm(mesh, x, _FINGERPRINT_PARAMS),
+        boundary_data_norm(mesh, case, _FINGERPRINT_PARAMS),
+    )
+    assert tuple(v.hex() for v in norms) == _NORM_FINGERPRINTS[family, n]
