@@ -91,6 +91,8 @@ class StudyConfig:
             raise ConfigError("out_dir must be a path")
         if any(sep and sep in self.label for sep in ("/", os.sep, os.altsep)):
             raise ConfigError(f"label {self.label!r} holds a path separator")
+        if "\0" in self.label + os.fspath(self.out_dir or ""):
+            raise ConfigError("label and out_dir must not hold a NUL byte")
         if self.case not in _CASES:
             raise ConfigError(f"unknown case {self.case!r}")
         for name, items in (("levels", "positive integers"), ("emit", "strings")):

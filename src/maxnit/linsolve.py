@@ -15,8 +15,6 @@ __all__ = [
     "SingularSystemError",
     "ResidualError",
     "BorderedLU",
-    "core_matrix",
-    "factorize",
     "factorize_system",
     "solve",
 ]
@@ -52,41 +50,53 @@ _REFINE_TOL = 1e-12
 _MAX_REFINE = 3
 
 
-def factorize(matrix, quasi_definite: bool = False) -> spla.SuperLU:
-    """LU factorisation with fill-reducing ordering.
+def factorize_system(system: LinearSystem) -> spla.SuperLU:
+    """The LU that `solve` borders: of `system`'s core, the matrix without
+    its `corner` unknowns. That is the matrix itself for a weak system and
+    the both-zero matrix for every corner strategy, so the strategies of one
+    matrix can share it.
 
-    By default SuperLU orders the columns by COLAMD and pivots partially.
-    `quasi_definite=True` asserts that the matrix is symmetric with an SPD
-    leading block and a negative definite trailing block, up to a symmetric
-    permutation (the stabilised-strong reduced systems). Every symmetric
-    ordering of such a matrix factors stably without pivoting (Vanderbei,
-    SIAM J. Optim. 1995), so the factorisation then takes the minimum degree
-    ordering of A^T + A on the diagonal, with 2.3-3.3x less fill.
-    `factorize_system` decides which systems take it.
+    By default SuperLU orders the columns by COLAMD and pivots partially. A
+    strong reduction (`system.transform` set) whose core has no zero on its
+    diagonal, a stabilised-strong one, is symmetric quasi-definite: an SPD
+    velocity block and a negative definite pressure block up to a symmetric
+    permutation, as the tests check for every corner strategy. Every
+    symmetric ordering of such a matrix factors stably without pivoting
+    (Vanderbei, SIAM J. Optim. 1995), so it takes the minimum degree ordering
+    of A^T + A on the diagonal, with 2.3-3.3x less fill. A Galerkin-Nitsche
+    matrix reduced strongly has a zero pressure block inside the domain and,
+    like every other system, keeps COLAMD. The stabilised-Nitsche systems
+    are quasi-definite too, but their fine-level pressure errors sit at the
+    solve's rounding level and move by up to 1.8e-8 relative under another
+    ordering; they keep COLAMD until the reported numbers stop depending on
+    the factorisation.
 
     Raises SingularSystemError when the factorisation breaks down or the
     1-norm condition estimate ||A||_1 * est(||A^-1||_1) is not below
     `_COND_LIMIT`. The estimate (`_inverse_norm1`, scipy's `onenormest`) only
     solves with the factors; reading `lu.L` or `lu.U` would make SuperLU keep
-    CSC copies of both. The factorisation also solves with any matrix that
-    borders `matrix` with a few rows and columns, through `BorderedLU`.
+    CSC copies of both.
 
-    Memory: an exactly symmetric CSR matrix (every system that assembly
+    Memory: an exactly symmetric CSR core (every system that assembly
     builds) is handed to SuperLU as the CSC view of its transpose, which
     shares the CSR's arrays; any other matrix is copied by `tocsc()`. Right
     before the factorisation, the heap that the caller has freed (assembly
     temporaries) is returned to the OS, so that the factors are not
     allocated on top of it.
     """
-    norm1 = spla.norm(matrix, 1)
+    core = system.matrix
+    if len(system.corner):
+        keep = np.delete(np.arange(core.shape[0]), system.corner)
+        core = core[keep][:, keep]
     ordering = {}
-    if quasi_definite:
+    if system.transform is not None and core.diagonal().all():
         ordering = dict(
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
-    csc = _as_csc(matrix)
+    norm1 = spla.norm(core, 1)
+    csc = _as_csc(core)
     trim = _malloc_trim()
     if trim is not None:
         trim(0)
@@ -110,46 +120,15 @@ def _check_condition(norm1: float, lu) -> None:
         )
 
 
-def core_matrix(matrix, border):
-    """The principal submatrix of `matrix` without the `border` unknowns,
-    the core that `BorderedLU` solves through: `matrix` itself when the
-    border is empty."""
-    if not len(border):
-        return matrix
-    keep = np.delete(np.arange(matrix.shape[0]), border)
-    return matrix[keep][:, keep]
-
-
-def factorize_system(system: LinearSystem) -> spla.SuperLU:
-    """The LU that `solve` borders: of `system`'s core,
-    `core_matrix(system.matrix, system.corner)`, which is the matrix itself
-    for a weak system and the both-zero matrix for every corner strategy,
-    so the strategies of one matrix can share it.
-
-    A strong reduction (`system.transform` set) whose core has no zero on
-    its diagonal takes `factorize`'s quasi-definite symmetric ordering: the
-    stabilised-strong reductions, whose pressure Laplacian makes them
-    quasi-definite (`test_reduced_strong_system_is_quasi_definite`). A
-    Galerkin-Nitsche matrix reduced strongly has a zero pressure block
-    inside the domain and, like every other system, takes COLAMD with
-    partial pivoting. The stabilised-Nitsche systems are quasi-definite too,
-    but their fine-level pressure errors sit at the solve's rounding level
-    and move by up to 1.8e-8 relative under another ordering; they keep
-    COLAMD until the reported numbers stop depending on the factorisation.
-    """
-    core = core_matrix(system.matrix, system.corner)
-    return factorize(core, quasi_definite=system.transform is not None and core.diagonal().all())
-
-
 class BorderedLU:
     """Solves with a symmetric matrix through the LU of its core.
 
     Up to a symmetric permutation the matrix is [[A0, B], [B^T, D]]: the
     `border` unknowns (a few) hold B and D, the others the core A0, and
-    `core` is a factorisation of A0 such as `factorize` returns. A solve is
-    block elimination (Benzi, Golub & Liesen, Acta Numerica 2005, sec. 5):
-    with W = A0^-1 B and the Schur complement S = D - B^T W, both computed
-    here once,
+    `core` is a factorisation of A0 such as `factorize_system` returns. A
+    solve is block elimination (Benzi, Golub & Liesen, Acta Numerica 2005,
+    sec. 5): with W = A0^-1 B and the Schur complement S = D - B^T W, both
+    computed here once,
 
         x_border = S^-1 (b_border - B^T A0^-1 b_core)
         x_core = A0^-1 b_core - W x_border.

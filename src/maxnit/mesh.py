@@ -132,10 +132,9 @@ def _edge_table(triangles: np.ndarray):
     return half, edges, edge_of, sides
 
 
-def _build(vertices, triangles, domain, tag_edges=None) -> Mesh:
+def _build(vertices, triangles, domain, tag_edges) -> Mesh:
     """Assemble the derived geometry; `tag_edges` maps the (k, 2) directed
-    boundary edges to a (k,) string array of their segment names (all
-    "boundary" without it)."""
+    boundary edges to a (k,) string array of their segment names."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     areas, h_k, grads = _tri_geometry(vertices[triangles])
@@ -149,7 +148,6 @@ def _build(vertices, triangles, domain, tag_edges=None) -> Mesh:
     # interior is left of the directed edge, so the outward normal is its
     # clockwise rotation
     normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / lengths[:, None]
-    tags = np.full(len(bedges), "boundary") if tag_edges is None else tag_edges(bedges)
 
     return Mesh(
         vertices=vertices,
@@ -163,7 +161,7 @@ def _build(vertices, triangles, domain, tag_edges=None) -> Mesh:
         edge_normal=normals,
         edge_length=lengths,
         edge_local_h=h_k[owners],
-        edge_tag=tags,
+        edge_tag=tag_edges(bedges),
     )
 
 

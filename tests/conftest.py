@@ -238,6 +238,12 @@ def mesh_stats(m) -> dict:
     }
 
 
+def all_boundary(edges) -> np.ndarray:
+    """Tags every boundary edge "boundary": the tagger of `mesh._build` for
+    a mesh with no named segments."""
+    return np.full(len(edges), "boundary")
+
+
 def boundary_mask(mesh) -> np.ndarray:
     """(n,) bool: True at the vertices of the boundary edges."""
     mask = np.zeros(mesh.n_vertices, dtype=bool)

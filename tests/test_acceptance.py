@@ -32,6 +32,7 @@ from maxnit.mesh import (
 from maxnit.problems import lshape_case, square_case
 
 from conftest import (
+    all_boundary,
     oracle_curl_curl,
     oracle_div_div,
     oracle_edge_blocks,
@@ -407,7 +408,7 @@ def test_c09_local_matrix_oracle(rng):
             _check(failures, dev < 1e-12, f"volume block deviation {dev:.2e}")
     for _ in range(100):
         tri = random_ccw_triangle(rng)
-        mesh = _build(tri, np.array([[0, 1, 2]]), "test")
+        mesh = _build(tri, np.array([[0, 1, 2]]), "test", all_boundary)
         e = int(rng.integers(0, 3))
         v0, v1 = mesh.edge_vertices[e]
         local = (

@@ -47,6 +47,7 @@ from maxnit.problems import (
 from maxnit.quadrature import subdivide_triangle_rule, triangle_rule
 
 from conftest import (
+    all_boundary,
     boundary_mask,
     oracle_curl_curl,
     oracle_div_div,
@@ -62,7 +63,7 @@ REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 def volume_blocks(tri, params):
     """Curl-curl, mixed gradient, div-div and pressure-Laplacian blocks of
     one CCW triangle, from the batched kernels on a one-triangle mesh."""
-    mesh = _build(tri, np.array([[0, 1, 2]]), "test")
+    mesh = _build(tri, np.array([[0, 1, 2]]), "test", all_boundary)
     area, h_k, grads = mesh.tri_area, mesh.tri_h, mesh.tri_grads
     return (
         _batch_curl_curl(area, grads, params.nu)[0],
@@ -162,7 +163,7 @@ class TestLocalMatrices:
     def test_degenerate_triangle_rejected(self):
         flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-16]])
         with pytest.raises(MeshError, match="degeneracy"):
-            _build(flat, np.array([[0, 1, 2]]), "test")
+            _build(flat, np.array([[0, 1, 2]]), "test", all_boundary)
 
 
 class TestLocalOracle:
@@ -186,7 +187,7 @@ class TestLocalOracle:
         params = Params(nu=0.8, L0=1.7, c_u=1.0, N_u=35.0, N_p=12.0)
         for _ in range(100):
             tri = random_ccw_triangle(rng)
-            mesh = _build(tri, np.array([[0, 1, 2]]), "test")
+            mesh = _build(tri, np.array([[0, 1, 2]]), "test", all_boundary)
             e = int(rng.integers(0, 3))
             v0, v1 = mesh.edge_vertices[e]
             local = (

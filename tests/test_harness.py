@@ -341,20 +341,13 @@ class TestRunStudies:
         mesh = build_mesh(case.domain, cfg.family, 8)
         system = assembly.apply_strong_bc(assemble_global(mesh, params, case), mesh, case, "free")
         assert len(system.corner) == 2
-        shapes = []
-        factorize = linsolve.factorize
-
-        def keep_shape(matrix, **kwargs):
-            shapes.append(matrix.shape)
-            return factorize(matrix, **kwargs)
-
-        monkeypatch.setattr(linsolve, "factorize", keep_shape)
+        splu = counting(monkeypatch, linsolve.spla, "splu")
         x = linsolve.solve(system).coeffs
         direct = l2_errors(mesh, x, case)
         direct.triple = triple_norm(mesh, x, params)
         direct.data_norm = boundary_data_norm(mesh, case, params)
         (rep,) = run_study(cfg).reports
-        assert shapes == [(system.matrix.shape[0] - 2,) * 2] * 2
+        assert [args[0].shape for args in splu] == [(system.matrix.shape[0] - 2,) * 2] * 2
         assert replace(rep, wall_ms=0.0) == replace(direct, wall_ms=0.0)
 
     def test_wall_ms_follows_the_sharing_rule(self, monkeypatch):
@@ -605,6 +598,8 @@ class TestCli:
             {"label": ["x"]},
             {"out_dir": 5},
             {"label": "run/1", "emit": ["csv"]},
+            {"label": "a\u0000b", "emit": ["csv"]},
+            {"out_dir": "o\u0000x", "emit": ["csv"]},
             {"case": "lshape:1", "family": "crisscross", "levels": [2, 3]},
             {"case": "lshape:2", "family": "powell-sabin", "levels": [1, 2]},
             {"case": "curved-l:4", "family": "curved-mapped", "levels": [4, 5]},

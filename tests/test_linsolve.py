@@ -12,6 +12,7 @@ from maxnit.analysis import l2_errors
 from maxnit.assembly import (
     CORNER_STRATEGIES,
     FORMULATIONS,
+    LinearSystem,
     Params,
     apply_strong_bc,
     assemble_global,
@@ -23,8 +24,6 @@ from maxnit.linsolve import (
     SingularSystemError,
     _check_condition,
     _inverse_norm1,
-    core_matrix,
-    factorize,
     factorize_system,
     solve,
 )
@@ -89,6 +88,12 @@ def test_singular_system_detected():
         solve(system)
 
 
+def whole(matrix, border=()):
+    """A system of `matrix` alone: no strong reduction, `border` its corner."""
+    return LinearSystem(matrix, np.zeros(matrix.shape[0]),
+                        corner=np.asarray(border, dtype=np.intp))
+
+
 def crisscross_matrix(n, N_p, formulation="galerkin-nitsche"):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # penalties below the stability estimate
@@ -100,11 +105,26 @@ def crisscross_matrix(n, N_p, formulation="galerkin-nitsche"):
 @pytest.mark.parametrize("N_p", [1e-16, 0.0])
 def test_factorize_rejects_vanishing_pressure_penalty(n, N_p):
     # n=4, N_p=0 is the matrix of test_singular_system_detected; the pivot
-    # ratio of every case here is below 1e-17. The diagonal pivots of the
-    # quasi-definite ordering must not hide the constant-pressure mode either.
-    for quasi_definite in (False, True):
-        with pytest.raises(SingularSystemError, match="numerically singular"):
-            factorize(crisscross_matrix(n, N_p), quasi_definite=quasi_definite)
+    # ratio of every case here is below 1e-17
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        factorize_system(whole(crisscross_matrix(n, N_p)))
+
+
+def test_symmetric_ordering_rejects_an_ill_conditioned_core(monkeypatch):
+    # the diagonal pivots of the quasi-definite ordering must not hide a
+    # condition estimate past the limit: c_u = 1e300 puts it near 2e300
+    calls = []
+    monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
+    mesh, case = build_mesh("lshape", "crisscross", 4), build_case("lshape:1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = Params(formulation="stabilised-strong", c_u=1e300)
+        full = assemble_global(mesh, params, case)
+    system = apply_strong_bc(full, mesh, case, "both-zero")
+    with pytest.raises(SingularSystemError, match=r"estimate \d\.\de\+300"):
+        factorize_system(system)
+    [(_, options)] = calls
+    assert options["permc_spec"] == "MMD_AT_PLUS_A"
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -115,7 +135,7 @@ def test_factorize_rejects_vanishing_pressure_penalty(n, N_p):
 )
 def test_factorize_accepts_regular_systems(n, formulation, N_p):
     matrix = crisscross_matrix(n, N_p, formulation)
-    lu = factorize(matrix)
+    lu = factorize_system(whole(matrix))
     assert lu.shape == matrix.shape
 
 
@@ -140,7 +160,7 @@ def reduced_strong_system(name, corner_strategy, formulation="stabilised-strong"
 @pytest.mark.parametrize("corner_strategy", CORNER_STRATEGIES)
 @pytest.mark.parametrize("name", sorted(STRONG_SYSTEMS))
 def test_reduced_strong_system_is_quasi_definite(name, corner_strategy):
-    # the precondition of factorize(..., quasi_definite=True): exact
+    # the precondition of factorize_system's symmetric ordering: exact
     # symmetry, an SPD velocity block and an SPD negated pressure block
     _, _, system = reduced_strong_system(name, corner_strategy)
     a = system.matrix
@@ -163,7 +183,7 @@ def unbordered(system):
 def test_quasi_definite_ordering_changes_errors_by_rounding_only(name, corner_strategy):
     # the symmetric-ordered, bordered solve against COLAMD on the whole matrix
     mesh, case, system = reduced_strong_system(name, corner_strategy)
-    x = solve(unbordered(system), lu=factorize(system.matrix)).coeffs
+    x = solve(unbordered(system), lu=factorize_system(whole(system.matrix))).coeffs
     default = l2_errors(mesh, x, case)
     symmetric = l2_errors(mesh, solve(system).coeffs, case)
     for field in ("err_u", "err_curl", "err_p"):
@@ -181,7 +201,7 @@ def test_bordered_solve_equals_own_factorisation(name, corner_strategy):
     _, _, system = reduced_strong_system(name, corner_strategy)
     kept = {"both-zero": 0, "bisector-normal": 1, "free": 2}[corner_strategy]
     assert len(system.corner) == kept
-    own = factorize(system.matrix, quasi_definite=True)
+    own = factorize_system(unbordered(system))
     solver = bordered(system)
     assert solver.shape == system.matrix.shape
     b = system.rhs
@@ -194,15 +214,23 @@ def test_bordered_solve_equals_own_factorisation(name, corner_strategy):
 
 
 @pytest.mark.parametrize("domain, family", [k for k in _MESHES if k[0] != "square"])
-def test_core_of_every_strategy_is_the_both_zero_matrix(domain, family):
+def test_core_of_every_strategy_is_the_both_zero_matrix(monkeypatch, domain, family):
+    # SuperLU is handed the CSC view of the core's transpose, which holds the
+    # core's CSR arrays; with an empty border the core is the matrix itself
+    calls = []
+    monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
     mesh, case = build_mesh(domain, family, 4), build_case(f"{domain}:1")
     full = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
     both_zero = apply_strong_bc(full, mesh, case, "both-zero").matrix
     for strategy in CORNER_STRATEGIES:
         system = apply_strong_bc(full, mesh, case, strategy)
-        core = core_matrix(system.matrix, system.corner)
+        factorize_system(system)
+        [((handed,), _)] = calls
+        calls.clear()
         for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(core, part), getattr(both_zero, part))
+            assert np.array_equal(getattr(handed, part), getattr(both_zero, part))
+        if not len(system.corner):
+            assert np.shares_memory(handed.data, system.matrix.data)
 
 
 def with_border_block(system, block):
@@ -219,7 +247,7 @@ def test_singular_or_non_finite_schur_complement_is_rejected(corner_strategy):
     c = system.corner
     keep = np.setdiff1d(np.arange(system.n_unknowns), c)
     a = system.matrix.toarray()
-    core = factorize(core_matrix(system.matrix, c), quasi_definite=True)
+    core = factorize_system(system)
     schur = a[np.ix_(c, c)] - a[np.ix_(c, keep)] @ core.solve(a[np.ix_(keep, c)])
     schur = 0.5 * (schur + schur.T)
     # S becomes zero, or for two border unknowns the rank-one matrix of ones
@@ -232,7 +260,7 @@ def test_singular_or_non_finite_schur_complement_is_rejected(corner_strategy):
 
 def test_shape_mismatch_is_rejected():
     _, _, system = reduced_strong_system("lshape-crisscross-8", "free")
-    own = factorize(system.matrix, quasi_definite=True)
+    own = factorize_system(unbordered(system))
     with pytest.raises(ValueError, match="border unknowns"):
         BorderedLU(own, system.matrix, system.corner)
 
@@ -285,7 +313,8 @@ def test_galerkin_system_reduced_strongly_is_solved(monkeypatch, corner_strategy
     [(_, options)] = calls
     assert options == {}
     assert sol.residual <= 1e-10
-    ref = solve(system, lu=factorize(core_matrix(system.matrix, system.corner)))
+    # the core's COLAMD LU, without the strong reduction that chose it
+    ref = solve(system, lu=factorize_system(replace(system, transform=None)))
     assert np.array_equal(sol.coeffs, ref.coeffs)
 
 
@@ -304,12 +333,11 @@ def small_bordered_systems(rng):
         full = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
         for strategy in ("free", "bisector-normal"):
             system = apply_strong_bc(full, mesh, case, strategy)
-            core = factorize(core_matrix(system.matrix, system.corner), quasi_definite=True)
-            yield system.matrix, system.corner, core
+            yield system.matrix, system.corner, factorize_system(system)
     dense = rng.standard_normal((40, 40))
     matrix = sp.csr_matrix(dense + dense.T + 16.0 * np.eye(40))
     border = np.array([3, 17, 39])
-    yield matrix, border, factorize(core_matrix(matrix, border))
+    yield matrix, border, factorize_system(whole(matrix, border))
 
 
 def test_inverse_norm1_through_the_border_is_a_close_lower_bound(rng):
@@ -333,13 +361,17 @@ def test_bordered_solve_takes_transposes_and_blocks(rng):
             assert np.abs(column - x[:, 1]).max() <= 1e-14 * np.abs(x).max()
 
 
-def small_matrices(rng):
+def small_strong_system():
     mesh, case = gen_square_uniform(3), square_case()
     strong = assemble_global(mesh, Params(formulation="stabilised-strong"), case)
+    return apply_strong_bc(strong, mesh, case, "both-zero")
+
+
+def small_matrices(rng):
     yield crisscross_matrix(2, 100.0)
     yield crisscross_matrix(4, 1e-4)
     yield crisscross_matrix(4, 0.0, "stabilised-nitsche")
-    yield apply_strong_bc(strong, mesh, case, "both-zero").matrix
+    yield small_strong_system().matrix
     yield sp.csr_matrix(rng.standard_normal((40, 40)) + 8.0 * np.eye(40))
     yield sp.diags([1.0, 1e-3, 1e3, 1e-6])
 
@@ -414,9 +446,9 @@ def test_no_factor_copies(monkeypatch):
     calls = []
     monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
     with pytest.raises(AssertionError, match="SuperLU.U read"):
-        factorize(crisscross_matrix(2, 100.0)).U
+        factorize_system(whole(crisscross_matrix(2, 100.0))).U
     system = assemble_global(gen_square_uniform(3), Params(), square_case())
-    sol = solve(system, lu=factorize(system.matrix))
+    sol = solve(system, lu=factorize_system(system))
     assert sol.residual < 1e-10
     report = run_study(StudyConfig("square", "uniform", [2, 4]))
     assert len(report.reports) == 2
@@ -434,8 +466,9 @@ def test_symmetric_matrix_reaches_superlu_without_a_copy(monkeypatch, kind):
     calls = []
     monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
     system = HANDOFF_SYSTEMS[kind]()
-    lu = factorize(system.matrix, quasi_definite=kind == "strong")
+    lu = factorize_system(unbordered(system))
     [((handed,), options)] = calls
+    assert bool(options) == (kind == "strong")
     assert np.shares_memory(handed.data, system.matrix.data)
     assert np.shares_memory(handed.indices, system.matrix.indices)
     copied = spla.splu(system.matrix.tocsc(), **options)
@@ -445,11 +478,14 @@ def test_symmetric_matrix_reaches_superlu_without_a_copy(monkeypatch, kind):
 def test_weak_system_is_factorised_whole_by_colamd(monkeypatch):
     calls = []
     monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
-    system = HANDOFF_SYSTEMS["weak"]()
-    factorize_system(system)
-    [((handed,), options)] = calls
-    assert options == {}
-    assert handed.shape == system.matrix.shape
+    mesh, case = gen_square_crisscross(4), square_case()
+    for formulation in ("stabilised-nitsche", "galerkin-nitsche"):
+        system = assemble_global(mesh, Params(formulation=formulation), case)
+        factorize_system(system)
+        [((handed,), options)] = calls
+        calls.clear()
+        assert options == {}
+        assert handed.shape == system.matrix.shape
 
 
 @pytest.mark.parametrize("structural", [False, True])
@@ -461,7 +497,7 @@ def test_nonsymmetric_matrix_is_factorised_not_its_transpose(monkeypatch, rng, s
         dense[0, 1:] = 0.0  # the transpose has another sparsity pattern
     matrix = sp.csr_matrix(dense)
     x = rng.standard_normal(40)
-    lu = factorize(matrix)
+    lu = factorize_system(whole(matrix))
     [((handed,), _)] = calls
     assert not np.shares_memory(handed.data, matrix.data)
     assert np.abs(lu.solve(matrix @ x) - x).max() < 1e-12
@@ -472,16 +508,17 @@ def test_heap_is_released_right_before_each_factorisation(monkeypatch):
     events = []
     monkeypatch.setattr(linsolve, "_malloc_trim", lambda: lambda pad: events.append(pad))
     monkeypatch.setattr(linsolve, "spla", _SplaView(events))
-    factorize(crisscross_matrix(2, 100.0))
-    factorize(crisscross_matrix(2, 100.0), quasi_definite=True)
-    # malloc_trim(0), then splu, for each factorisation
+    factorize_system(whole(crisscross_matrix(2, 100.0)))
+    factorize_system(small_strong_system())
+    # malloc_trim(0), then splu, for each factorisation, either ordering
     assert [e if e == 0 else "splu" for e in events] == [0, "splu", 0, "splu"]
+    assert [bool(e[1]) for e in events if e != 0] == [False, True]
 
 
 def test_factorize_without_malloc_trim(monkeypatch):
     monkeypatch.setattr(linsolve, "_malloc_trim", lambda: None)
     system = assemble_global(gen_square_uniform(3), Params(), square_case())
-    assert solve(system, lu=factorize(system.matrix)).residual < 1e-10
+    assert solve(system, lu=factorize_system(system)).residual < 1e-10
 
 
 @pytest.mark.parametrize("formulation", FORMULATIONS)
@@ -496,7 +533,7 @@ def test_factorize_without_malloc_trim(monkeypatch):
     ],
 )
 def test_every_system_is_exactly_symmetric(formulation, case_name, family):
-    # so that `factorize` hands every preset's matrix to SuperLU without a
+    # so that `factorize_system` hands every preset's matrix to SuperLU without a
     # copy; a fallback to `tocsc()` would raise the peak memory silently
     case = build_case(case_name)
     mesh = build_mesh(case.domain, family, 4)

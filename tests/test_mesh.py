@@ -18,7 +18,7 @@ from maxnit.mesh import (
 )
 from maxnit.io import save_txt
 
-from conftest import boundary_mask, mesh_stats, validate_mesh
+from conftest import all_boundary, boundary_mask, mesh_stats, validate_mesh
 
 
 def test_square_uniform_smallest():
@@ -95,7 +95,7 @@ def test_powell_sabin_equilateral_symmetry():
     # single equilateral triangle: the incenter equals the centroid and the
     # six children are congruent
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-    base = _build(coords, np.array([[0, 1, 2]]), "test")
+    base = _build(coords, np.array([[0, 1, 2]]), "test", all_boundary)
     ps = powell_sabin_refine(base)
     assert ps.n_triangles == 6
     assert np.allclose(ps.tri_area, ps.tri_area[0], rtol=1e-12)
@@ -155,7 +155,8 @@ def test_mesh_stats():
     assert mesh_stats(gen_square_crisscross(8))["h"] == pytest.approx(0.25)
 
     ref = _build(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]), "test"
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]), "test",
+        all_boundary,
     )
     s = mesh_stats(ref)
     assert s["min_area"] == pytest.approx(0.5)
@@ -169,6 +170,7 @@ def test_validator_catches_flipped_triangle():
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             np.array([[0, 2, 1]]),
             "test",
+            all_boundary,
         )
 
 
@@ -206,7 +208,7 @@ def test_non_manifold_edge_rejected():
     # edge (0, 1) is shared by three positively oriented triangles
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
     with pytest.raises(MeshError, match="non-manifold"):
-        _build(coords, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]), "test")
+        _build(coords, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]), "test", all_boundary)
 
 
 def test_validator_catches_stale_boundary_table():

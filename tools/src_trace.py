@@ -13,7 +13,9 @@ it runs through `maxnit.cli.main`:
 - `maxnit presets`;
 - `maxnit mesh` for every (domain, family) of `harness._MESHES`, to a
   `.vtk` and to a `.txt` file;
-- one galerkin-nitsche study from a JSON config.
+- two studies from JSON configs: a galerkin-nitsche one, and a lone
+  `free` corner study, whose group's first system has a border, so its
+  LU is of a cut core.
 
 It then prints every statement (an `ast.stmt`; definitions, imports and
 docstrings aside) of which no line ran, one per line as
@@ -69,11 +71,17 @@ def _traffic(workdir: str) -> None:
         for suffix in (".vtk", ".txt"):
             run(["mesh", "--domain", domain, "--family", family, "--level", "2",
                  "--out", os.path.join(workdir, f"{domain}-{family}{suffix}")])
-    config = os.path.join(workdir, "galerkin.json")
-    with open(config, "w") as f:
-        json.dump({"case": "square", "family": "crisscross", "levels": [2, 4],
-                   "label": "galerkin", "params": {"formulation": "galerkin-nitsche"}}, f)
-    run(["run", "--config", config, "--out", workdir, "--emit", "csv,markdown"])
+    configs = {
+        "galerkin": {"case": "square", "family": "crisscross", "levels": [2, 4],
+                     "params": {"formulation": "galerkin-nitsche"}},
+        "free": {"case": "lshape:1", "family": "crisscross", "levels": [4, 8],
+                 "params": {"formulation": "stabilised-strong", "corner_strategy": "free"}},
+    }
+    for label, config in configs.items():
+        path = os.path.join(workdir, f"{label}.json")
+        with open(path, "w") as f:
+            json.dump({**config, "label": label}, f)
+        run(["run", "--config", path, "--out", workdir, "--emit", "csv,markdown"])
 
 
 def run_lines(package: Path) -> dict:
