@@ -9,13 +9,12 @@ import errno
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 
-def _config_from_json(path: str, overrides: dict):
-    """The config in the JSON file at `path`, with the fields in `overrides`
-    (the command line's `--out` and `--emit`) replaced. The JSON schema is
-    the dataclasses: every key names a field of `StudyConfig`, or of `Params`
+def _config_from_json(path: str):
+    """The config in the JSON file at `path`. The JSON schema is the
+    dataclasses: every key names a field of `StudyConfig`, or of `Params`
     under "params"."""
     from .assembly import Params
     from .harness import ConfigError, StudyConfig
@@ -32,7 +31,7 @@ def _config_from_json(path: str, overrides: dict):
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown {what} fields {sorted(unknown)}")
-    return StudyConfig(**{**raw, "params": Params(**params), **overrides})
+    return StudyConfig(**{**raw, "params": Params(**params)})
 
 
 # The commands call the library through the `harness` module's attributes,
@@ -40,20 +39,17 @@ def _config_from_json(path: str, overrides: dict):
 def _cmd_run(args) -> int:
     from . import harness, io as mio
 
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.emit is not None:
-        overrides["emit"] = args.emit.split(",")
+    emit = args.emit.split(",")
     if args.preset:
         presets = harness.default_configs()
         if args.preset not in presets:
             raise harness.ConfigError(f"unknown preset {args.preset!r}; see `maxnit presets`")
-        configs = [replace(cfg, **overrides) for cfg in presets[args.preset]]
+        configs = presets[args.preset]
     else:
-        configs = [_config_from_json(args.config, overrides)]
-    for cfg, report in zip(configs, harness.run_studies(configs)):
-        if "markdown" in cfg.emit:
+        configs = [_config_from_json(args.config)]
+    files = [e for e in emit if e != "markdown"]
+    for cfg, report in zip(configs, harness.run_studies(configs, args.out, files)):
+        if "markdown" in emit:
             print(f"## {harness._title(cfg)}  [{cfg.params.formulation}]")
             print(mio.emit_table(report))
     return 0
@@ -62,7 +58,7 @@ def _cmd_run(args) -> int:
 def _cmd_mesh(args) -> int:
     from . import harness, io as mio
 
-    out_dir = os.path.dirname(args.out) or "."
+    out_dir = os.path.dirname(args.out) or ("." if args.out else "")
     if not os.path.isdir(out_dir):  # fail before the mesh is built
         raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
     if os.path.isdir(args.out):
@@ -95,8 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = run_p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", help="named preset (see `maxnit presets`)")
     group.add_argument("--config", help="JSON study configuration file")
-    run_p.add_argument("--out", help="output directory for emitted files")
-    run_p.add_argument("--emit", help=f"comma-separated: {','.join(harness._EMITS)}")
+    run_p.add_argument("--out", help="the run's one output directory for emitted files")
+    run_p.add_argument("--emit", default="markdown",
+                       help=f"comma-separated: markdown (printed), {','.join(harness._FILES)}")
     run_p.set_defaults(func=_cmd_run)
 
     mesh_p = sub.add_parser("mesh", help="generate and export a mesh")

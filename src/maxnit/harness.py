@@ -60,7 +60,7 @@ _MESHES = {
 
 _DOMAINS = tuple(dict.fromkeys(domain for domain, _ in _MESHES))
 _FAMILIES = tuple(dict.fromkeys(family for _, family in _MESHES))
-_EMITS = ("csv", "markdown", "vtk", "matrixmarket")
+_FILES = ("csv", "vtk", "matrixmarket")  # the file formats a run can emit
 
 # case name -> ProblemCase factory
 _CASES = {
@@ -73,43 +73,30 @@ _CASES = {
 @dataclass(frozen=True)
 class StudyConfig:
     """One convergence study: a case, a mesh family and refinement levels.
-    `levels` and `emit` are kept as tuples, so a checked config cannot change."""
+    `levels` is kept as a tuple, so a checked config cannot change."""
 
     case: str = "square"
     family: str = "uniform"
     levels: tuple = (8, 16, 32, 64)
     params: Params = field(default_factory=Params)
-    out_dir: str | None = None
-    emit: tuple = ("markdown",)
     label: str = ""
 
     def __post_init__(self):
         for name in ("case", "family", "label"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string")
-        if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
-            raise ConfigError("out_dir must be a path")
-        if any(sep and sep in self.label for sep in ("/", os.sep, os.altsep)):
-            raise ConfigError(f"label {self.label!r} holds a path separator")
-        if "\0" in self.label + os.fspath(self.out_dir or ""):
-            raise ConfigError("label and out_dir must not hold a NUL byte")
+        if any(c and c in self.label for c in ("/", os.sep, os.altsep, "\0")):
+            raise ConfigError(f"label {self.label!r} holds a path separator or a NUL byte")
         if self.case not in _CASES:
             raise ConfigError(f"unknown case {self.case!r}")
-        for name, items in (("levels", "positive integers"), ("emit", "strings")):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ConfigError(f"{name} must be a list of {items}")
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not isinstance(self.levels, (list, tuple)):
+            raise ConfigError("levels must be a list of positive integers")
+        object.__setattr__(self, "levels", tuple(self.levels))
         domain = _CASES[self.case]().domain
         for level in self.levels:
             _check_mesh(domain, self.family, level)
         if not self.levels or list(self.levels) != sorted(set(self.levels)):
             raise ConfigError("levels must be non-empty and strictly increasing")
-        unknown = [e for e in self.emit if e not in _EMITS]
-        if unknown:
-            raise ConfigError(f"unknown emit formats {unknown}")
-        files = set(self.emit) - {"markdown"}
-        if files and self.out_dir is None:
-            raise ConfigError(f"emit formats {sorted(files)} need an output directory (--out)")
 
 
 @dataclass
@@ -149,7 +136,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     return run_studies([config])[0]
 
 
-def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
+def run_studies(configs: list[StudyConfig], out_dir=None, emit=()) -> list[StudyReport]:
     """Run a batch of studies level by level, sharing work between configs.
 
     Configs that meet at one (domain, family, level) share one mesh; those
@@ -164,25 +151,30 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
     A row's `wall_ms` is its own time (the stages just listed) plus an equal
     share of each shared step it took part in: the mesh build, the matrix
     assembly (which includes the first config's right-hand side) and the
-    factorisation. Reports come back in config order. Every `out_dir` is
-    created, parents included, before the first mesh is built. An exception
-    keeps its type and attributes; its message gains the level, and the
-    study's title when a per-config stage raised it. Two configs that write
-    files to the same directory under the same name raise ConfigError before
-    any work.
+    factorisation. Reports come back in config order. An exception keeps
+    its type and attributes; its message gains the level, and the study's
+    title when a per-config stage raised it. The run writes the formats in
+    `emit` (of `_FILES`) to `out_dir`. A format not in `_FILES`, an
+    `out_dir` that is not a path or holds a NUL byte, files without an
+    `out_dir` and two configs whose files share a name raise ConfigError
+    before any work; then `out_dir` is created, parents included.
     """
-    writers: dict = {}
-    for cfg in configs:
-        if set(cfg.emit) - {"markdown"}:
-            key = (os.path.abspath(cfg.out_dir), _slug(cfg))
-            if key in writers:
-                raise ConfigError(f"studies {_title(writers[key])!r} and {_title(cfg)!r} "
-                                  f"both write {key[1]!r} files to {key[0]}")
-            writers[key] = cfg
+    unknown = [e for e in emit if e not in _FILES]
+    if unknown:
+        raise ConfigError(f"unknown emit formats {unknown}")
+    if not isinstance(out_dir, (str, os.PathLike, type(None))) or "\0" in os.fspath(out_dir or ""):
+        raise ConfigError("out_dir must be a path without a NUL byte")
+    if emit and out_dir is None:
+        raise ConfigError(f"emit formats {sorted(emit)} need an output directory (--out)")
+    slugs = [_slug(c) for c in configs]
+    for i, slug in enumerate(slugs if emit else ()):
+        if slug in slugs[:i]:
+            raise ConfigError(f"studies {_title(configs[slugs.index(slug)])!r} and "
+                              f"{_title(configs[i])!r} both write {slug!r} files")
     cases = [build_case(c.case) for c in configs]
-    # an unwritable output directory fails here, not after the studies ran
-    for out_dir in dict.fromkeys(os.fspath(c.out_dir) for c in configs if c.out_dir is not None):
+    if out_dir is not None:  # an unwritable directory fails here, not after the studies ran
         os.makedirs(out_dir, exist_ok=True)
+    mtx_dir = out_dir if "matrixmarket" in emit else None
     rows: list[list[ErrorReport]] = [[] for _ in configs]
     for level in sorted({lv for c in configs for lv in c.levels}):
         at_level = [i for i, c in enumerate(configs) if level in c.levels]
@@ -191,7 +183,8 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
             with _stage(f"level {level}", ms, on_mesh):
                 mesh = build_mesh(cases[on_mesh[0]].domain, configs[on_mesh[0]].family, level)
             for group in _groups(on_mesh, lambda i: _matrix_key(configs[i].params)):
-                for i, sol in zip(group, _solve_group(mesh, level, group, configs, cases, ms)):
+                solutions = _solve_group(mesh, level, group, configs, cases, ms, mtx_dir)
+                for i, sol in zip(group, solutions):
                     cfg, case = configs[i], cases[i]
                     with _stage(f"level {level}, {_title(cfg)}", ms, [i]):
                         rep = l2_errors(mesh, sol.coeffs, case)
@@ -199,8 +192,8 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
                         rep.data_norm = boundary_data_norm(mesh, case, cfg.params)
                     rep.wall_ms = ms[i]
                     rows[i].append(rep)
-                    if "vtk" in cfg.emit:
-                        path = f"{cfg.out_dir}/{_slug(cfg)}_L{level}.vtk"
+                    if "vtk" in emit:
+                        path = f"{out_dir}/{_slug(cfg)}_L{level}.vtk"
                         mio.export_vtk(mesh, path, mio.nodal_fields(mesh, sol.coeffs, case))
 
     studies = []
@@ -208,8 +201,8 @@ def run_studies(configs: list[StudyConfig]) -> list[StudyReport]:
         rates = [[None] + [convergence_rate(a, b, key) for a, b in zip(reports, reports[1:])]
                  for key in ("err_u", "err_curl")]
         study = StudyReport(cfg, reports, *rates)
-        if "csv" in cfg.emit:
-            mio.write_report_csv(study, f"{cfg.out_dir}/{_slug(cfg)}.csv")
+        if "csv" in emit:
+            mio.write_report_csv(study, f"{out_dir}/{_slug(cfg)}.csv")
         studies.append(study)
     return studies
 
@@ -220,12 +213,13 @@ def _matrix_key(params: Params) -> tuple:
     return tuple(getattr(params, f.name) for f in fields(params) if f.name != "corner_strategy")
 
 
-def _solve_group(mesh, level, group, configs, cases, ms) -> list:
+def _solve_group(mesh, level, group, configs, cases, ms, mtx_dir) -> list:
     """Solve the configs `group` (indices into `configs` and `cases`), whose
     params are equal up to the corner strategy, in one pass over one
     assembled matrix and one LU (`factorize_system`'s), made when the first
-    config gets there. Returns the solutions in `group` order and charges
-    the stage times to `ms`; the LU and the matrix die with this frame."""
+    config gets there, and write each system to `mtx_dir` unless it is None.
+    Returns the solutions in `group` order and charges the stage times to
+    `ms`; the LU and the matrix die with this frame."""
     params = configs[group[0]].params
     with _stage(f"level {level}", ms, group):
         base = assemble_global(mesh, params, cases[group[0]])
@@ -243,8 +237,8 @@ def _solve_group(mesh, level, group, configs, cases, ms) -> list:
                 lu = factorize_system(system)
         with _stage(where, ms, [i]):
             solutions.append(solve(system, lu=lu))
-        if "matrixmarket" in cfg.emit:
-            mio.write_matrix_market(system, f"{cfg.out_dir}/{_slug(cfg)}_L{level}.mtx")
+        if mtx_dir is not None:
+            mio.write_matrix_market(system, f"{mtx_dir}/{_slug(cfg)}_L{level}.mtx")
     return solutions
 
 

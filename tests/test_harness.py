@@ -1,7 +1,7 @@
 import argparse
 import json
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,13 +51,13 @@ class TestConfigValidation:
             quick_config(case="curved-l:2", family="crisscross")
         quick_config(case="curved-l:2", family="curved-mapped")  # allowed
 
-    def test_unknown_case_or_emit(self):
+    def test_unknown_case_or_emit(self, tmp_path):
         with pytest.raises(ConfigError):
             quick_config(case="cube")
         with pytest.raises(ConfigError):
             quick_config(case="lshape:3")
-        with pytest.raises(ConfigError):
-            quick_config(emit=("pdf",))
+        with pytest.raises(ConfigError, match=r"unknown emit formats \['pdf'\]"):
+            run_studies([quick_config()], tmp_path, ("pdf",))
 
     def test_frozen_after_construction(self):
         cfg = quick_config()
@@ -69,13 +69,17 @@ class TestConfigValidation:
             cfg.levels.append(3)  # the levels are a tuple
         assert cfg.levels == (2, 4)
 
-    def test_levels_and_emit_are_kept_as_tuples(self):
+    def test_levels_are_kept_as_tuples(self):
         assert StudyConfig("square", "uniform", [2, 4]).levels == (2, 4)
-        assert quick_config(emit=["csv"], out_dir="out") == quick_config(emit=("csv",), out_dir="out")
-        assert quick_config().emit == ("markdown",)
-        for bad in ("csv", ["csv", 1], [["csv"]]):
-            with pytest.raises(ConfigError, match="emit"):
-                quick_config(emit=bad)
+        assert quick_config(levels=[2, 4]) == quick_config(levels=(2, 4))
+        for bad in ("24", 4, {2: 4}):
+            with pytest.raises(ConfigError, match="levels must be a list"):
+                quick_config(levels=bad)
+
+    def test_fields_define_the_study_and_nothing_else(self):
+        # where files go and which formats are written belong to the run
+        names = [f.name for f in fields(StudyConfig)]
+        assert names == ["case", "family", "levels", "params", "label"]
 
 
 class TestBuildMesh:
@@ -271,10 +275,10 @@ class TestRunStudies:
         monkeypatch.setattr(harness, "build_case", build_case)
         strong = replace(LSHAPE, formulation="stabilised-strong", corner_strategy="free")
         run_studies([
-            StudyConfig("lshape:1", "crisscross", [2, 4], LSHAPE, str(tmp_path), ("csv", "vtk")),
+            StudyConfig("lshape:1", "crisscross", [2, 4], LSHAPE),
             StudyConfig("lshape:1", "crisscross", [2, 4], strong, label="free"),
             StudyConfig("square", "powell-sabin", [2]),  # f != 0
-        ])
+        ], str(tmp_path), ("csv", "vtk"))
         assert set(calls) == set(fields)
         for name, points in calls.items():
             for pts in points:
@@ -396,19 +400,40 @@ class TestRunStudies:
 
     def test_missing_out_dir_is_created(self, tmp_path):
         out = tmp_path / "missing" / "nested"
-        run_studies([quick_config(levels=[2], label="tiny", out_dir=str(out), emit=("csv",))])
+        run_studies([quick_config(levels=[2], label="tiny")], str(out), ("csv",))
         assert (out / "tiny.csv").read_text().startswith(",".join(_CSV_COLUMNS))
 
-    def test_str_and_pathlike_out_dirs_mix(self, tmp_path):
-        # one batch with a str and an os.PathLike out_dir, both valid
-        dirs = [str(tmp_path / "od" / "a"), tmp_path / "od" / "b"]
-        batch = [
-            quick_config(levels=[1], label=f"s{k}", out_dir=d, emit=("csv",))
-            for k, d in enumerate(dirs)
-        ]
-        run_studies(batch)
-        for k, d in enumerate(dirs):
-            assert (tmp_path / d / f"s{k}.csv").is_file()
+    def test_str_and_pathlike_out_dir(self, tmp_path):
+        # the run's one directory may be a str or an os.PathLike
+        batch = [quick_config(levels=[1], label=f"s{k}") for k in range(2)]
+        for out_dir in (str(tmp_path / "od" / "a"), tmp_path / "od" / "b"):
+            run_studies(batch, out_dir, ("csv",))
+            assert sorted(p.name for p in (tmp_path / out_dir).iterdir()) == ["s0.csv", "s1.csv"]
+
+    @pytest.mark.parametrize(
+        "out_dir, emit, message",
+        [
+            ("out", ("csv", "markdown"), r"unknown emit formats \['markdown'\]"),
+            ("out", "csv", r"unknown emit formats \['c', 's', 'v'\]"),
+            ("out", [1], r"unknown emit formats \[1\]"),
+            (5, ("csv",), "out_dir must be a path"),
+            (b"out", ("csv",), "out_dir must be a path"),
+            ("o\0x", ("csv",), "NUL byte"),
+            (None, ("csv",), r"emit formats \['csv'\] need an output directory"),
+            (None, ("vtk", "matrixmarket"), r"\['matrixmarket', 'vtk'\] need an output directory"),
+        ],
+        ids=["markdown-is-printed-not-written", "str", "not-a-str", "int-dir",
+             "bytes-dir", "nul-dir", "csv-without-dir", "vtk-mtx-without-dir"],
+    )
+    def test_run_checks_its_output_before_any_mesh(
+        self, monkeypatch, tmp_path, out_dir, emit, message
+    ):
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match=message):
+            run_studies([quick_config(levels=[2])], out_dir, emit)
+        assert meshes == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_outputs_of_one_name_in_one_directory_rejected_before_any_mesh(
         self, monkeypatch, tmp_path
@@ -416,17 +441,16 @@ class TestRunStudies:
         # the second study would overwrite the first one's square_uniform.csv
         meshes = counting(monkeypatch, harness, "build_mesh")
         out = tmp_path / "od"
-        batch = [
-            StudyConfig("square", "uniform", [2, 4], Params(L0=l0), out_dir=d, emit=("csv",))
-            for l0, d in ((0.5, str(out)), (2.0, f"{out}/./"))
-        ]
-        with pytest.raises(ConfigError, match="square_uniform"):
-            run_studies(batch)
+        batch = [StudyConfig("square", "uniform", [2, 4], Params(L0=l0)) for l0 in (0.5, 2.0)]
+        spaced = [replace(batch[0], label="a b"), replace(batch[1], label="a_b")]
+        for same_name, slug in ((batch, "square_uniform"), (spaced, "a_b")):
+            with pytest.raises(ConfigError, match=f"both write '{slug}' files"):
+                run_studies(same_name, out, ("vtk",))
         assert meshes == []
         assert not out.exists()
-        # with distinct labels, or with only one of them writing files, both run
-        run_studies([batch[0], replace(batch[1], label="other")])
-        run_studies([batch[0], replace(batch[1], emit=("markdown",))])
+        # with distinct labels, or with no files written, both run
+        run_studies([batch[0], replace(batch[1], label="other")], out, ("csv",))
+        run_studies(batch, out)
         assert sorted(p.name for p in out.iterdir()) == ["other.csv", "square_uniform.csv"]
 
 
@@ -513,9 +537,9 @@ class TestCli:
 
     def test_mesh_command_unwritable_out(self, monkeypatch, tmp_path, capsys):
         meshes = counting(monkeypatch, harness, "build_mesh")
-        out = tmp_path / "missing" / "m.txt"
-        assert main(["mesh", "--family", "uniform", "--level", "2", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("I/O error")
+        for out in (str(tmp_path / "missing" / "m.txt"), ""):
+            assert main(["mesh", "--family", "uniform", "--level", "2", "--out", out]) == 2
+            assert capsys.readouterr().err.startswith("I/O error: [Errno 2] no such directory")
         assert len(meshes) == 0
 
     @pytest.mark.parametrize("suffix", ["/", ""], ids=["trailing-slash", "bare"])
@@ -574,48 +598,65 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad, message",
         [
-            {"levels": [2.5]},
-            {"levels": ["4"]},
-            {"levels": 4},
-            {"levels": [True]},
-            {"levels": [0]},
-            {"params": {"nu": "1"}},
-            {"params": {"N_p": True}},
-            {"params": {"L0": float("nan")}},
-            {"params": {"c_u": float("inf")}},
-            {"params": {"include_p_flux": False}},
-            {"params": {"L0": 1e200}},
-            {"params": {"L0": 1e-200}},
-            {"params": {"L0": 1e160, "formulation": "stabilised-strong"}},
-            {"params": {"corner_strategy": "mystery"}},
-            {"params": {"nu": -1.0}},
-            {"params": [1.0]},
-            {"emit": "csv"},
-            {"emit": [1]},
-            {"case": 5},
-            {"label": ["x"]},
-            {"out_dir": 5},
-            {"label": "run/1", "emit": ["csv"]},
-            {"label": "a\u0000b", "emit": ["csv"]},
-            {"out_dir": "o\u0000x", "emit": ["csv"]},
-            {"case": "lshape:1", "family": "crisscross", "levels": [2, 3]},
-            {"case": "lshape:2", "family": "powell-sabin", "levels": [1, 2]},
-            {"case": "curved-l:4", "family": "curved-mapped", "levels": [4, 5]},
+            pytest.param(bad, message, id=json.dumps(bad))
+            for bad, message in [
+                ({"levels": [2.5]}, "level 2.5 of 'uniform'"),
+                ({"levels": ["4"]}, "level '4' of 'uniform'"),
+                ({"levels": 4}, "levels must be a list"),
+                ({"levels": [True]}, "level True of 'uniform'"),
+                ({"levels": [0]}, "level 0 of 'uniform'"),
+                ({"params": {"nu": "1"}}, "nu must be a finite real number"),
+                ({"params": {"N_p": True}}, "N_p must be a finite real number"),
+                ({"params": {"L0": float("nan")}}, "L0 must be a finite real number"),
+                ({"params": {"c_u": float("inf")}}, "c_u must be a finite real number"),
+                ({"params": {"include_p_flux": False}},
+                 "unknown params fields ['include_p_flux']"),
+                ({"params": {"L0": 1e200}}, "L0^2/nu = (0.0, inf) must be finite"),
+                ({"params": {"L0": 1e-200}}, "L0^2/nu = (inf, 0.0) must be finite"),
+                ({"params": {"L0": 1e160, "formulation": "stabilised-strong"}},
+                 "L0^2/nu = (1e-320, inf) must be finite"),
+                ({"params": {"corner_strategy": "mystery"}}, "unknown corner strategy 'mystery'"),
+                ({"params": {"nu": -1.0}}, "nu must be positive"),
+                ({"params": [1.0]}, "params must be a JSON object"),
+                ({"emit": "csv"}, "unknown config fields ['emit']"),
+                ({"emit": [1]}, "unknown config fields ['emit']"),
+                ({"case": 5}, "case must be a string"),
+                ({"label": ["x"]}, "label must be a string"),
+                ({"out_dir": 5}, "unknown config fields ['out_dir']"),
+                ({"label": "run/1"}, "holds a path separator"),
+                ({"label": "a\u0000b"}, "NUL byte"),
+                ({"out_dir": "o\u0000x", "emit": ["csv"]},
+                 "unknown config fields ['emit', 'out_dir']"),
+                ({"case": "lshape:1", "family": "crisscross", "levels": [2, 3]}, "level 3 of"),
+                ({"case": "lshape:2", "family": "powell-sabin", "levels": [1, 2]}, "level 1 of"),
+                ({"case": "curved-l:4", "family": "curved-mapped", "levels": [4, 5]},
+                 "level 5 of"),
+            ]
         ],
-        ids=lambda bad: json.dumps(bad),
     )
-    def test_malformed_config_is_config_error(self, monkeypatch, tmp_path, capsys, bad):
+    def test_malformed_config_is_config_error(self, monkeypatch, tmp_path, capsys, bad, message):
         meshes = counting(monkeypatch, harness, "build_mesh")
         out = tmp_path / "out"
-        cfg = {"case": "square", "family": "uniform", "levels": [2], "out_dir": str(out)}
+        cfg = {"case": "square", "family": "uniform", "levels": [2]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**cfg, **bad}))
-        assert main(["run", "--config", str(path)]) == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert main(["run", "--config", str(path), "--out", str(out), "--emit", "csv"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("configuration error: ") and message in line
         assert len(meshes) == 0
         assert not out.exists()
+
+    def test_nul_in_out_is_config_error(self, monkeypatch, tmp_path, capsys):
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"case": "square", "family": "uniform", "levels": [2]}))
+        assert main(["run", "--config", str(path), "--out", "o\0x", "--emit", "csv"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: out_dir must be a path without a NUL byte\n"
+        )
+        assert meshes == []
 
     @pytest.mark.parametrize("params", [{"nu": 1e-300}, {"nu": 1e300}, {"L0": 1e150}],
                              ids=["nu=1e-300", "nu=1e+300", "L0=1e+150"])
@@ -716,20 +757,19 @@ class TestCli:
         pair = [StudyConfig("square", "uniform", [2], label="first")]
         monkeypatch.setattr(harness, "default_configs", lambda: {"pair": pair})
         path = tmp_path / "study.json"
-        path.write_text(json.dumps({"case": "square", "family": "uniform",
-                                    "levels": [2], "emit": ["csv"]}))
+        path.write_text(json.dumps({"case": "square", "family": "uniform", "levels": [2]}))
         for argv in (
             ["run", "--preset", "pair", "--emit", "csv"],
             ["run", "--preset", "pair", "--emit", "markdown,vtk"],
-            ["run", "--config", str(path)],
+            ["run", "--config", str(path), "--emit", "csv"],
             ["run", "--config", str(path), "--emit", "matrixmarket"],
         ):
             assert main(argv) == 2
             assert "output directory" in capsys.readouterr().err
         assert meshes == []
-        # the command line's --out completes a config file's csv
+        # --out is the one way to give the files a directory
         out = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(path), "--out", str(out), "--emit", "csv"]) == 0
         assert len(meshes) == 1 and len(list(out.glob("*.csv"))) == 1
 
     def test_uncreatable_out_dir_fails_before_any_mesh(self, monkeypatch, tmp_path, capsys):

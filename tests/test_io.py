@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from maxnit.assembly import Params, assemble_global
-from maxnit.harness import StudyReport, StudyConfig, default_configs, run_study
+from maxnit.harness import StudyReport, StudyConfig, default_configs, run_studies, run_study
 from maxnit.io import export_vtk, nodal_fields, write_report_csv
 from maxnit.linsolve import solve
 from maxnit.mesh import gen_lshape, gen_square_uniform
@@ -140,9 +140,7 @@ def test_reference_preset_row_count(tmp_path):
     config = replace(
         default_configs()["table1-uniform"][0],
         levels=[2, 4, 8, 16],  # same shape, cheaper levels
-        out_dir=str(tmp_path),
-        emit=("csv",),
     )
-    run_study(config)
+    run_studies([config], str(tmp_path), ("csv",))
     rows = read_csv(str(tmp_path / "t1-uniform.csv"))
     assert len(rows) == 4

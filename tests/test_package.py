@@ -1,6 +1,6 @@
 """The package as a whole: every module's exports, the one module that
-writes files, the one that reads the command line, and the thread cap of the
-console entry point."""
+writes files, the one that reads the command line, the thread cap of the
+console entry point, and the README's examples."""
 
 import ast
 import os
@@ -10,7 +10,9 @@ from importlib import import_module
 from pathlib import Path
 
 import maxnit
+from maxnit import cli
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(maxnit.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -77,3 +79,19 @@ def test_thread_cap_is_set_before_numpy_loads():
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.splitlines() == ["False", "3 3 3"]
+
+
+def _readme_block(section: str, language: str) -> str:
+    """The first `language` code block under the README heading `## section`."""
+    body = README.read_text().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return body.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    exec(_readme_block("Library example", "python"), {})
+    assert capsys.readouterr().out.startswith("ErrorReport(h=")
+    # the config file of "CLI" is one that `maxnit run --config` accepts
+    path = tmp_path / "study.json"
+    path.write_text(_readme_block("CLI", "json"))
+    config = cli._config_from_json(str(path))
+    assert (config.case, config.levels) == ("lshape:1", (16, 32, 64))

@@ -69,8 +69,7 @@ def test_traced_study_reports_every_metric(monkeypatch, tmp_path, name):
     tracer = tracing.Tracer(run_id=name)
     tracer.attach()
     batch, idle = STUDIES[name]
-    configs = [replace(c, out_dir=str(tmp_path), emit=("csv",)) for c in batch]
-    tracer.call("harness.study", run_studies, configs)
+    tracer.call("harness.study", run_studies, batch, str(tmp_path), ("csv",))
 
     metrics = tracing.layer_metrics(tracer.spans, tracer.wrappers, idle=idle)
     assert set(metrics) == set(tracing.REQUIRES)
