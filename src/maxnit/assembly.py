@@ -69,7 +69,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Params:
-    """Physical and algorithmic constants plus the formulation selectors."""
+    """The constants and the formulation: every setting of the assembled matrix."""
 
     nu: float = 1.0
     L0: float = 1.0
@@ -77,7 +77,6 @@ class Params:
     N_u: float = 100.0
     N_p: float = 100.0
     formulation: str = "stabilised-nitsche"
-    corner_strategy: str = "both-zero"
 
     def __post_init__(self):
         for name in ("nu", "L0", "c_u", "N_u", "N_p"):
@@ -99,8 +98,6 @@ class Params:
                               f"nonzero, and N_u nu, N_p L0^2/nu = {penalties} finite")
         if self.formulation not in FORMULATIONS:
             raise ConfigError(f"unknown formulation {self.formulation!r}")
-        if self.corner_strategy not in CORNER_STRATEGIES:
-            raise ConfigError(f"unknown corner strategy {self.corner_strategy!r}")
         if self.formulation != "stabilised-strong" and (
             self.N_u < _PENALTY_WARN_THRESHOLD or self.N_p < _PENALTY_WARN_THRESHOLD
         ):

@@ -6,7 +6,7 @@ import numbers
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from . import assembly as masm
@@ -72,19 +72,26 @@ _CASES = {
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """One convergence study: a case, a mesh family and refinement levels.
-    `levels` is kept as a tuple, so a checked config cannot change."""
+    """One convergence study: a case, a mesh family, refinement levels, the
+    matrix's `Params` and, for the strong formulation, how the re-entrant
+    corners are eliminated (one of `CORNER_STRATEGIES`). `levels` is kept
+    as a tuple, so a checked config cannot change."""
 
     case: str = "square"
     family: str = "uniform"
     levels: tuple = (8, 16, 32, 64)
     params: Params = field(default_factory=Params)
     label: str = ""
+    corner_strategy: str = "both-zero"
 
     def __post_init__(self):
         for name in ("case", "family", "label"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string")
+        if not isinstance(self.params, Params):
+            raise ConfigError(f"params must be a Params, not {type(self.params).__name__}")
+        if self.corner_strategy not in masm.CORNER_STRATEGIES:
+            raise ConfigError(f"unknown corner strategy {self.corner_strategy!r}")
         if any(c and c in self.label for c in ("/", os.sep, os.altsep, "\0")):
             raise ConfigError(f"label {self.label!r} holds a path separator or a NUL byte")
         if self.case not in _CASES:
@@ -140,9 +147,9 @@ def run_studies(configs: list[StudyConfig], out_dir=None, emit=()) -> list[Study
     """Run a batch of studies level by level, sharing work between configs.
 
     Configs that meet at one (domain, family, level) share one mesh; those
-    that also have equal `Params` apart from `corner_strategy` share one
-    assembled matrix and one LU factorisation (of the matrix for a weak
-    formulation, of the reduced matrix's both-zero core for the strong one).
+    that also have equal `Params` share one assembled matrix and one LU
+    factorisation (of the matrix for a weak formulation, of the reduced
+    matrix's both-zero core for the strong one).
     Each config still gets its own right-hand side, strong-BC elimination,
     bordered solver (border and condition estimate), solve (refinement and
     residual gate included) and error norms. One factorisation is alive at a
@@ -182,7 +189,7 @@ def run_studies(configs: list[StudyConfig], out_dir=None, emit=()) -> list[Study
         for on_mesh in _groups(at_level, lambda i: (cases[i].domain, configs[i].family)):
             with _stage(f"level {level}", ms, on_mesh):
                 mesh = build_mesh(cases[on_mesh[0]].domain, configs[on_mesh[0]].family, level)
-            for group in _groups(on_mesh, lambda i: _matrix_key(configs[i].params)):
+            for group in _groups(on_mesh, lambda i: configs[i].params):
                 solutions = _solve_group(mesh, level, group, configs, cases, ms, mtx_dir)
                 for i, sol in zip(group, solutions):
                     cfg, case = configs[i], cases[i]
@@ -207,17 +214,11 @@ def run_studies(configs: list[StudyConfig], out_dir=None, emit=()) -> list[Study
     return studies
 
 
-def _matrix_key(params: Params) -> tuple:
-    """Params as far as the assembled matrix depends on them: the corner
-    strategy only enters the strong-BC elimination."""
-    return tuple(getattr(params, f.name) for f in fields(params) if f.name != "corner_strategy")
-
-
 def _solve_group(mesh, level, group, configs, cases, ms, mtx_dir) -> list:
     """Solve the configs `group` (indices into `configs` and `cases`), whose
-    params are equal up to the corner strategy, in one pass over one
-    assembled matrix and one LU (`factorize_system`'s), made when the first
-    config gets there, and write each system to `mtx_dir` unless it is None.
+    params are equal, in one pass over one assembled matrix and one LU
+    (`factorize_system`'s), made when the first config gets there, and
+    write each system to `mtx_dir` unless it is None.
     Returns the solutions in `group` order and charges the stage times to
     `ms`; the LU and the matrix die with this frame."""
     params = configs[group[0]].params
@@ -231,7 +232,7 @@ def _solve_group(mesh, level, group, configs, cases, ms, mtx_dir) -> list:
             if i != group[0]:
                 system = replace(base, rhs=masm.assemble_rhs(mesh, cases[i], params))
             if params.formulation == "stabilised-strong":  # leaves `base` as it was
-                system = apply_strong_bc(system, mesh, cases[i], cfg.params.corner_strategy)
+                system = apply_strong_bc(system, mesh, cases[i], cfg.corner_strategy)
         if lu is None:
             with _stage(where, ms, group):
                 lu = factorize_system(system)
@@ -309,11 +310,8 @@ def default_configs() -> dict[str, list[StudyConfig]]:
             for n in (1, 2, 4)
         ],
         "table5-corner": [
-            StudyConfig(
-                "lshape:1", "crisscross", [128],
-                replace(strong_lsh, corner_strategy=strategy),
-                label=f"t5-{strategy}",
-            )
+            StudyConfig("lshape:1", "crisscross", [128], strong_lsh, label=f"t5-{strategy}",
+                        corner_strategy=strategy)
             for strategy in ("both-zero", "free", "bisector-normal")
         ]
         + [StudyConfig("lshape:1", "crisscross", [128], lsh, label="t5-nitsche")],

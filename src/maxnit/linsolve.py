@@ -257,18 +257,20 @@ def solve(system: LinearSystem, lu=None) -> SolutionFields:
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorisation produced non-finite values")
 
-    scale = np.linalg.norm(b)
-    ref = scale if scale > 0.0 else 1.0
+    # the 2-norm squares the entries, which overflows past about 1e154: r and
+    # b are taken over a power of two near max|b|, which scales them exactly
+    scale = np.ldexp(1.0, np.frexp(np.abs(b).max(initial=0.0))[1])
+    ref = np.linalg.norm(b / scale) or 1.0
     for step in range(_MAX_REFINE + 1):
         r = b - a @ x
-        res = np.linalg.norm(r) / ref
+        res = np.linalg.norm(r / scale) / ref
         if res <= _REFINE_TOL or step == _MAX_REFINE:
             break
         dx = lu.solve(r)
         if not np.all(np.isfinite(dx)):
             break
         x = x + dx
-    if res > _RESIDUAL_TOL:
+    if not res <= _RESIDUAL_TOL:  # a NaN residual fails too
         raise ResidualError(f"relative residual {res:.3e} above {_RESIDUAL_TOL:.1e}")
 
     if system.transform is not None:

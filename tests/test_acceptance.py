@@ -264,7 +264,7 @@ def test_c04_gap_is_the_interpolated_boundary_data():
 
         def strong_err_u(data):
             base = assemble_global(mesh, strong, data)
-            system = apply_strong_bc(base, mesh, data, strong.corner_strategy)
+            system = apply_strong_bc(base, mesh, data, "both-zero")
             return l2_errors(mesh, solve(system).coeffs, case).err_u
 
         projected = strong_err_u(projected_tangential_data(mesh, case))

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -661,8 +661,27 @@ class TestParams:
     def test_unknown_selectors_rejected(self):
         with pytest.raises(ValueError):
             Params(formulation="collocation")
-        with pytest.raises(ValueError):
-            Params(corner_strategy="average")
+
+    def test_every_field_enters_the_matrix(self):
+        # Params holds the matrix's settings and nothing else: each field,
+        # perturbed alone, changes the assembled matrix of some formulation
+        mesh, case = gen_lshape(4), lshape_case(1)
+        matrix = {p: assemble_global(mesh, Params(formulation=p), case).matrix
+                  for p in FORMULATIONS}
+        for f in fields(Params):
+            changed = []
+            for formulation, a in matrix.items():
+                base = Params(formulation=formulation)
+                value = getattr(base, f.name)
+                if isinstance(value, str):  # a selector takes each of its other choices
+                    choices = next(c for c in (FORMULATIONS, CORNER_STRATEGIES) if value in c)
+                    others = [c for c in choices if c != value]
+                else:
+                    others = [2.0 * value]
+                for other in others:
+                    b = assemble_global(mesh, replace(base, **{f.name: other}), case).matrix
+                    changed.append((a != b).nnz > 0)
+            assert any(changed), f.name
 
     def test_small_penalty_warns(self):
         # the warning names the line that built Params, not the dataclass's
@@ -716,7 +735,7 @@ def _digest_sparse(digest, name, m):
         _digest(digest, f"{name}.{part}", getattr(m, part))
 
 
-def _system_fingerprints(mesh, case, params) -> tuple[str, str]:
+def _system_fingerprints(mesh, case, params, corner_strategy) -> tuple[str, str]:
     """sha256 over the assembled matrix and, for the strong form, the
     transform, offset and reduced matrix; and sha256 over the RHS and, for
     the strong form, the reduced RHS."""
@@ -725,7 +744,7 @@ def _system_fingerprints(mesh, case, params) -> tuple[str, str]:
     _digest_sparse(matrix, "matrix", system.matrix)
     _digest(rhs, "rhs", system.rhs)
     if params.formulation == "stabilised-strong":
-        reduced = apply_strong_bc(system, mesh, case, params.corner_strategy)
+        reduced = apply_strong_bc(system, mesh, case, corner_strategy)
         _digest_sparse(matrix, "transform", reduced.transform)
         _digest(matrix, "offset", reduced.offset)
         _digest_sparse(matrix, "reduced", reduced.matrix)
@@ -743,14 +762,13 @@ _SYSTEM_MESHES = {
     ),
 }
 
+# form -> (formulation, corner strategy)
 _SYSTEM_FORMS = {
-    "galerkin-nitsche": dict(formulation="galerkin-nitsche"),
-    "stabilised-nitsche": dict(formulation="stabilised-nitsche"),
-    "strong-both-zero": dict(formulation="stabilised-strong", corner_strategy="both-zero"),
-    "strong-free": dict(formulation="stabilised-strong", corner_strategy="free"),
-    "strong-bisector-normal": dict(
-        formulation="stabilised-strong", corner_strategy="bisector-normal"
-    ),
+    "galerkin-nitsche": ("galerkin-nitsche", None),
+    "stabilised-nitsche": ("stabilised-nitsche", None),
+    "strong-both-zero": ("stabilised-strong", "both-zero"),
+    "strong-free": ("stabilised-strong", "free"),
+    "strong-bisector-normal": ("stabilised-strong", "bisector-normal"),
 }
 
 # (matrix hash, RHS hash). The matrix hashes are those of the per-edge and
@@ -930,8 +948,9 @@ _FINGERPRINT_PARAMS = Params(nu=1.3, L0=0.6, c_u=0.7, N_u=40.0, N_p=25.0)
 
 def _fingerprints(family, n, form) -> tuple[str, str]:
     build, case = _SYSTEM_MESHES[family]
-    params = replace(_FINGERPRINT_PARAMS, **_SYSTEM_FORMS[form])
-    return _system_fingerprints(build(n), case(), params)
+    formulation, corner_strategy = _SYSTEM_FORMS[form]
+    params = replace(_FINGERPRINT_PARAMS, formulation=formulation)
+    return _system_fingerprints(build(n), case(), params, corner_strategy)
 
 
 @pytest.mark.parametrize("family, n, form", sorted(_SYSTEM_FINGERPRINTS))

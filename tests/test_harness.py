@@ -77,9 +77,23 @@ class TestConfigValidation:
                 quick_config(levels=bad)
 
     def test_fields_define_the_study_and_nothing_else(self):
-        # where files go and which formats are written belong to the run
+        # where files go and which formats are written belong to the run;
+        # the corner strategy belongs to the study, not to the matrix's Params
         names = [f.name for f in fields(StudyConfig)]
-        assert names == ["case", "family", "levels", "params", "label"]
+        assert names == ["case", "family", "levels", "params", "label", "corner_strategy"]
+
+    @pytest.mark.parametrize("params", [{"nu": 1.0}, None])
+    def test_params_must_be_params(self, monkeypatch, params):
+        meshes = counting(monkeypatch, harness, "build_mesh")
+        with pytest.raises(ConfigError, match="params must be a Params"):
+            StudyConfig("square", "uniform", [2], params=params)
+        assert meshes == []
+
+    def test_unknown_corner_strategy_rejected(self):
+        with pytest.raises(ConfigError, match="unknown corner strategy 'average'"):
+            quick_config(corner_strategy="average")
+        with pytest.raises(ConfigError, match="unknown corner strategy None"):
+            quick_config(corner_strategy=None)
 
 
 class TestBuildMesh:
@@ -273,10 +287,11 @@ class TestRunStudies:
             return replace(case, **{f: recording(f, getattr(case, f)) for f in fields})
 
         monkeypatch.setattr(harness, "build_case", build_case)
-        strong = replace(LSHAPE, formulation="stabilised-strong", corner_strategy="free")
+        strong = replace(LSHAPE, formulation="stabilised-strong")
         run_studies([
             StudyConfig("lshape:1", "crisscross", [2, 4], LSHAPE),
-            StudyConfig("lshape:1", "crisscross", [2, 4], strong, label="free"),
+            StudyConfig("lshape:1", "crisscross", [2, 4], strong, label="free",
+                        corner_strategy="free"),
             StudyConfig("square", "powell-sabin", [2]),  # f != 0
         ], str(tmp_path), ("csv", "vtk"))
         assert set(calls) == set(fields)
@@ -312,7 +327,7 @@ class TestRunStudies:
         # one LU for the strong core, one for Nitsche
         strong = replace(LSHAPE, formulation="stabilised-strong")
         batch = [
-            StudyConfig("lshape:1", "crisscross", [8], replace(strong, corner_strategy=s), label=s)
+            StudyConfig("lshape:1", "crisscross", [8], strong, label=s, corner_strategy=s)
             for s in CORNER_STRATEGIES
         ] + [StudyConfig("lshape:1", "crisscross", [8], LSHAPE, label="nitsche")]
         alone = [run_study(c).reports[0] for c in batch]
@@ -339,8 +354,8 @@ class TestRunStudies:
     def test_lone_bordered_study_matches_direct_composition(self, monkeypatch):
         # a `free` study alone: the group's first system has a border, so the
         # LU is of a cut core, not of the reduced matrix itself
-        params = replace(LSHAPE, formulation="stabilised-strong", corner_strategy="free")
-        cfg = StudyConfig("lshape:1", "crisscross", [8], params)
+        params = replace(LSHAPE, formulation="stabilised-strong")
+        cfg = StudyConfig("lshape:1", "crisscross", [8], params, corner_strategy="free")
         case = build_case(cfg.case)
         mesh = build_mesh(case.domain, cfg.family, 8)
         system = assembly.apply_strong_bc(assemble_global(mesh, params, case), mesh, case, "free")
@@ -369,7 +384,7 @@ class TestRunStudies:
             monkeypatch.setattr(owner, name, ticking(clock, cost, getattr(owner, name)))
         strong = replace(LSHAPE, formulation="stabilised-strong")
         batch = [
-            StudyConfig(case, "crisscross", [8], replace(strong, corner_strategy=s), label=label)
+            StudyConfig(case, "crisscross", [8], strong, label=label, corner_strategy=s)
             for case, s, label in [
                 ("lshape:1", "both-zero", "bz1"),
                 ("lshape:2", "both-zero", "bz2"),
@@ -498,7 +513,7 @@ class TestPresets:
         assert t4.family == "powell-sabin"
 
         t5 = presets["table5-corner"]
-        strategies = [c.params.corner_strategy for c in t5 if c.params.formulation == "stabilised-strong"]
+        strategies = [c.corner_strategy for c in t5 if c.params.formulation == "stabilised-strong"]
         assert strategies == ["both-zero", "free", "bisector-normal"]
         assert sum(c.params.formulation == "stabilised-nitsche" for c in t5) == 1
         assert all(c.levels == (128,) for c in t5)
@@ -617,7 +632,9 @@ class TestCli:
                 ({"params": {"L0": 1e-200}}, "L0^2/nu = (inf, 0.0) must be finite"),
                 ({"params": {"L0": 1e160, "formulation": "stabilised-strong"}},
                  "L0^2/nu = (1e-320, inf) must be finite"),
-                ({"params": {"corner_strategy": "mystery"}}, "unknown corner strategy 'mystery'"),
+                ({"corner_strategy": "mystery"}, "unknown corner strategy 'mystery'"),
+                ({"params": {"corner_strategy": "mystery"}},
+                 "unknown params fields ['corner_strategy']"),
                 ({"params": {"nu": -1.0}}, "nu must be positive"),
                 ({"params": [1.0]}, "params must be a JSON object"),
                 ({"emit": "csv"}, "unknown config fields ['emit']"),

@@ -271,7 +271,7 @@ def test_lone_solve_takes_the_study_path(monkeypatch):
     case_name, family, level, params = STRONG_SYSTEMS["lshape-crisscross-8"]
     params = replace(params, formulation="stabilised-strong")
     configs = [
-        StudyConfig(case_name, family, [level], replace(params, corner_strategy=s))
+        StudyConfig(case_name, family, [level], params, corner_strategy=s)
         for s in CORNER_STRATEGIES
     ]
     studies = run_studies(configs)
@@ -553,6 +553,31 @@ def test_residual_tolerance_enforced(monkeypatch):
     monkeypatch.setattr(linsolve, "_REFINE_TOL", 1e-32)
     with pytest.raises(ResidualError):
         solve(system)
+
+
+def dense_system(a, b):
+    return LinearSystem(sp.csr_matrix(np.array(a, dtype=float)), np.array(b, dtype=float))
+
+
+def test_overflowing_residual_fails_the_gate():
+    # r and b square past 1e308 in a plain 2-norm: the residual was NaN and
+    # passed the gate, while the same system scaled by 1e-200 fails it
+    a = 1e16 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+    for b in ([0.0, 1e295], [0.0, 1e95]):
+        with pytest.raises(ResidualError, match="relative residual"):
+            solve(dense_system(a, b))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-200])
+def test_residual_gate_holds_at_any_scale_of_the_data(scale):
+    # the LU of another matrix leaves a residual that refinement cannot
+    # remove; a plain 2-norm of b overflows (1e160) or underflows (1e-200)
+    # and let the wrong solution through with residual 0 or a tiny one
+    system = dense_system([[2.0, 1.0], [1.0, 3.0]], np.array([1.0, 2.0]) * scale)
+    other = factorize_system(dense_system([[2.0, 0.0], [0.0, 3.0]], [1.0, 1.0]))
+    assert solve(system).residual == 0.0
+    with pytest.raises(ResidualError, match="relative residual"):
+        solve(system, lu=other)
 
 
 def test_finest_table_level_under_budget():

@@ -36,9 +36,7 @@ STUDIES = {
     ),
     "lshape-corner": (
         [
-            StudyConfig(
-                "lshape:1", "crisscross", [8], replace(STRONG, corner_strategy=s), label=s
-            )
+            StudyConfig("lshape:1", "crisscross", [8], STRONG, label=s, corner_strategy=s)
             for s in CORNER_STRATEGIES
         ]
         + [StudyConfig("lshape:1", "crisscross", [8], LSHAPE, label="nitsche")],

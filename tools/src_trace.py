@@ -75,7 +75,7 @@ def _traffic(workdir: str) -> None:
         "galerkin": {"case": "square", "family": "crisscross", "levels": [2, 4],
                      "params": {"formulation": "galerkin-nitsche"}},
         "free": {"case": "lshape:1", "family": "crisscross", "levels": [4, 8],
-                 "params": {"formulation": "stabilised-strong", "corner_strategy": "free"}},
+                 "params": {"formulation": "stabilised-strong"}, "corner_strategy": "free"},
     }
     for label, config in configs.items():
         path = os.path.join(workdir, f"{label}.json")
