@@ -1,8 +1,8 @@
 """The `maxnit` command: convergence studies from presets or JSON config files,
 mesh export and the preset list. It caps the BLAS and OpenMP thread pools at
-MAXNIT_THREADS before numpy loads, and it maps each expected failure to one
-stderr line and an exit code: 2 for a configuration or I/O error, 3 for a
-solver or mesh failure."""
+MAXNIT_THREADS, a positive integer, before numpy loads, and it maps each
+expected failure to one stderr line and an exit code: 2 for a configuration
+or I/O error, 3 for a solver or mesh failure."""
 
 import argparse
 import errno
@@ -20,9 +20,9 @@ def _config_from_json(path: str):
     from .harness import ConfigError, StudyConfig
 
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:  # JSON is UTF-8 (RFC 8259)
             raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     params = raw.get("params", {}) if isinstance(raw, dict) else None
     for what, obj, cls in (("config", raw, StudyConfig), ("params", params, Params)):
@@ -111,6 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     threads = os.environ.get("MAXNIT_THREADS")
     if threads:
+        if not (threads.isascii() and threads.isdigit() and int(threads) > 0):
+            print("configuration error: MAXNIT_THREADS must be a positive integer, "
+                  f"not {threads!r}", file=sys.stderr)
+            return 2
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, threads)
     from .harness import ConfigError  # loads numpy, so only after the cap

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
-Heavy studies are shared through module-scoped fixtures. Each criterion
-prints a PASS/FAIL line (visible with `pytest -s`); a FAIL line is always
-followed by the assertion carrying the full comparison.
+The studies are the shipped presets of `harness.default_configs()`, run
+by label through module-scoped fixtures; presets that share meshes run in
+one `run_studies` batch. Each criterion prints a PASS/FAIL line (visible
+with `pytest -s`); a FAIL line is always followed by the assertion
+carrying the full comparison.
 
 Set MAXNIT_ACCEPT_PROFILE=ci to run the reduced-depth profile for the
 corner-singularity table (three levels, tolerance 0.25 as documented).
@@ -19,7 +21,7 @@ import pytest
 from maxnit import assembly as masm
 from maxnit.analysis import l2_errors
 from maxnit.assembly import Params, _dofs, apply_strong_bc, assemble_global
-from maxnit.harness import StudyConfig, build_case, run_studies, run_study
+from maxnit.harness import build_case, default_configs, run_studies, run_study
 from maxnit.linsolve import solve
 from maxnit.mesh import (
     gen_lshape,
@@ -29,7 +31,7 @@ from maxnit.mesh import (
     map_to_curved_l,
     powell_sabin_refine,
 )
-from maxnit.problems import lshape_case, square_case
+from maxnit.problems import square_case
 
 from conftest import (
     all_boundary,
@@ -43,11 +45,9 @@ from conftest import (
 from test_assembly import edge_blocks_of, rotation_patch_case, volume_blocks
 
 PROFILE = os.environ.get("MAXNIT_ACCEPT_PROFILE", "full")
-
-SQ_UNIFORM = Params(nu=1.0, L0=0.1, c_u=0.1, N_u=100.0, N_p=100.0)
-SQ_OTHER = Params(nu=1.0, L0=2.0, c_u=1.0, N_u=100.0, N_p=100.0)
-LSHAPE = Params(nu=1.0, L0=0.5, c_u=1.0, N_u=100.0, N_p=100.0)
-CURVED = Params(nu=1.0, L0=0.5, c_u=0.1, N_u=100.0, N_p=100.0)
+PRESETS = default_configs()
+# the ci profile's levels, by preset; the full profile runs every preset as shipped
+CI_LEVELS = {"table3-crisscross": (16, 32, 64), "table5-corner": (64,)}
 
 
 def _report(cid, failures, detail=""):
@@ -64,47 +64,65 @@ def _check(failures, ok, message):
 # --- shared studies ---------------------------------------------------------
 
 
+def _run_presets(*names, levels=None):
+    """The presets `names` of `default_configs()` in one `run_studies` batch,
+    each preset's levels replaced by `levels[name]` where given; returns
+    {label: StudyReport} and the batch's elapsed seconds."""
+    levels = levels or {}
+    configs = [replace(c, levels=levels[name]) if name in levels else c
+               for name in names for c in PRESETS[name]]
+    t0 = time.perf_counter()
+    reports = run_studies(configs)
+    return {c.label: r for c, r in zip(configs, reports)}, time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
 def study_t1_uniform():
-    t0 = time.perf_counter()
-    rep = run_study(StudyConfig("square", "uniform", [8, 16, 32, 64], SQ_UNIFORM))
-    return rep, time.perf_counter() - t0
+    studies, elapsed = _run_presets("table1-uniform")
+    return studies["t1-uniform"], elapsed
 
 
 @pytest.fixture(scope="module")
 def study_t1_crisscross():
-    t0 = time.perf_counter()
-    rep = run_study(StudyConfig("square", "crisscross", [8, 16, 32, 64], SQ_OTHER))
-    return rep, time.perf_counter() - t0
+    studies, elapsed = _run_presets("table1-crisscross")
+    return studies["t1-cc"], elapsed
 
 
 @pytest.fixture(scope="module")
-def study_t1_ps():
-    return run_study(StudyConfig("square", "powell-sabin", [8, 16, 32, 64], SQ_OTHER))
+def studies_powell_sabin_square():
+    """table1-ps and table2-ps-strong, which share their meshes."""
+    return _run_presets("table1-ps", "table2-ps-strong")[0]
 
 
 @pytest.fixture(scope="module")
-def study_t2_strong():
-    params = Params(
-        nu=1.0, L0=2.0, c_u=1.0, N_u=100.0, N_p=100.0, formulation="stabilised-strong"
-    )
-    return run_study(StudyConfig("square", "powell-sabin", [8, 16, 32, 64], params))
+def study_t1_ps(studies_powell_sabin_square):
+    return studies_powell_sabin_square["t1-ps"]
 
 
 @pytest.fixture(scope="module")
-def study_t3():
-    levels = [16, 32, 64, 128] if PROFILE == "full" else [16, 32, 64]
-    t0 = time.perf_counter()
-    configs = [StudyConfig(f"lshape:{n}", "crisscross", levels, LSHAPE) for n in (1, 2, 4)]
-    out = dict(zip((1, 2, 4), run_studies(configs)))
-    return out, time.perf_counter() - t0
+def study_t2_strong(studies_powell_sabin_square):
+    return studies_powell_sabin_square["t2-strong"]
+
+
+@pytest.fixture(scope="module")
+def studies_lshape_crisscross():
+    """table3-crisscross and table5-corner, which share their meshes and, at
+    the finest level, t3's matrix and LU with t5-nitsche's."""
+    return _run_presets("table3-crisscross", "table5-corner",
+                        levels=CI_LEVELS if PROFILE != "full" else None)
+
+
+@pytest.fixture(scope="module")
+def study_t3(studies_lshape_crisscross):
+    studies, elapsed = studies_lshape_crisscross
+    return {n: studies[f"t3-n{n}"] for n in (1, 2, 4)}, elapsed
 
 
 @pytest.fixture(scope="module")
 def study_t6_final_pair():
     # rates only need the last two levels of the six-level preset
-    configs = [StudyConfig(f"curved-l:{n}", "powell-sabin", [32, 64], CURVED) for n in (1, 2, 4)]
-    return dict(zip((1, 2, 4), run_studies(configs)))
+    studies, _ = _run_presets("table6-ps", levels={"table6-ps": (32, 64)})
+    return {n: studies[f"t6-n{n}"] for n in (1, 2, 4)}
 
 
 # --- criteria ---------------------------------------------------------------
@@ -171,7 +189,7 @@ def test_c02_gap_is_the_pressure_laplacian_scale(monkeypatch, study_t1_uniform):
     ref_rates = [2.39, 2.10, 2.00]
     blocks = masm._batch_pressure_laplacian
     monkeypatch.setattr(masm, "_batch_pressure_laplacian", lambda *args: 0.1 * blocks(*args))
-    scaled = run_study(StudyConfig("square", "uniform", [8, 16, 32, 64], SQ_UNIFORM))
+    scaled = run_study(PRESETS["table1-uniform"][0])
     for rep, ref in zip(scaled.reports, ref_eu):
         assert abs(rep.err_u - ref) <= 0.10 * ref, (rep.h, rep.err_u, ref)
     for rate, ref in zip(scaled.rates_u[1:], ref_rates):
@@ -256,15 +274,16 @@ def test_c04_gap_is_the_interpolated_boundary_data():
     tangential data, the strong solve's err_u matches Nitsche's; with the
     nodal interpolant, the default, it sits 10-20% above (README,
     "Reproduction gaps")."""
-    strong = replace(SQ_OTHER, formulation="stabilised-strong")
+    weak_params = PRESETS["table1-ps"][0].params
+    strong = PRESETS["table2-ps-strong"][0]
     case = square_case()
     for level in (8, 16):
         mesh = powell_sabin_refine(gen_square_uniform(level))
-        weak = l2_errors(mesh, solve(assemble_global(mesh, SQ_OTHER, case)).coeffs, case).err_u
+        weak = l2_errors(mesh, solve(assemble_global(mesh, weak_params, case)).coeffs, case).err_u
 
         def strong_err_u(data):
-            base = assemble_global(mesh, strong, data)
-            system = apply_strong_bc(base, mesh, data, "both-zero")
+            base = assemble_global(mesh, strong.params, data)
+            system = apply_strong_bc(base, mesh, data, strong.corner_strategy)
             return l2_errors(mesh, solve(system).coeffs, case).err_u
 
         projected = strong_err_u(projected_tangential_data(mesh, case))
@@ -297,22 +316,11 @@ def test_c05_lshape_crisscross_rates(study_t3):
 
 
 @pytest.fixture(scope="module")
-def table5_runs(study_t3):
+def table5_runs(studies_lshape_crisscross):
     """Strong corner strategies plus the weak run at the finest singular level."""
-    studies, _ = study_t3
-    nitsche = studies[1].reports[-1]
-    level = 128 if PROFILE == "full" else 64
-    case = lshape_case(1)
-    mesh = gen_lshape(level)
-    params = Params(
-        nu=1.0, L0=0.5, c_u=1.0, N_u=100.0, N_p=100.0, formulation="stabilised-strong"
-    )
-    base = assemble_global(mesh, params, case)
-    out = {"nitsche": nitsche}
-    for strategy in ("both-zero", "free", "bisector-normal"):
-        system = apply_strong_bc(base, mesh, case, strategy)
-        out[strategy] = l2_errors(mesh, solve(system).coeffs, case)
-    return out
+    studies, _ = studies_lshape_crisscross
+    return {key: studies[f"t5-{key}"].reports[-1]
+            for key in ("nitsche", "both-zero", "free", "bisector-normal")}
 
 
 def test_c06_corner_strategies(table5_runs):

@@ -491,44 +491,45 @@ class TestEmitTable:
 
 class TestPresets:
     def test_expected_names_and_parameters(self):
-        presets = default_configs()
+        """Every field of every preset: the one literal copy of the reference
+        studies' settings in the tests (the acceptance suite runs the presets)."""
+        sq_uni = Params(nu=1.0, L0=0.1, c_u=0.1, N_u=100.0, N_p=100.0)
+        sq_other = Params(nu=1.0, L0=2.0, c_u=1.0, N_u=100.0, N_p=100.0)
+        lsh = Params(nu=1.0, L0=0.5, c_u=1.0, N_u=100.0, N_p=100.0)
+        curved = Params(nu=1.0, L0=0.5, c_u=0.1, N_u=100.0, N_p=100.0)
+        strong_sq = Params(nu=1.0, L0=2.0, c_u=1.0, N_u=100.0, N_p=100.0,
+                           formulation="stabilised-strong")
+        strong_lsh = Params(nu=1.0, L0=0.5, c_u=1.0, N_u=100.0, N_p=100.0,
+                            formulation="stabilised-strong")
+        square_levels, lshape_levels = (8, 16, 32, 64), (16, 32, 64, 128)
         expected = {
-            "table1-uniform",
-            "table1-crisscross",
-            "table1-ps",
-            "table2-ps-strong",
-            "table3-crisscross",
-            "table4-ps",
-            "table5-corner",
-            "table6-ps",
+            "table1-uniform": [
+                ("t1-uniform", "square", "uniform", square_levels, sq_uni, "both-zero")],
+            "table1-crisscross": [
+                ("t1-cc", "square", "crisscross", square_levels, sq_other, "both-zero")],
+            "table1-ps": [
+                ("t1-ps", "square", "powell-sabin", square_levels, sq_other, "both-zero")],
+            "table2-ps-strong": [
+                ("t2-strong", "square", "powell-sabin", square_levels, strong_sq, "both-zero")],
+            "table3-crisscross": [
+                (f"t3-n{n}", f"lshape:{n}", "crisscross", lshape_levels, lsh, "both-zero")
+                for n in (1, 2, 4)],
+            "table4-ps": [
+                (f"t4-n{n}", f"lshape:{n}", "powell-sabin", lshape_levels, lsh, "both-zero")
+                for n in (1, 2, 4)],
+            "table5-corner": [
+                (f"t5-{s}", "lshape:1", "crisscross", (128,), strong_lsh, s)
+                for s in ("both-zero", "free", "bisector-normal")]
+            + [("t5-nitsche", "lshape:1", "crisscross", (128,), lsh, "both-zero")],
+            "table6-ps": [
+                (f"t6-n{n}", f"curved-l:{n}", "powell-sabin", (2, 4, 8, 16, 32, 64), curved,
+                 "both-zero")
+                for n in (1, 2, 4)],
         }
-        assert set(presets) == expected
-
-        t1 = presets["table1-uniform"][0]
-        assert (t1.params.L0, t1.params.c_u) == (0.1, 0.1)
-        assert t1.levels == (8, 16, 32, 64)
-
-        t4 = presets["table4-ps"][0]
-        assert (t4.params.L0, t4.params.c_u) == (0.5, 1.0)
-        assert t4.family == "powell-sabin"
-
-        t5 = presets["table5-corner"]
-        strategies = [c.corner_strategy for c in t5 if c.params.formulation == "stabilised-strong"]
-        assert strategies == ["both-zero", "free", "bisector-normal"]
-        assert sum(c.params.formulation == "stabilised-nitsche" for c in t5) == 1
-        assert all(c.levels == (128,) for c in t5)
-
-        t6 = presets["table6-ps"]
-        assert all(len(c.levels) == 6 for c in t6)
-        assert all(c.params.c_u == 0.1 and c.params.L0 == 0.5 for c in t6)
-
-    def test_row_counts_match_reference_tables(self):
-        presets = default_configs()
-        assert all(len(c.levels) == 4 for c in presets["table1-uniform"])
-        assert all(len(c.levels) == 4 for c in presets["table3-crisscross"])
-        assert all(len(c.levels) == 6 for c in presets["table6-ps"])
-        assert all(c.params.N_u == 100.0 and c.params.N_p == 100.0
-                   for group in presets.values() for c in group)
+        got = {name: [(c.label, c.case, c.family, c.levels, c.params, c.corner_strategy)
+                      for c in configs]
+               for name, configs in default_configs().items()}
+        assert got == expected
 
 
 class TestCli:
@@ -604,13 +605,18 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 0
         assert "| h | err_u (rate) |" in capsys.readouterr().out
 
-    def test_invalid_config_file(self, tmp_path):
+    def test_invalid_config_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"case": "square", "family": "uniform",
                                     "levels": [2], "workers": 3}))
         assert main(["run", "--config", str(path)]) == 2
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
+        capsys.readouterr()
+        path.write_bytes('{"label": "caf\u00e9"}'.encode("latin-1"))  # not UTF-8
+        assert main(["run", "--config", str(path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"configuration error: cannot read config {path}: ")
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -9,6 +9,8 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
+import pytest
+
 import maxnit
 from maxnit import cli
 
@@ -63,11 +65,18 @@ def test_only_cli_reads_the_command_line():
     assert importers == {"cli.py"}
 
 
-def test_thread_cap_is_set_before_numpy_loads():
+def _fresh_interpreter(script: str, threads: str) -> subprocess.CompletedProcess:
+    """`script` run by a new Python with MAXNIT_THREADS=`threads` and none of
+    the BLAS thread variables set."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
-    env["MAXNIT_THREADS"] = "3"
+    env["MAXNIT_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                       env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+
+
+def test_thread_cap_is_set_before_numpy_loads():
     script = (
         "import contextlib, io, os, sys\n"
         "import maxnit.cli\n"
@@ -76,9 +85,26 @@ def test_thread_cap_is_set_before_numpy_loads():
         "    assert maxnit.cli.main(['presets']) == 0\n"
         f"print(*(os.environ.get(v) for v in {BLAS_THREADS!r}))\n"
     )
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
+    run = _fresh_interpreter(script, "3")
+    assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["False", "3 3 3"]
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_thread_cap_that_is_not_a_positive_integer_is_a_config_error(threads):
+    script = (
+        "import sys\n"
+        "import maxnit.cli\n"
+        "code = maxnit.cli.main(['presets'])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    run = _fresh_interpreter(script, threads)
+    assert run.returncode == 2
+    assert run.stdout.splitlines() == ["False"]
+    assert run.stderr.splitlines() == [
+        f"configuration error: MAXNIT_THREADS must be a positive integer, not {threads!r}"
+    ]
 
 
 def _readme_block(section: str, language: str) -> str:

@@ -2,9 +2,10 @@
 
     python tools/src_trace.py [SRC]
 
-SRC is a checkout or its `src` directory (default: this checkout). In one
-process, with `sys.settrace` following only the files `SRC/maxnit/*.py`,
-it runs through `maxnit.cli.main`:
+SRC is a checkout or its `src` directory (default: this checkout) whose
+`maxnit run --config` accepts the two JSON configs below. In one process,
+with `sys.settrace` following only the files `SRC/maxnit/*.py`, it runs
+through `maxnit.cli.main`:
 
 - every preset of `default_configs()`, its levels replaced by two small
   ones (2, 4 on the square and the curved L; 4, 8 on the L-shape), with
@@ -19,7 +20,11 @@ it runs through `maxnit.cli.main`:
 
 It then prints every statement (an `ast.stmt`; definitions, imports and
 docstrings aside) of which no line ran, one per line as
-`file:line function source`, and a closing count. Exit status 0.
+`file:line function source`, and a closing count, with exit status 0.
+If any of these commands exits nonzero (a tree that rejects one of the
+JSON configs, say), the tool stops there with exit status 1, names the
+failing command and lists nothing. So a before/after count of two trees
+runs each tree's own copy of this tool.
 Standard library only; `MAXNIT_THREADS` defaults to 1, and the traced run
 takes about a second on 2 cores.
 """
