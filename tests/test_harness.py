@@ -531,6 +531,14 @@ class TestPresets:
                for name, configs in default_configs().items()}
         assert got == expected
 
+    def test_row_counts_match_reference_tables(self):
+        presets = default_configs()
+        assert all(len(c.levels) == 4 for c in presets["table1-uniform"])
+        assert all(len(c.levels) == 4 for c in presets["table3-crisscross"])
+        assert all(len(c.levels) == 6 for c in presets["table6-ps"])
+        assert all(c.params.N_u == 100.0 and c.params.N_p == 100.0
+                   for group in presets.values() for c in group)
+
 
 class TestCli:
     def test_presets_command(self, capsys):
