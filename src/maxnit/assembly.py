@@ -115,10 +115,10 @@ def _dofs(vertices) -> np.ndarray:
 
 @dataclass
 class LinearSystem:
-    """Sparse symmetric system; strong constraints are held as the affine
-    map full = transform @ reduced + offset. `corner` lists, in ascending
-    order, the unknowns at re-entrant corners that the corner strategy
-    kept (none for a weak formulation or the both-zero strategy)."""
+    """Sparse system whose CSR `matrix` equals its transpose, as the solver
+    checks; strong constraints are the affine map full = transform @ reduced
+    + offset. `corner` lists, in ascending order, the unknowns at re-entrant
+    corners that the corner strategy kept (none if weak or both-zero)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray

@@ -92,6 +92,9 @@ class StudyConfig:
             raise ConfigError(f"params must be a Params, not {type(self.params).__name__}")
         if self.corner_strategy not in masm.CORNER_STRATEGIES:
             raise ConfigError(f"unknown corner strategy {self.corner_strategy!r}")
+        if self.corner_strategy != "both-zero" and self.params.formulation != "stabilised-strong":
+            raise ConfigError(f"corner strategy {self.corner_strategy!r} needs formulation "
+                              f"'stabilised-strong', not {self.params.formulation!r}")
         if any(c and c in self.label for c in ("/", os.sep, os.altsep, "\0")):
             raise ConfigError(f"label {self.label!r} holds a path separator or a NUL byte")
         if self.case not in _CASES:

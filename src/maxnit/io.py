@@ -86,8 +86,8 @@ def save_txt(m: Mesh, path: str) -> None:
 
 
 def write_matrix_market(system, path: str) -> None:
-    """Dump the (symmetric) matrix of a `LinearSystem` in MatrixMarket
-    coordinate format."""
+    """Dump the matrix of a `LinearSystem`, symmetric by its contract, in
+    MatrixMarket coordinate format: the lower triangle alone."""
     import scipy.io as sio
 
     sio.mmwrite(path, sp.tril(system.matrix), symmetry="symmetric")

@@ -71,18 +71,16 @@ def factorize_system(system: LinearSystem) -> spla.SuperLU:
     ordering; they keep COLAMD until the reported numbers stop depending on
     the factorisation.
 
-    Raises SingularSystemError when the factorisation breaks down or the
-    1-norm condition estimate ||A||_1 * est(||A^-1||_1) is not below
-    `_COND_LIMIT`. The estimate (`_inverse_norm1`, scipy's `onenormest`) only
-    solves with the factors; reading `lu.L` or `lu.U` would make SuperLU keep
-    CSC copies of both.
+    Raises ValueError, before any factorisation, unless the core is a CSR
+    matrix equal to its transpose, and SingularSystemError when the LU breaks
+    down or the 1-norm condition estimate ||A||_1 * est(||A^-1||_1) is not
+    below `_COND_LIMIT`. The estimate (`_inverse_norm1`) only solves with the
+    factors: reading `lu.L` or `lu.U` makes SuperLU keep CSC copies of both.
 
-    Memory: an exactly symmetric CSR core (every system that assembly
-    builds) is handed to SuperLU as the CSC view of its transpose, which
-    shares the CSR's arrays; any other matrix is copied by `tocsc()`. Right
-    before the factorisation, the heap that the caller has freed (assembly
-    temporaries) is returned to the OS, so that the factors are not
-    allocated on top of it.
+    Memory: SuperLU gets the CSC view of the core's transpose, which shares the
+    CSR's arrays. Right before the factorisation, the heap that the caller has
+    freed (assembly temporaries) is returned to the OS, so that the factors are
+    not allocated on top of it.
     """
     core = system.matrix
     if len(system.corner):
@@ -133,11 +131,11 @@ class BorderedLU:
         x_border = S^-1 (b_border - B^T A0^-1 b_core)
         x_core = A0^-1 b_core - W x_border.
 
-    A0 is exactly symmetric, so W serves the transposed solve too. With an
-    empty border a solve is the core's own. Raises SingularSystemError when
-    S is singular or not finite, or when the 1-norm condition estimate of
-    the bordered matrix, taken through these solves, is not below
-    `_COND_LIMIT`; an empty border keeps the core's estimate.
+    Raises ValueError unless the border rows hold the transpose of the
+    border columns, and SingularSystemError when S is singular or not
+    finite, or when the 1-norm condition estimate of the bordered matrix,
+    taken through these solves, is not below `_COND_LIMIT`. With an empty
+    border a solve and the estimate are the core's own.
     """
 
     def __init__(self, core, matrix, border):
@@ -153,7 +151,10 @@ class BorderedLU:
         self.keep = np.delete(np.arange(n), self.border)
         rows = matrix[self.border]  # [B^T, D], up to the column order
         self.bt = rows[:, self.keep]
-        self.w = core.solve(self.bt.T.toarray())
+        b = matrix[:, self.border][self.keep].toarray()
+        if not np.array_equal(b, self.bt.T.toarray(), equal_nan=True):
+            raise ValueError("border rows are not the transpose of the border columns")
+        self.w = core.solve(b)
         s = rows[:, self.border].toarray() - self.bt @ self.w
         if not np.all(np.isfinite(s)):
             raise SingularSystemError("border Schur complement is not finite")
@@ -163,12 +164,11 @@ class BorderedLU:
             raise SingularSystemError(f"singular border Schur complement: {exc}") from exc
         _check_condition(spla.norm(matrix, 1), self)
 
-    def solve(self, rhs, trans="N"):
+    def solve(self, rhs):
         if not len(self.border):
-            return self.core.solve(rhs, trans)
-        y = self.core.solve(rhs[self.keep], trans)
-        s_inv = self.s_inv if trans == "N" else self.s_inv.T
-        x_border = s_inv @ (rhs[self.border] - self.bt @ y)
+            return self.core.solve(rhs)
+        y = self.core.solve(rhs[self.keep])
+        x_border = self.s_inv @ (rhs[self.border] - self.bt @ y)
         x = np.empty(rhs.shape)
         x[self.keep] = y - self.w @ x_border
         x[self.border] = x_border
@@ -176,20 +176,17 @@ class BorderedLU:
 
 
 def _as_csc(matrix):
-    """`matrix` in CSC form for SuperLU. A canonical CSR matrix that equals
-    its transpose entry for entry is returned as the CSC view of its
-    transpose, which shares its arrays; every other matrix as the
-    `tocsc()` copy that the comparison is made with."""
+    """For SuperLU, the CSC view of `matrix`'s transpose, which shares its
+    arrays; ValueError unless `matrix` is CSR and equal to its transpose,
+    NaNs too. Indices are made canonical in place, as SuperLU would do."""
+    if matrix.format == "csr":
+        matrix.sum_duplicates()
     csc = matrix.tocsc()
-    if (
-        matrix.format == "csr"
-        and matrix.has_canonical_format
-        and np.array_equal(csc.indptr, matrix.indptr)
-        and np.array_equal(csc.indices, matrix.indices)
-        and np.array_equal(csc.data, matrix.data)
-    ):
-        return matrix.T
-    return csc
+    if matrix.format != "csr" or not all(
+            np.array_equal(getattr(csc, name), getattr(matrix, name), equal_nan=True)
+            for name in ("indptr", "indices", "data")):
+        raise ValueError("system matrix is not a CSR matrix equal to its transpose")
+    return matrix.T
 
 
 @cache
@@ -215,15 +212,15 @@ def _inverse_norm1(lu) -> float:
     with Higham's alternating-sign vector, which LAPACK's xLACN2 takes to
     catch what the iteration misses and scipy's t = 1 iteration lacks."""
 
-    def apply(v, trans="N"):
-        y = lu.solve(v, trans=trans)
+    def apply(v):
+        y = lu.solve(v)
         if not np.all(np.isfinite(y)):
             raise FloatingPointError
         return y
 
     n = lu.shape[0]
-    # with no dtype given, LinearOperator would find it by one more solve
-    op = spla.LinearOperator(lu.shape, matvec=apply, rmatvec=lambda v: apply(v, "T"), dtype=float)
+    # A^-T = A^-1, A being symmetric; without a dtype, LinearOperator solves once more
+    op = spla.LinearOperator(lu.shape, matvec=apply, rmatvec=apply, dtype=float)
     alt = (1.0 + np.arange(n) / max(n - 1, 1)) * (-1.0) ** np.arange(n)
     try:
         return max(spla.onenormest(op, t=1), np.abs(apply(alt)).sum() / (1.5 * n))
@@ -238,11 +235,11 @@ def solve(system: LinearSystem, lu=None) -> SolutionFields:
     `lu` is the LU of the system's core as `factorize_system` returns it:
     its own, or that of a system with the same matrix up to the right-hand
     side or the corner strategy (the configs of one study group share it).
-    Without it the core is factorised here. Raises ValueError when `lu` is
-    not of the core's shape, SingularSystemError when the right-hand side is
-    not finite (checked first) or when the factorisation or the border
-    breaks down or yields non-finite values, ResidualError when refinement
-    cannot reach `_RESIDUAL_TOL`.
+    Without it the core is factorised here. Raises ValueError when the
+    matrix is not symmetric or `lu` not of the core's shape, SingularSystemError
+    when the right-hand side is not finite (checked first) or when the
+    factorisation or the border breaks down or yields non-finite values,
+    ResidualError when refinement cannot reach `_RESIDUAL_TOL`.
     """
     a = system.matrix
     b = system.rhs

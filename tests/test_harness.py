@@ -94,6 +94,11 @@ class TestConfigValidation:
             quick_config(corner_strategy="average")
         with pytest.raises(ConfigError, match="unknown corner strategy None"):
             quick_config(corner_strategy=None)
+        # a weak formulation has no corner unknowns to treat
+        with pytest.raises(ConfigError, match="corner strategy 'free' needs formulation "
+                           "'stabilised-strong', not 'stabilised-nitsche'"):
+            quick_config(case="lshape:1", family="crisscross", levels=[8], params=Params(),
+                         corner_strategy="free")
 
 
 class TestBuildMesh:
@@ -647,6 +652,10 @@ class TestCli:
                 ({"params": {"L0": 1e160, "formulation": "stabilised-strong"}},
                  "L0^2/nu = (1e-320, inf) must be finite"),
                 ({"corner_strategy": "mystery"}, "unknown corner strategy 'mystery'"),
+                ({"case": "lshape:1", "family": "crisscross", "levels": [8],
+                  "params": {"formulation": "galerkin-nitsche"}, "corner_strategy": "free"},
+                 "corner strategy 'free' needs formulation 'stabilised-strong', "
+                 "not 'galerkin-nitsche'"),
                 ({"params": {"corner_strategy": "mystery"}},
                  "unknown params fields ['corner_strategy']"),
                 ({"params": {"nu": -1.0}}, "nu must be positive"),

@@ -347,18 +347,64 @@ def test_inverse_norm1_through_the_border_is_a_close_lower_bound(rng):
         assert exact / 10.0 <= est <= exact * (1.0 + 1e-10)
 
 
-def test_bordered_solve_takes_transposes_and_blocks(rng):
+def test_bordered_solve_takes_blocks(rng):
     for matrix, border, core in small_bordered_systems(rng):
         solver = BorderedLU(core, matrix, border)
-        dense = matrix.toarray()
         rhs = rng.standard_normal((matrix.shape[0], 2))
-        for trans, a in (("N", dense), ("T", dense.T)):
-            ref = np.linalg.solve(a, rhs)
-            x = solver.solve(rhs, trans=trans)
-            assert x.shape == rhs.shape
-            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-            column = solver.solve(rhs[:, 1], trans=trans)
-            assert np.abs(column - x[:, 1]).max() <= 1e-14 * np.abs(x).max()
+        ref = np.linalg.solve(matrix.toarray(), rhs)
+        x = solver.solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        column = solver.solve(rhs[:, 1])
+        assert np.abs(column - x[:, 1]).max() <= 1e-14 * np.abs(x).max()
+
+
+class _CountedSolves:
+    """SuperLU stand-in that counts its solves; those after the first
+    `finite` ones are NaN."""
+
+    def __init__(self, lu, finite=np.inf):
+        self._lu, self.shape, self.finite, self.solves = lu, lu.shape, finite, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        x = self._lu.solve(rhs)
+        return x if self.solves <= self.finite else np.full_like(x, np.nan)
+
+
+def free_system_and_b_entry():
+    """The lshape-crisscross-8 `free` system and the (row, column) of an
+    entry of B: a nonzero of the first border column outside the border."""
+    _, _, system = reduced_strong_system("lshape-crisscross-8", "free")
+    c = system.corner
+    return system, (np.setdiff1d(system.matrix[:, c[0]].nonzero()[0], c)[0], c[0])
+
+
+def test_asymmetric_border_is_rejected_before_a_solve():
+    # B scaled at one entry: the border rows no longer hold B^T; unchecked,
+    # refinement ends at a residual of 2.1e-5
+    system, entry = free_system_and_b_entry()
+    matrix = system.matrix.copy()
+    matrix[entry] *= 1.5
+    asymmetric = replace(system, matrix=matrix)
+    core = _CountedSolves(factorize_system(asymmetric))
+    with pytest.raises(ValueError, match="border rows are not the transpose"):
+        BorderedLU(core, matrix, system.corner)
+    assert core.solves == 0
+    with pytest.raises(ValueError, match="border rows are not the transpose"):
+        solve(asymmetric)
+
+
+def test_nan_entries_are_singular_not_asymmetric():
+    # NaN counts as equal to NaN in both symmetry checks, so a matrix with NaN
+    # entries stays a solver failure (CLI exit 3), not a ValueError
+    with pytest.raises(SingularSystemError):
+        factorize_system(whole(crisscross_matrix(2, 100.0) * np.nan))
+    system, (row, col) = free_system_and_b_entry()
+    matrix = system.matrix.copy()
+    matrix[row, col] = matrix[col, row] = np.nan
+    with pytest.raises(SingularSystemError, match="border Schur complement is not finite"):
+        BorderedLU(factorize_system(system), matrix, system.corner)
 
 
 def small_strong_system():
@@ -372,7 +418,8 @@ def small_matrices(rng):
     yield crisscross_matrix(4, 1e-4)
     yield crisscross_matrix(4, 0.0, "stabilised-nitsche")
     yield small_strong_system().matrix
-    yield sp.csr_matrix(rng.standard_normal((40, 40)) + 8.0 * np.eye(40))
+    dense = rng.standard_normal((40, 40))
+    yield sp.csr_matrix(dense + dense.T + 8.0 * np.eye(40))
     yield sp.diags([1.0, 1e-3, 1e3, 1e-6])
 
 
@@ -394,21 +441,11 @@ def test_inverse_norm1_is_deterministic_and_leaves_global_rng_alone():
     assert np.array_equal(before[1], after[1])
 
 
-class _NanTransposedSolve:
-    """SuperLU stand-in whose transposed solves are NaN."""
-
-    def __init__(self, lu):
-        self._lu, self.shape = lu, lu.shape
-
-    def solve(self, rhs, trans="N"):
-        x = self._lu.solve(rhs, trans)
-        return np.full_like(x, np.nan) if trans == "T" else x
-
-
 def test_non_finite_solve_is_an_infinite_estimate():
     matrix = crisscross_matrix(4, 1e-4)
-    lu = _NanTransposedSolve(spla.splu(sp.csc_matrix(matrix)))
+    lu = _CountedSolves(spla.splu(sp.csc_matrix(matrix)), finite=1)
     assert _inverse_norm1(lu) == np.inf
+    assert lu.solves > 1
     with pytest.raises(SingularSystemError, match="numerically singular"):
         _check_condition(spla.norm(matrix, 1), lu)
 
@@ -423,8 +460,8 @@ class _FactorsOnly:
         self.shape, self.nnz = lu.shape, lu.nnz
         self.perm_r, self.perm_c = lu.perm_r, lu.perm_c
 
-    def solve(self, rhs, trans="N"):
-        return self._lu.solve(rhs, trans)
+    def solve(self, rhs):
+        return self._lu.solve(rhs)
 
     def __getattr__(self, name):
         raise AssertionError(f"SuperLU.{name} read")
@@ -489,19 +526,38 @@ def test_weak_system_is_factorised_whole_by_colamd(monkeypatch):
 
 
 @pytest.mark.parametrize("structural", [False, True])
-def test_nonsymmetric_matrix_is_factorised_not_its_transpose(monkeypatch, rng, structural):
+def test_nonsymmetric_matrix_is_rejected_before_superlu(monkeypatch, rng, structural):
     calls = []
     monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
     dense = rng.standard_normal((40, 40)) + 8.0 * np.eye(40)
     if structural:
         dense[0, 1:] = 0.0  # the transpose has another sparsity pattern
-    matrix = sp.csr_matrix(dense)
-    x = rng.standard_normal(40)
-    lu = factorize_system(whole(matrix))
+    system = whole(sp.csr_matrix(dense))
+    with pytest.raises(ValueError, match="not a CSR matrix equal to its transpose"):
+        factorize_system(system)
+    with pytest.raises(ValueError, match="not a CSR matrix equal to its transpose"):
+        solve(system)
+    assert calls == []
+
+
+def test_symmetric_matrix_must_be_csr_and_is_made_canonical(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linsolve, "spla", _SplaView(calls))
+    matrix = crisscross_matrix(2, 100.0)
+    with pytest.raises(ValueError, match="not a CSR matrix"):
+        factorize_system(whole(matrix.tocsc()))
+    assert calls == []
+    # unsorted column indices, as a permuted product leaves them
+    unsorted = matrix.copy()
+    for lo, hi in zip(unsorted.indptr[:-1], unsorted.indptr[1:]):
+        unsorted.indices[lo:hi] = unsorted.indices[lo:hi][::-1].copy()
+        unsorted.data[lo:hi] = unsorted.data[lo:hi][::-1].copy()
+    unsorted.has_sorted_indices = unsorted.has_canonical_format = False
+    factorize_system(whole(unsorted))
     [((handed,), _)] = calls
-    assert not np.shares_memory(handed.data, matrix.data)
-    assert np.abs(lu.solve(matrix @ x) - x).max() < 1e-12
-    assert np.abs(lu.solve(matrix.T @ x) - x).max() > 1e-3
+    assert unsorted.has_canonical_format
+    assert np.shares_memory(handed.data, unsorted.data)
+    assert (unsorted != matrix).nnz == 0
 
 
 def test_heap_is_released_right_before_each_factorisation(monkeypatch):
