@@ -46,7 +46,9 @@ __all__ = [
     "apply_strong_bc",
 ]
 
-FORMULATIONS = ("galerkin-nitsche", "stabilised-nitsche", "stabilised-strong")
+# formulation -> the `Params` fields that its system does not read, which keep their defaults
+FORMULATIONS = {"galerkin-nitsche": ("c_u",), "stabilised-nitsche": (),
+                "stabilised-strong": ("N_u", "N_p")}
 CORNER_STRATEGIES = ("both-zero", "free", "bisector-normal")
 
 # quadrature for data-dependent right-hand-side terms; bilinear terms are
@@ -69,7 +71,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Params:
-    """The constants and the formulation: every setting of the assembled matrix."""
+    """The formulation and the constants that its assembled matrix reads; a
+    field that it does not read (`FORMULATIONS`) must keep its default."""
 
     nu: float = 1.0
     L0: float = 1.0
@@ -96,11 +99,13 @@ class Params:
         if not all(map(math.isfinite, scales + penalties)) or 0.0 in scales:
             raise ConfigError(f"the scales c_u nu/L0^2, L0^2/nu = {scales} must be finite and "
                               f"nonzero, and N_u nu, N_p L0^2/nu = {penalties} finite")
-        if self.formulation not in FORMULATIONS:
+        if not isinstance(self.formulation, str) or self.formulation not in FORMULATIONS:
             raise ConfigError(f"unknown formulation {self.formulation!r}")
-        if self.formulation != "stabilised-strong" and (
-            self.N_u < _PENALTY_WARN_THRESHOLD or self.N_p < _PENALTY_WARN_THRESHOLD
-        ):
+        unread = [f for f in FORMULATIONS[self.formulation]
+                  if getattr(self, f) != getattr(Params, f)]
+        if unread:
+            raise ConfigError(f"formulation {self.formulation!r} does not read {unread}")
+        if self.N_u < _PENALTY_WARN_THRESHOLD or self.N_p < _PENALTY_WARN_THRESHOLD:
             warnings.warn(
                 "penalty constants below the stability threshold estimate; "
                 "the discrete problem may be unstable",

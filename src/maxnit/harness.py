@@ -73,9 +73,9 @@ _CASES = {
 @dataclass(frozen=True)
 class StudyConfig:
     """One convergence study: a case, a mesh family, refinement levels, the
-    matrix's `Params` and, for the strong formulation, how the re-entrant
-    corners are eliminated (one of `CORNER_STRATEGIES`). `levels` is kept
-    as a tuple, so a checked config cannot change."""
+    matrix's `Params` and, for the strong formulation on an L-shaped domain,
+    how the re-entrant corners are eliminated (one of `CORNER_STRATEGIES`).
+    `levels` is kept as a tuple, so a checked config cannot change."""
 
     case: str = "square"
     family: str = "uniform"
@@ -90,11 +90,6 @@ class StudyConfig:
                 raise ConfigError(f"{name} must be a string")
         if not isinstance(self.params, Params):
             raise ConfigError(f"params must be a Params, not {type(self.params).__name__}")
-        if self.corner_strategy not in masm.CORNER_STRATEGIES:
-            raise ConfigError(f"unknown corner strategy {self.corner_strategy!r}")
-        if self.corner_strategy != "both-zero" and self.params.formulation != "stabilised-strong":
-            raise ConfigError(f"corner strategy {self.corner_strategy!r} needs formulation "
-                              f"'stabilised-strong', not {self.params.formulation!r}")
         if any(c and c in self.label for c in ("/", os.sep, os.altsep, "\0")):
             raise ConfigError(f"label {self.label!r} holds a path separator or a NUL byte")
         if self.case not in _CASES:
@@ -103,6 +98,14 @@ class StudyConfig:
             raise ConfigError("levels must be a list of positive integers")
         object.__setattr__(self, "levels", tuple(self.levels))
         domain = _CASES[self.case]().domain
+        if self.corner_strategy not in masm.CORNER_STRATEGIES:
+            raise ConfigError(f"unknown corner strategy {self.corner_strategy!r}")
+        if self.corner_strategy != "both-zero" and self.params.formulation != "stabilised-strong":
+            raise ConfigError(f"corner strategy {self.corner_strategy!r} needs formulation "
+                              f"'stabilised-strong', not {self.params.formulation!r}")
+        if self.corner_strategy != "both-zero" and domain == "square":
+            raise ConfigError(f"corner strategy {self.corner_strategy!r} needs a re-entrant "
+                              "corner, and the square has none")
         for level in self.levels:
             _check_mesh(domain, self.family, level)
         if not self.levels or list(self.levels) != sorted(set(self.levels)):
@@ -150,13 +153,13 @@ def run_studies(configs: list[StudyConfig], out_dir=None, emit=()) -> list[Study
     """Run a batch of studies level by level, sharing work between configs.
 
     Configs that meet at one (domain, family, level) share one mesh; those
-    that also have equal `Params` share one assembled matrix and one LU
-    factorisation (of the matrix for a weak formulation, of the reduced
-    matrix's both-zero core for the strong one).
+    that also have equal `Params`, as equal matrices do, share one assembled
+    matrix and one LU factorisation (of the matrix for a weak formulation,
+    of the reduced matrix's both-zero core for the strong one).
     Each config still gets its own right-hand side, strong-BC elimination,
-    bordered solver (border and condition estimate), solve (refinement and
-    residual gate included) and error norms. One factorisation is alive at a
-    time: a group's LU and matrix are freed before its error norms run.
+    bordered solver if it has corner unknowns (border and condition
+    estimate), solve (refinement and residual gate) and error norms. One
+    LU is alive at a time: a group's LU and matrix die before its norms run.
 
     A row's `wall_ms` is its own time (the stages just listed) plus an equal
     share of each shared step it took part in: the mesh build, the matrix
@@ -167,7 +170,7 @@ def run_studies(configs: list[StudyConfig], out_dir=None, emit=()) -> list[Study
     `emit` (of `_FILES`) to `out_dir`. A format not in `_FILES`, an
     `out_dir` that is not a path or holds a NUL byte, files without an
     `out_dir` and two configs whose files share a name raise ConfigError
-    before any work; then `out_dir` is created, parents included.
+    before any work; then `out_dir` is made (with parents) if `emit` is not empty.
     """
     unknown = [e for e in emit if e not in _FILES]
     if unknown:
@@ -182,7 +185,7 @@ def run_studies(configs: list[StudyConfig], out_dir=None, emit=()) -> list[Study
             raise ConfigError(f"studies {_title(configs[slugs.index(slug)])!r} and "
                               f"{_title(configs[i])!r} both write {slug!r} files")
     cases = [build_case(c.case) for c in configs]
-    if out_dir is not None:  # an unwritable directory fails here, not after the studies ran
+    if emit:  # an unwritable directory fails here, not after the studies ran
         os.makedirs(out_dir, exist_ok=True)
     mtx_dir = out_dir if "matrixmarket" in emit else None
     rows: list[list[ErrorReport]] = [[] for _ in configs]

@@ -93,7 +93,6 @@ def factorize_system(system: LinearSystem) -> spla.SuperLU:
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
-    norm1 = spla.norm(core, 1)
     csc = _as_csc(core)
     trim = _malloc_trim()
     if trim is not None:
@@ -102,15 +101,15 @@ def factorize_system(system: LinearSystem) -> spla.SuperLU:
         lu = spla.splu(csc, **ordering)
     except RuntimeError as exc:
         raise SingularSystemError(f"factorisation failed: {exc}") from exc
-    _check_condition(norm1, lu)
+    _check_condition(core, lu)
     return lu
 
 
-def _check_condition(norm1: float, lu) -> None:
-    """Raise SingularSystemError unless norm1 * est(||A^-1||_1), with A the
-    matrix that `lu` solves with, is below `_COND_LIMIT`."""
+def _check_condition(matrix, lu) -> None:
+    """Raise SingularSystemError unless ||A||_1 * est(||A^-1||_1), with A the
+    `matrix` that `lu` solves with, is below `_COND_LIMIT`."""
     # Python floats: a product past the float range is inf, with no numpy warning
-    cond = float(norm1) * float(_inverse_norm1(lu))
+    cond = float(spla.norm(matrix, 1)) * float(_inverse_norm1(lu))
     if not cond < _COND_LIMIT:
         raise SingularSystemError(
             f"numerically singular system (1-norm condition estimate {cond:.1e}); "
@@ -134,8 +133,7 @@ class BorderedLU:
     Raises ValueError unless the border rows hold the transpose of the
     border columns, and SingularSystemError when S is singular or not
     finite, or when the 1-norm condition estimate of the bordered matrix,
-    taken through these solves, is not below `_COND_LIMIT`. With an empty
-    border a solve and the estimate are the core's own.
+    taken through these solves, is not below `_COND_LIMIT`.
     """
 
     def __init__(self, core, matrix, border):
@@ -146,8 +144,6 @@ class BorderedLU:
         if core.shape != (n - len(self.border),) * 2:
             raise ValueError(f"core of shape {core.shape} for a {self.shape} matrix "
                              f"with {len(self.border)} border unknowns")
-        if not len(self.border):
-            return
         self.keep = np.delete(np.arange(n), self.border)
         rows = matrix[self.border]  # [B^T, D], up to the column order
         self.bt = rows[:, self.keep]
@@ -162,11 +158,9 @@ class BorderedLU:
             self.s_inv = np.linalg.inv(s)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"singular border Schur complement: {exc}") from exc
-        _check_condition(spla.norm(matrix, 1), self)
+        _check_condition(matrix, self)
 
     def solve(self, rhs):
-        if not len(self.border):
-            return self.core.solve(rhs)
         y = self.core.solve(rhs[self.keep])
         x_border = self.s_inv @ (rhs[self.border] - self.bt @ y)
         x = np.empty(rhs.shape)
@@ -229,8 +223,8 @@ def _inverse_norm1(lu) -> float:
 
 
 def solve(system: LinearSystem, lu=None) -> SolutionFields:
-    """LU solve plus iterative refinement, through
-    `BorderedLU(lu, system.matrix, system.corner)`.
+    """LU solve plus iterative refinement, through `lu`, bordered by
+    `BorderedLU(lu, system.matrix, system.corner)` if the system has corners.
 
     `lu` is the LU of the system's core as `factorize_system` returns it:
     its own, or that of a system with the same matrix up to the right-hand
@@ -249,7 +243,8 @@ def solve(system: LinearSystem, lu=None) -> SolutionFields:
         )
     if lu is None:
         lu = factorize_system(system)
-    lu = BorderedLU(lu, a, system.corner)
+    if len(system.corner):
+        lu = BorderedLU(lu, a, system.corner)
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorisation produced non-finite values")

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -408,7 +409,7 @@ class TestZeroSource:
     def test_rhs_equals_unflagged_bit_for_bit(self, domain, form):
         build, make_case = self._CASES[domain]
         mesh, case = build(), make_case()
-        params = Params(nu=1.3, L0=0.6, c_u=0.7, N_u=40.0, N_p=25.0, formulation=form)
+        params = _fingerprint_params(form)
         unflagged = assemble_rhs(mesh, replace(case, zero_source=False), params)
         assert np.array_equal(assemble_rhs(mesh, case, params), unflagged)
 
@@ -454,9 +455,7 @@ class TestGlobalAssembly:
     def test_formulation_nesting(self):
         mesh = gen_square_crisscross(2)
         params_sn = Params(nu=1.0, L0=0.5, c_u=0.7, N_u=50.0, N_p=50.0)
-        params_gn = Params(
-            nu=1.0, L0=0.5, c_u=0.7, N_u=50.0, N_p=50.0, formulation="galerkin-nitsche"
-        )
+        params_gn = Params(nu=1.0, L0=0.5, N_u=50.0, N_p=50.0, formulation="galerkin-nitsche")
         case = square_case()
         a_sn = assemble_global(mesh, params_sn, case).matrix
         a_gn = assemble_global(mesh, params_gn, case).matrix
@@ -663,25 +662,28 @@ class TestParams:
             Params(formulation="collocation")
 
     def test_every_field_enters_the_matrix(self):
-        # Params holds the matrix's settings and nothing else: each field,
-        # perturbed alone, changes the assembled matrix of some formulation
+        # Params holds the matrix's settings and nothing else: for each
+        # formulation, each field that it reads, perturbed alone, changes its
+        # assembled matrix, and each field that it does not read
+        # (FORMULATIONS) is a ConfigError off its default
         mesh, case = gen_lshape(4), lshape_case(1)
-        matrix = {p: assemble_global(mesh, Params(formulation=p), case).matrix
-                  for p in FORMULATIONS}
-        for f in fields(Params):
-            changed = []
-            for formulation, a in matrix.items():
-                base = Params(formulation=formulation)
-                value = getattr(base, f.name)
-                if isinstance(value, str):  # a selector takes each of its other choices
-                    choices = next(c for c in (FORMULATIONS, CORNER_STRATEGIES) if value in c)
-                    others = [c for c in choices if c != value]
+        for formulation, unread in FORMULATIONS.items():
+            base = Params(formulation=formulation)
+            a = assemble_global(mesh, base, case).matrix
+            # the selector takes each of its other choices, a number its double
+            changes = [{"formulation": c} for c in FORMULATIONS if c != formulation] + [
+                {f.name: 2.0 * getattr(base, f.name)}
+                for f in fields(Params) if f.name != "formulation"
+            ]
+            for change in changes:
+                (name,) = change
+                if name in unread:
+                    message = f"formulation {formulation!r} does not read [{name!r}]"
+                    with pytest.raises(ConfigError, match=re.escape(message)):
+                        replace(base, **change)
                 else:
-                    others = [2.0 * value]
-                for other in others:
-                    b = assemble_global(mesh, replace(base, **{f.name: other}), case).matrix
-                    changed.append((a != b).nnz > 0)
-            assert any(changed), f.name
+                    b = assemble_global(mesh, replace(base, **change), case).matrix
+                    assert (a != b).nnz > 0, (formulation, name)
 
     def test_small_penalty_warns(self):
         # the warning names the line that built Params, not the dataclass's
@@ -946,10 +948,17 @@ _SYSTEM_FINGERPRINTS = {
 _FINGERPRINT_PARAMS = Params(nu=1.3, L0=0.6, c_u=0.7, N_u=40.0, N_p=25.0)
 
 
+def _fingerprint_params(formulation) -> Params:
+    """`_FINGERPRINT_PARAMS` of `formulation`, the fields that it does not
+    read at their defaults."""
+    unread = {name: getattr(Params, name) for name in FORMULATIONS[formulation]}
+    return replace(_FINGERPRINT_PARAMS, formulation=formulation, **unread)
+
+
 def _fingerprints(family, n, form) -> tuple[str, str]:
     build, case = _SYSTEM_MESHES[family]
     formulation, corner_strategy = _SYSTEM_FORMS[form]
-    params = replace(_FINGERPRINT_PARAMS, formulation=formulation)
+    params = _fingerprint_params(formulation)
     return _system_fingerprints(build(n), case(), params, corner_strategy)
 
 

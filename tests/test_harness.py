@@ -99,6 +99,15 @@ class TestConfigValidation:
                            "'stabilised-strong', not 'stabilised-nitsche'"):
             quick_config(case="lshape:1", family="crisscross", levels=[8], params=Params(),
                          corner_strategy="free")
+        # the square has no re-entrant corner: there every strategy gives the
+        # both-zero numbers
+        strong = Params(formulation="stabilised-strong")
+        for strategy in ("free", "bisector-normal"):
+            with pytest.raises(ConfigError, match=f"corner strategy '{strategy}' needs a "
+                               "re-entrant corner, and the square has none"):
+                quick_config(params=strong, corner_strategy=strategy)
+            for case, family in (("lshape:1", "crisscross"), ("curved-l:1", "powell-sabin")):
+                quick_config(case=case, family=family, params=strong, corner_strategy=strategy)
 
 
 class TestBuildMesh:
@@ -658,6 +667,15 @@ class TestCli:
                  "not 'galerkin-nitsche'"),
                 ({"params": {"corner_strategy": "mystery"}},
                  "unknown params fields ['corner_strategy']"),
+                ({"params": {"formulation": "stabilised-strong", "N_u": 50}},
+                 "formulation 'stabilised-strong' does not read ['N_u']"),
+                ({"params": {"formulation": "stabilised-strong", "N_p": 7}},
+                 "formulation 'stabilised-strong' does not read ['N_p']"),
+                ({"params": {"formulation": "galerkin-nitsche", "c_u": 3}},
+                 "formulation 'galerkin-nitsche' does not read ['c_u']"),
+                ({"params": {"formulation": ["x"]}}, "unknown formulation ['x']"),
+                ({"params": {"formulation": "stabilised-strong"}, "corner_strategy": "free"},
+                 "corner strategy 'free' needs a re-entrant corner, and the square has none"),
                 ({"params": {"nu": -1.0}}, "nu must be positive"),
                 ({"params": [1.0]}, "params must be a JSON object"),
                 ({"emit": "csv"}, "unknown config fields ['emit']"),
@@ -791,6 +809,17 @@ class TestCli:
         out = tmp_path / "missing" / "nested"
         assert main(["run", "--config", str(path), "--out", str(out), "--emit", "csv"]) == 0
         assert (out / "tiny.csv").read_text().startswith(",".join(_CSV_COLUMNS))
+
+    def test_out_dir_is_made_only_for_files(self, tmp_path, capsys):
+        # markdown is printed, not written: a run that writes no file makes
+        # no directory
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"case": "square", "family": "uniform", "levels": [2, 4]}))
+        out = tmp_path / "d"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert "| h | err_u (rate) |" in capsys.readouterr().out
+        run_studies([quick_config()], out)
+        assert not out.exists()
 
     def test_emit_files_without_out_is_config_error(self, monkeypatch, tmp_path, capsys):
         meshes = counting(monkeypatch, harness, "build_mesh")

@@ -263,6 +263,10 @@ def test_shape_mismatch_is_rejected():
     own = factorize_system(unbordered(system))
     with pytest.raises(ValueError, match="border unknowns"):
         BorderedLU(own, system.matrix, system.corner)
+    # a system without a border is solved by `own` itself, which rejects the size
+    weak = assemble_global(gen_square_uniform(3), Params(), square_case())
+    with pytest.raises(ValueError):
+        solve(weak, lu=own)
 
 
 def test_lone_solve_takes_the_study_path(monkeypatch):
@@ -447,7 +451,7 @@ def test_non_finite_solve_is_an_infinite_estimate():
     assert _inverse_norm1(lu) == np.inf
     assert lu.solves > 1
     with pytest.raises(SingularSystemError, match="numerically singular"):
-        _check_condition(spla.norm(matrix, 1), lu)
+        _check_condition(matrix, lu)
 
 
 class _FactorsOnly:
