@@ -46,9 +46,11 @@ __all__ = [
     "apply_strong_bc",
 ]
 
-# formulation -> the `Params` fields that its system does not read, which keep their defaults
-FORMULATIONS = {"galerkin-nitsche": ("c_u",), "stabilised-nitsche": (),
-                "stabilised-strong": ("N_u", "N_p")}
+# formulation -> (stabilised, strong): the system has the div-div and pressure-Laplacian
+# terms; the boundary data is eliminated, not imposed by Nitsche's terms. Only the div-div
+# term reads c_u and only Nitsche's terms N_u and N_p; an unread field keeps its default.
+FORMULATIONS = {"galerkin-nitsche": (False, False), "stabilised-nitsche": (True, False),
+                "stabilised-strong": (True, True)}
 CORNER_STRATEGIES = ("both-zero", "free", "bisector-normal")
 
 # quadrature for data-dependent right-hand-side terms; bilinear terms are
@@ -71,8 +73,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Params:
-    """The formulation and the constants that its assembled matrix reads; a
-    field that it does not read (`FORMULATIONS`) must keep its default."""
+    """The formulation and the constants that its assembled matrix reads. The
+    formulation is two switches, `stabilised` and `strong` (`FORMULATIONS`);
+    an unread field keeps its default: `c_u` unless stabilised, `N_u`, `N_p` if strong."""
 
     nu: float = 1.0
     L0: float = 1.0
@@ -80,6 +83,8 @@ class Params:
     N_u: float = 100.0
     N_p: float = 100.0
     formulation: str = "stabilised-nitsche"
+    stabilised = property(lambda self: FORMULATIONS[self.formulation][0])
+    strong = property(lambda self: FORMULATIONS[self.formulation][1])
 
     def __post_init__(self):
         for name in ("nu", "L0", "c_u", "N_u", "N_p"):
@@ -101,8 +106,8 @@ class Params:
                               f"nonzero, and N_u nu, N_p L0^2/nu = {penalties} finite")
         if not isinstance(self.formulation, str) or self.formulation not in FORMULATIONS:
             raise ConfigError(f"unknown formulation {self.formulation!r}")
-        unread = [f for f in FORMULATIONS[self.formulation]
-                  if getattr(self, f) != getattr(Params, f)]
+        ignored = ("c_u",) * (not self.stabilised) + ("N_u", "N_p") * self.strong
+        unread = [f for f in ignored if getattr(self, f) != getattr(Params, f)]
         if unread:
             raise ConfigError(f"formulation {self.formulation!r} does not read {unread}")
         if self.N_u < _PENALTY_WARN_THRESHOLD or self.N_p < _PENALTY_WARN_THRESHOLD:
@@ -223,7 +228,7 @@ def _edge_blocks(mesh: Mesh, params: Params):
         (edge_u, edge_u, pen_u),
         (edge_p, edge_p, pen_p),
     ]
-    if params.formulation == "stabilised-nitsche":
+    if params.stabilised:
         # n . grad psi_a, element constant; a batched matmul rounds like the
         # per-edge `grads[e] @ n[e]`, an einsum would not
         ndgrad = (grads @ n[:, :, None])[:, :, 0]
@@ -287,7 +292,7 @@ def assemble_rhs(mesh: Mesh, case: ProblemCase, params: Params) -> np.ndarray:
         slots = _dofs(mesh.triangles.T)[..., :2].transpose(0, 2, 1)  # (3, 2, m)
         parts.append((slots, contrib.transpose(1, 2, 0)))
 
-    if params.formulation != "stabilised-strong":
+    if not params.strong:
         t, ew, tu = _edge_trace(mesh, case)
         _, curl6, tvec, edge_u, _, tri_u, _ = _edge_frame(mesh)
         # -nu <t(ubar), c(v)>: element-constant curl, so one moment per edge
@@ -351,10 +356,8 @@ def _assemble_matrix(mesh: Mesh, params: Params) -> sp.csr_matrix:
     dofs = _dofs(mesh.triangles)
     u_idx, p_idx = dofs[..., :2].reshape(-1, 6), dofs[..., 2]
 
-    stabilised = params.formulation in ("stabilised-nitsche", "stabilised-strong")
-
     uu = _batch_curl_curl(area, grads, params.nu)
-    if stabilised:
+    if params.stabilised:
         uu = uu + _batch_div_div(area, h_k, grads, params)
     up = _batch_mixed_grad(area, grads)
 
@@ -363,9 +366,9 @@ def _assemble_matrix(mesh: Mesh, params: Params) -> sp.csr_matrix:
         [(u_idx, p_idx, up)],
         [(p_idx, u_idx, up.transpose(0, 2, 1))],
     ]
-    if stabilised:
+    if params.stabilised:
         groups.append([(p_idx, p_idx, _batch_pressure_laplacian(area, grads, params))])
-    if params.formulation != "stabilised-strong":
+    if not params.strong:
         # edge-major: every block of one edge before the next edge's
         groups.append(_edge_blocks(mesh, params))
     return _scatter(groups, 3 * mesh.n_vertices)

@@ -92,6 +92,8 @@ class StudyConfig:
             raise ConfigError(f"params must be a Params, not {type(self.params).__name__}")
         if any(c and c in self.label for c in ("/", os.sep, os.altsep, "\0")):
             raise ConfigError(f"label {self.label!r} holds a path separator or a NUL byte")
+        if self.label and not _slug(self):
+            raise ConfigError(f"label {self.label!r} leaves an empty file name")
         if self.case not in _CASES:
             raise ConfigError(f"unknown case {self.case!r}")
         if not isinstance(self.levels, (list, tuple)):
@@ -100,7 +102,7 @@ class StudyConfig:
         domain = _CASES[self.case]().domain
         if self.corner_strategy not in masm.CORNER_STRATEGIES:
             raise ConfigError(f"unknown corner strategy {self.corner_strategy!r}")
-        if self.corner_strategy != "both-zero" and self.params.formulation != "stabilised-strong":
+        if self.corner_strategy != "both-zero" and not self.params.strong:
             raise ConfigError(f"corner strategy {self.corner_strategy!r} needs formulation "
                               f"'stabilised-strong', not {self.params.formulation!r}")
         if self.corner_strategy != "both-zero" and domain == "square":
@@ -237,7 +239,7 @@ def _solve_group(mesh, level, group, configs, cases, ms, mtx_dir) -> list:
             system = base
             if i != group[0]:
                 system = replace(base, rhs=masm.assemble_rhs(mesh, cases[i], params))
-            if params.formulation == "stabilised-strong":  # leaves `base` as it was
+            if params.strong:  # leaves `base` as it was
                 system = apply_strong_bc(system, mesh, cases[i], cfg.corner_strategy)
         if lu is None:
             with _stage(where, ms, group):

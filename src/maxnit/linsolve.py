@@ -78,9 +78,9 @@ def factorize_system(system: LinearSystem) -> spla.SuperLU:
     factors: reading `lu.L` or `lu.U` makes SuperLU keep CSC copies of both.
 
     Memory: SuperLU gets the CSC view of the core's transpose, which shares the
-    CSR's arrays. Right before the factorisation, the heap that the caller has
-    freed (assembly temporaries) is returned to the OS, so that the factors are
-    not allocated on top of it.
+    CSR's arrays. The 1-norm, whose `abs` copies the core, is taken first; then
+    the heap that the caller has freed (assembly temporaries, that copy) is
+    returned to the OS, so that the factors are not allocated on top of it.
     """
     core = system.matrix
     if len(system.corner):
@@ -94,6 +94,7 @@ def factorize_system(system: LinearSystem) -> spla.SuperLU:
             options=dict(SymmetricMode=True),
         )
     csc = _as_csc(core)
+    norm1 = spla.norm(core, 1)  # after `_as_csc`: `abs` of a duplicate entry would add up
     trim = _malloc_trim()
     if trim is not None:
         trim(0)
@@ -101,15 +102,15 @@ def factorize_system(system: LinearSystem) -> spla.SuperLU:
         lu = spla.splu(csc, **ordering)
     except RuntimeError as exc:
         raise SingularSystemError(f"factorisation failed: {exc}") from exc
-    _check_condition(core, lu)
+    _check_condition(norm1, lu)
     return lu
 
 
-def _check_condition(matrix, lu) -> None:
+def _check_condition(norm1, lu) -> None:
     """Raise SingularSystemError unless ||A||_1 * est(||A^-1||_1), with A the
-    `matrix` that `lu` solves with, is below `_COND_LIMIT`."""
+    matrix that `lu` solves with and `norm1` its 1-norm, is below `_COND_LIMIT`."""
     # Python floats: a product past the float range is inf, with no numpy warning
-    cond = float(spla.norm(matrix, 1)) * float(_inverse_norm1(lu))
+    cond = float(norm1) * float(_inverse_norm1(lu))
     if not cond < _COND_LIMIT:
         raise SingularSystemError(
             f"numerically singular system (1-norm condition estimate {cond:.1e}); "
@@ -158,7 +159,7 @@ class BorderedLU:
             self.s_inv = np.linalg.inv(s)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"singular border Schur complement: {exc}") from exc
-        _check_condition(matrix, self)
+        _check_condition(spla.norm(matrix, 1), self)
 
     def solve(self, rhs):
         y = self.core.solve(rhs[self.keep])

@@ -664,10 +664,13 @@ class TestParams:
     def test_every_field_enters_the_matrix(self):
         # Params holds the matrix's settings and nothing else: for each
         # formulation, each field that it reads, perturbed alone, changes its
-        # assembled matrix, and each field that it does not read
-        # (FORMULATIONS) is a ConfigError off its default
+        # assembled matrix, and each field that it does not read is a
+        # ConfigError off its default
         mesh, case = gen_lshape(4), lshape_case(1)
-        for formulation, unread in FORMULATIONS.items():
+        unread_fields = {"galerkin-nitsche": {"c_u"}, "stabilised-nitsche": set(),
+                         "stabilised-strong": {"N_u", "N_p"}}
+        assert unread_fields.keys() == FORMULATIONS.keys()
+        for formulation, unread in unread_fields.items():
             base = Params(formulation=formulation)
             a = assemble_global(mesh, base, case).matrix
             # the selector takes each of its other choices, a number its double
@@ -684,6 +687,15 @@ class TestParams:
                 else:
                     b = assemble_global(mesh, replace(base, **change), case).matrix
                     assert (a != b).nnz > 0, (formulation, name)
+
+    def test_formulations_are_the_two_switches(self):
+        # the properties read the table and are no dataclass fields
+        assert {f: (Params(formulation=f).stabilised, Params(formulation=f).strong)
+                for f in FORMULATIONS} == {"galerkin-nitsche": (False, False),
+                                           "stabilised-nitsche": (True, False),
+                                           "stabilised-strong": (True, True)}
+        assert [f.name for f in fields(Params)] == ["nu", "L0", "c_u", "N_u", "N_p",
+                                                    "formulation"]
 
     def test_small_penalty_warns(self):
         # the warning names the line that built Params, not the dataclass's
@@ -950,9 +962,11 @@ _FINGERPRINT_PARAMS = Params(nu=1.3, L0=0.6, c_u=0.7, N_u=40.0, N_p=25.0)
 
 def _fingerprint_params(formulation) -> Params:
     """`_FINGERPRINT_PARAMS` of `formulation`, the fields that it does not
-    read at their defaults."""
-    unread = {name: getattr(Params, name) for name in FORMULATIONS[formulation]}
-    return replace(_FINGERPRINT_PARAMS, formulation=formulation, **unread)
+    read at their defaults: `c_u` unless stabilised, `N_u` and `N_p` if strong."""
+    stabilised, strong = FORMULATIONS[formulation]
+    unread = ("c_u",) * (not stabilised) + ("N_u", "N_p") * strong
+    defaults = {name: getattr(Params, name) for name in unread}
+    return replace(_FINGERPRINT_PARAMS, formulation=formulation, **defaults)
 
 
 def _fingerprints(family, n, form) -> tuple[str, str]:

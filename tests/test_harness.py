@@ -82,6 +82,14 @@ class TestConfigValidation:
         names = [f.name for f in fields(StudyConfig)]
         assert names == ["case", "family", "levels", "params", "label", "corner_strategy"]
 
+    def test_label_must_name_a_file(self):
+        # `:` leaves the file names, so a label of colons alone would write ".csv"
+        for label in (":", "::"):
+            with pytest.raises(ConfigError, match=f"label {label!r} leaves an empty file name"):
+                quick_config(label=label)
+        assert quick_config(label="a:").label == "a:"
+        assert quick_config(label="").label == ""
+
     @pytest.mark.parametrize("params", [{"nu": 1.0}, None])
     def test_params_must_be_params(self, monkeypatch, params):
         meshes = counting(monkeypatch, harness, "build_mesh")
@@ -685,6 +693,8 @@ class TestCli:
                 ({"out_dir": 5}, "unknown config fields ['out_dir']"),
                 ({"label": "run/1"}, "holds a path separator"),
                 ({"label": "a\u0000b"}, "NUL byte"),
+                ({"label": ":"}, "label ':' leaves an empty file name"),
+                ({"params": {"strong": True}}, "unknown params fields ['strong']"),
                 ({"out_dir": "o\u0000x", "emit": ["csv"]},
                  "unknown config fields ['emit', 'out_dir']"),
                 ({"case": "lshape:1", "family": "crisscross", "levels": [2, 3]}, "level 3 of"),

@@ -451,7 +451,7 @@ def test_non_finite_solve_is_an_infinite_estimate():
     assert _inverse_norm1(lu) == np.inf
     assert lu.solves > 1
     with pytest.raises(SingularSystemError, match="numerically singular"):
-        _check_condition(matrix, lu)
+        _check_condition(spla.norm(matrix, 1), lu)
 
 
 class _FactorsOnly:
@@ -564,15 +564,23 @@ def test_symmetric_matrix_must_be_csr_and_is_made_canonical(monkeypatch):
     assert (unsorted != matrix).nnz == 0
 
 
+class _NormView(_SplaView):
+    def norm(self, *args, **kwargs):
+        self.calls.append("norm")
+        return spla.norm(*args, **kwargs)
+
+
 def test_heap_is_released_right_before_each_factorisation(monkeypatch):
     events = []
     monkeypatch.setattr(linsolve, "_malloc_trim", lambda: lambda pad: events.append(pad))
-    monkeypatch.setattr(linsolve, "spla", _SplaView(events))
+    monkeypatch.setattr(linsolve, "spla", _NormView(events))
     factorize_system(whole(crisscross_matrix(2, 100.0)))
     factorize_system(small_strong_system())
-    # malloc_trim(0), then splu, for each factorisation, either ordering
-    assert [e if e == 0 else "splu" for e in events] == [0, "splu", 0, "splu"]
-    assert [bool(e[1]) for e in events if e != 0] == [False, True]
+    # the condition check's 1-norm, whose copy is freed before malloc_trim(0),
+    # then splu, for each factorisation, either ordering
+    splus = [e for e in events if e not in ("norm", 0)]
+    assert [e if e in ("norm", 0) else "splu" for e in events] == ["norm", 0, "splu"] * 2
+    assert [bool(kwargs) for _, kwargs in splus] == [False, True]
 
 
 def test_factorize_without_malloc_trim(monkeypatch):

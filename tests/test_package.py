@@ -1,6 +1,7 @@
 """The package as a whole: every module's exports, the one module that
-writes files, the one that reads the command line, the thread cap of the
-console entry point, and the README's examples."""
+writes files, the one that compares formulation names, the one that reads
+the command line, the thread cap of the console entry point, and the
+README's examples."""
 
 import ast
 import os
@@ -51,6 +52,20 @@ def test_only_io_writes_files():
                for node in ast.walk(ast.parse(path.read_text())))
     }
     assert writers == {"io.py"}
+
+
+def test_only_assembly_compares_formulation_names():
+    """The other modules read `Params.stabilised` and `Params.strong`; the one
+    comparison left is `Params`' check that the name is in `FORMULATIONS`."""
+    compared = [
+        path.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
+        and any(isinstance(x, ast.Attribute) and x.attr == "formulation"
+                for x in [node.left, *node.comparators])
+    ]
+    assert compared == ["assembly.py"]
 
 
 def test_only_cli_reads_the_command_line():
